@@ -16,7 +16,7 @@
  *   --devices=N     device array size            (default 2)
  *   --tenants=N     tenant count                 (default 8)
  *   --gc-policy=P   fifo|deadline|overlap|all    (default all)
- *   --kernel=K      dense|event|parallel[@T]     (default event)
+ *   --kernel=K      dense|event                  (default event)
  *   --gcs=N         collections per tenant       (default 5)
  *   --queries=N     requests per tenant          (default 250000)
  */
@@ -54,26 +54,6 @@ parseU64(const std::string &text, const char *flag)
     fatal_if(end == nullptr || *end != '\0' || text.empty(),
              "%s: expected a number, got '%s'", flag, text.c_str());
     return v;
-}
-
-void
-applyKernel(core::HwgcConfig &hwgc, const std::string &name)
-{
-    if (name == "dense") {
-        hwgc.kernel = KernelMode::Dense;
-    } else if (name == "event") {
-        hwgc.kernel = KernelMode::Event;
-    } else if (name.rfind("parallel", 0) == 0) {
-        hwgc.kernel = KernelMode::ParallelBsp;
-        const std::size_t at = name.find('@');
-        if (at != std::string::npos) {
-            hwgc.hostThreads = unsigned(
-                parseU64(name.substr(at + 1), "--kernel=parallel@"));
-        }
-    } else {
-        fatal("--kernel=%s: expected dense|event|parallel[@T]",
-              name.c_str());
-    }
 }
 
 /**
@@ -175,6 +155,10 @@ main(int argc, char **argv)
     std::string kernel_name = telemetry::options().kernel.empty()
                                   ? "event"
                                   : telemetry::options().kernel;
+    KernelMode kernel = KernelMode::Event;
+    fatal_if(!kernelModeFromName(kernel_name, kernel),
+             "--kernel / HWGC_KERNEL: unknown kernel '%s' (want dense or "
+             "event)", kernel_name.c_str());
     for (int i = 1; i < argc; ++i) {
         std::string value;
         if (argValue(argv[i], "--gc-policy=", policy_name)) {
@@ -215,7 +199,7 @@ main(int argc, char **argv)
 
     for (const driver::GcPolicy policy : policies) {
         driver::FleetConfig config;
-        applyKernel(config.hwgc, kernel_name);
+        config.hwgc.kernel = kernel;
         config.devices = devices;
         config.policy = policy;
         config.gcsPerTenant = gcs;

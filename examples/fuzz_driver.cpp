@@ -312,14 +312,13 @@ main(int argc, char **argv)
         if (!kernel_name.empty()) {
             fuzz::KernelCase kc;
             if (!fuzz::kernelCaseFromName(kernel_name, kc)) {
-                std::fprintf(stderr, "fuzz_driver: unknown kernel '%s'\n",
+                std::fprintf(stderr,
+                             "fuzz_driver: --kernel: unknown kernel '%s' "
+                             "(want dense or event)\n",
                              kernel_name.c_str());
                 return 2;
             }
             config.kernel = kc.mode;
-            if (kc.threads != 0) {
-                config.hostThreads = kc.threads;
-            }
         }
 
         const double t0 = hostSeconds();
@@ -372,7 +371,9 @@ main(int argc, char **argv)
     if (!kernel_name.empty()) {
         fuzz::KernelCase kc;
         if (!fuzz::kernelCaseFromName(kernel_name, kc)) {
-            std::fprintf(stderr, "fuzz_driver: unknown kernel '%s'\n",
+            std::fprintf(stderr,
+                         "fuzz_driver: --kernel: unknown kernel '%s' "
+                         "(want dense or event)\n",
                          kernel_name.c_str());
             return 2;
         }

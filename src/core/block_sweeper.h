@@ -21,7 +21,6 @@
 #include "core/hwgc_config.h"
 #include "mem/ptw.h"
 #include "mem/tlb.h"
-#include "sim/spsc_ring.h"
 #include "sim/stats.h"
 
 namespace hwgc::core
@@ -51,9 +50,7 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     /**
      * Assigns a block at cycle @p now; the sweeper must be idle. The
      * job sits in a one-entry dispatch inbox for one cycle before the
-     * state machine picks it up — the latch that lets the dispatcher
-     * and the sweeper live in different ParallelBsp partitions without
-     * changing a single simulated cycle.
+     * state machine picks it up.
      */
     void assign(const SweepJob &job, Tick now);
 
@@ -73,8 +70,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     bool busy() const override { return !drained(); }
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void bspCommit(Tick now) override;
-    void bspPublish() override;
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
 
@@ -129,13 +124,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     /** Moves the latched inbox job into the state machine. */
     void activate();
 
-    /** An assign staged by a foreign-partition dispatcher. */
-    struct StagedAssign
-    {
-        SweepJob job;
-        Tick at = 0;
-    };
-
     HwgcConfig config_;
     mem::MemPort *port_;
     mem::Ptw &ptw_;
@@ -149,16 +137,10 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     std::uint64_t cellIndex_ = 0;
     std::uint64_t numCells_ = 0;
 
-    // Dispatch inbox (the one-cycle assign latch) and its ParallelBsp
-    // staging: the dispatcher is the only producer, so a one-entry
-    // SPSC ring plus published idle/drained snapshots reproduce the
-    // serial dispatcher-before-sweeper read order exactly.
+    // Dispatch inbox (the one-cycle assign latch).
     bool inboxValid_ = false;
     Tick inboxAt_ = 0;
     SweepJob inboxJob_;
-    SpscRing<StagedAssign> stagedAssign_;
-    bool publishedIdle_ = true;
-    bool publishedDrained_ = true;
 
     enum class Step : std::uint8_t
     {

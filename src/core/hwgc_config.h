@@ -12,8 +12,6 @@
 #ifndef HWGC_CORE_HWGC_CONFIG_H
 #define HWGC_CORE_HWGC_CONFIG_H
 
-#include <string>
-
 #include "mem/dram.h"
 #include "mem/ideal_mem.h"
 #include "mem/ptw.h"
@@ -89,52 +87,10 @@ struct HwgcConfig
     /**
      * Simulation kernel driving the device's System. Event mode skips
      * idle cycles and is cycle-exact with Dense (test_event_kernel
-     * asserts this); Dense remains as the reference for A/B runs.
-     * ParallelBsp keeps the event semantics but evaluates component
-     * partitions on host worker threads (bit-identical to both,
-     * tests/test_determinism.cc asserts the full matrix).
+     * and tests/test_determinism.cc assert this); Dense remains as the
+     * reference for A/B runs.
      */
     KernelMode kernel = KernelMode::Event;
-
-    /**
-     * ParallelBsp host worker threads. 0 defers to the
-     * --host-threads= flag / HWGC_HOST_THREADS, and failing those one
-     * thread per hardware core. Simulated results are bit-identical
-     * for every value; only host wall-clock changes.
-     */
-    unsigned hostThreads = 0;
-
-    /**
-     * ParallelBsp partition scheme. Three forms:
-     *  - "" defers to --host-partition= / HWGC_HOST_PARTITION, and
-     *    failing those the coarse affinity heuristic (units=0, bus=1,
-     *    memory=2).
-     *  - "fine" gives every same-cycle-coupled component group (atom)
-     *    its own partition: the traversal unit, the reclamation
-     *    dispatcher, each block sweeper, the PTW (+ its cache), the
-     *    bus and the memory device.
-     *  - "cost" starts from "fine" and, after a warm-up sampling
-     *    window (the first mark and sweep phases), re-packs the
-     *    partitions onto worker threads by a greedy LPT bin-pack over
-     *    each component's measured busy cycles.
-     *  - "name=P[,name=P...]" places named components explicitly
-     *    (e.g. "bus=0,dram=0" to co-locate the memory side with the
-     *    traversal unit). Components of one atom must share a
-     *    partition — they exchange same-cycle state and may not split.
-     * Simulated results are bit-identical for every value.
-     */
-    std::string hostPartition;
-
-    /**
-     * ParallelBsp superstep batch cap: when the event kernel's wakeup
-     * data proves only one partition can run and no cross-partition
-     * event can fire, the kernel executes up to this many cycles per
-     * fan-out/join round. 0 defers to --superstep-max= /
-     * HWGC_SUPERSTEP_MAX, and failing those leaves the batch length
-     * bounded only by the no-cross-edge proof; 1 disables batching.
-     * Host-only: simulated results are bit-identical for every value.
-     */
-    unsigned superstepMax = 0;
 
     /**
      * SoC shape requested from drivers that can instantiate a device

@@ -27,7 +27,7 @@ Marker::Marker(std::string name, const HwgcConfig &config,
     hasFastForward_ = true; // Accrues tlbMissStalls over skipped spans.
     panic_if(port_ == nullptr, "marker needs a memory port");
     panic_if(config_.markerSlots == 0, "marker needs request slots");
-    ptwPort_ = ptw_.registerRequester(this, this->name());
+    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 bool

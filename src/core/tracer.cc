@@ -21,7 +21,7 @@ Tracer::Tracer(std::string name, const HwgcConfig &config,
 {
     hasFastForward_ = true; // Accrues throttledCycles over skipped spans.
     panic_if(port_ == nullptr, "tracer needs a memory port");
-    ptwPort_ = ptw_.registerRequester(this, this->name());
+    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 unsigned

@@ -21,7 +21,7 @@
  * transition, completion) only at quantum boundaries. Decisions are
  * therefore pure functions of simulated state at deterministic
  * cycles, which keeps the whole fleet bit-identical across the
- * dense/event/parallel kernels — at the cost of quantum-resolution
+ * dense and event kernels — at the cost of quantum-resolution
  * timestamps on phase transitions (DESIGN.md §12).
  */
 

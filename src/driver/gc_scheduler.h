@@ -7,7 +7,7 @@
  * free devices, the scheduler decides who goes first. The policy is
  * pure and deterministic — it looks only at the pending queue and the
  * current cycle — so every kernel replays the same dispatch order and
- * the fleet stays bit-identical across dense/event/parallel runs.
+ * the fleet stays bit-identical across dense and event runs.
  */
 
 #ifndef HWGC_DRIVER_GC_SCHEDULER_H

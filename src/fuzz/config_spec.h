@@ -22,9 +22,9 @@ namespace hwgc::fuzz
  * Applies a comma-separated "key=value,..." spec onto @p config.
  * Keys: mq, spillq, throttle, comp, slots, waiters, mbc, tq, pend,
  * utlb, sweep, stlb, shared, mshrs, ptwmshrs, mem (ddr3|ideal), bw
- * (bus throttle bytes/cycle, 0 = off), kernel (dense|event|parallel),
- * threads, devices (fleet-shape device array size, >= 1). An empty
- * spec is valid and changes nothing.
+ * (bus throttle bytes/cycle, 0 = off), kernel (dense|event), devices
+ * (fleet-shape device array size, >= 1). An empty spec is valid and
+ * changes nothing.
  * @return false (with a message in @p err) on any unknown key or
  *         malformed value; @p config may be partially updated then.
  */

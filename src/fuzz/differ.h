@@ -3,7 +3,7 @@
  * The differential fuzz runner (DESIGN.md §11).
  *
  * One schedule is replayed through a matrix of universes — every
- * kernel in {dense, event, parallel×{1,4}} under every configuration
+ * kernel in {dense, event} under every configuration
  * of a grid — plus a software-collector witness, all driven through
  * the identical deterministic op sequence. After every collection the
  * runner asserts the paper's core claims:
@@ -18,8 +18,8 @@
  *       equality against the SwCollector witness universe).
  *
  * Any divergence stops the run and — when artifact writing is on —
- * dumps the schedule, a PR-4-style crash checkpoint of the diverged
- * universe, and a one-line replay command.
+ * dumps the schedule, a crash checkpoint of the diverged universe,
+ * and a one-line replay command.
  */
 
 #ifndef HWGC_FUZZ_DIFFER_H
@@ -39,14 +39,13 @@ namespace hwgc::fuzz
 struct KernelCase
 {
     KernelMode mode = KernelMode::Event;
-    unsigned threads = 0;
     std::string name;
 };
 
-/** The standard matrix: dense, event, parallel@1, parallel@4. */
+/** The standard matrix: dense, event. */
 std::vector<KernelCase> kernelMatrix();
 
-/** Resolves "dense" / "event" / "parallel[@N]"; false if unknown. */
+/** Resolves "dense" / "event"; false for any other name. */
 bool kernelCaseFromName(const std::string &name, KernelCase &out);
 
 /** Knobs of one differential run. */

@@ -17,8 +17,6 @@ Dram::Dram(std::string name, const DramParams &params, PhysMem &mem)
 {
     panic_if(params_.banks == 0, "DRAM needs at least one bank");
     panic_if(params_.busBytesPerCycle <= 0.0, "bad bus bandwidth");
-    hasBspHooks_ = true; // Deliveries are staged in ParallelBsp mode.
-    stagedDeliveries_.reserve(params_.maxReads + params_.maxWrites);
 }
 
 unsigned
@@ -42,24 +40,9 @@ Dram::canAccept(const MemRequest &req) const
     return readsInFlight_ < params_.maxReads;
 }
 
-bool
-Dram::canAcceptBsp(const MemRequest &req, unsigned pendingReads,
-                   unsigned pendingWrites) const
-{
-    if (req.isWrite()) {
-        return writesInFlight_ + pendingWrites < params_.maxWrites;
-    }
-    return readsInFlight_ + pendingReads < params_.maxReads;
-}
-
 void
 Dram::sendRequest(const MemRequest &req, Tick now)
 {
-    // In ParallelBsp mode requests arrive at commit, *after* this
-    // cycle's tick ran — a zero-latency frontend would let the dense
-    // kernel issue them one cycle earlier.
-    panic_if(inBspSystem() && params_.frontendLatency == 0,
-             "ParallelBsp requires DRAM frontendLatency >= 1");
     pokeWakeup(); // The new entry changes the earliest issue time.
     panic_if(!canAccept(req), "DRAM overflow: in-flight limit exceeded");
     DPRINTF(now, "DRAM", "%s: %s addr=%#llx size=%u", name().c_str(),
@@ -190,23 +173,10 @@ Dram::tick(Tick now)
         }
     }
 
-    // Deliver due responses. During a ParallelBsp evaluate phase the
-    // delivery's side effects leave this partition (PhysMem access,
-    // in-flight counters the bus polls, the upstream onResponse), so
-    // only the queue pop happens here and the rest is staged. The
-    // blanket evaluate-phase predicate is required (not the
-    // partition-relative one): from our own tick the active partition
-    // is ours, yet the responder lives wherever the bus was placed.
-    const bool staging = bspEvaluatePhase();
+    // Deliver due responses.
     while (!completions_.empty() && completions_.top().at <= now) {
         const Completion c = completions_.top();
         completions_.pop();
-        if (staging) {
-            panic_if(!stagedDeliveries_.push(c.req),
-                     "DRAM staged-delivery ring overflow");
-            detail::noteStagedEvent();
-            continue;
-        }
         MemResponse resp;
         resp.req = c.req;
         resp.completed = now;
@@ -214,29 +184,6 @@ Dram::tick(Tick now)
             mem_.execute(c.req, resp.rdata);
         }
         if (c.req.isWrite()) {
-            panic_if(writesInFlight_ == 0, "write in-flight underflow");
-            --writesInFlight_;
-        } else {
-            panic_if(readsInFlight_ == 0, "read in-flight underflow");
-            --readsInFlight_;
-        }
-        panic_if(responder_ == nullptr, "DRAM has no responder");
-        responder_->onResponse(resp, now);
-    }
-}
-
-void
-Dram::bspCommit(Tick now)
-{
-    MemRequest req;
-    while (stagedDeliveries_.pop(req)) {
-        MemResponse resp;
-        resp.req = req;
-        resp.completed = now;
-        if (!req.timingOnly) {
-            mem_.execute(req, resp.rdata);
-        }
-        if (req.isWrite()) {
             panic_if(writesInFlight_ == 0, "write in-flight underflow");
             --writesInFlight_;
         } else {
@@ -310,8 +257,6 @@ Dram::accessAtomic(const MemRequest &req, Tick now,
 void
 Dram::save(checkpoint::Serializer &ser) const
 {
-    panic_if(!stagedDeliveries_.empty(),
-             "DRAM '%s' checkpointed mid-evaluate", name().c_str());
     ser.putU64(banks_.size());
     for (const auto &bank : banks_) {
         ser.putBool(bank.rowOpen);

@@ -16,14 +16,7 @@ Interconnect::Interconnect(std::string name,
     : Clocked(std::move(name)), params_(params), downstream_(downstream)
 {
     hasFastForward_ = true; // Per-elapsed-cycle counter and tokens.
-    hasBspHooks_ = true;    // All boundary traffic is staged.
     downstream_.setResponder(this);
-    // One tick stages at most grantsPerCycle grants; the delivery
-    // ring starts small and is re-sized (while empty, before any
-    // concurrent reader exists) by tick() if a burst of same-cycle
-    // responses ever outgrows it.
-    stagedGrants_.reserve(params_.grantsPerCycle);
-    stagedDeliveries_.reserve(64);
 }
 
 unsigned
@@ -35,10 +28,6 @@ Interconnect::registerClient(MemResponder *responder, std::string label)
     ports_.push_back(std::move(port));
     portRequests_.emplace_back("requests::" + ports_.back().label);
     portBytes_.emplace_back("bytes::" + ports_.back().label);
-    // A client can never stage more sends in one cycle than its queue
-    // holds — the staged canAccept() admission check bounds it.
-    stagedSends_.emplace_back().reserve(params_.clientQueueDepth);
-    publishedSize_.push_back(0);
     clientGroup_.push_back(noGroup);
     return unsigned(ports_.size() - 1);
 }
@@ -81,17 +70,6 @@ bool
 Interconnect::canAccept(unsigned client) const
 {
     panic_if(client >= ports_.size(), "unknown client %u", client);
-    if (bspStagingActive()) {
-        // Clients run in another partition than the bus, so they see
-        // the queue as of the last commit plus their own staged sends
-        // — exactly the occupancy the dense kernel's same-cycle check
-        // would see (this cycle's grants only shrink the queue, and a
-        // grant can never take a request sent this same cycle). The
-        // ring size is producer-exact: the client owns the tail and
-        // the head only moves on the quiesced commit thread.
-        return publishedSize_[client] + stagedSends_[client].size() <
-               params_.clientQueueDepth;
-    }
     return ports_[client].requests.size() < params_.clientQueueDepth;
 }
 
@@ -106,17 +84,6 @@ Interconnect::sendRequest(const MemRequest &req, Tick now)
     panic_if(!validTransfer(req.paddr, req.size),
              "client %u: invalid transfer addr=%#llx size=%u", req.client,
              (unsigned long long)req.paddr, req.size);
-    if (bspStagingActive()) {
-        // The sender and the bus are in different partitions: record
-        // the send for replay at commit, where it enters the queue at
-        // the position and timestamp the dense kernel would have used.
-        panic_if(params_.requestLatency == 0,
-                 "ParallelBsp requires bus requestLatency >= 1");
-        panic_if(!stagedSends_[req.client].push({req, now}),
-                 "client %u staged-send ring overflow", req.client);
-        detail::noteStagedEvent();
-        return;
-    }
     Port &port = ports_[req.client];
     port.requests.push_back({req, now + params_.requestLatency});
     ++portRequests_[req.client];
@@ -157,24 +124,7 @@ Interconnect::tick(Tick now)
         }
     }
 
-    // Round-robin grant of up to grantsPerCycle requests. While
-    // staging (ParallelBsp evaluate), the grant *decisions* are made
-    // here with the admission check counting the grants already
-    // staged this tick, but the sends into the memory device are
-    // deferred to bspCommit(). The blanket evaluate-phase predicate
-    // (not the partition-relative one) is required: from the bus's
-    // own tick the active partition *is* the bus's, yet the grant's
-    // side effects land in the memory device and the delivery
-    // handlers in client units — either may live anywhere under a
-    // fine partitioning.
-    const bool staging = bspEvaluatePhase();
-    if (staging &&
-        stagedDeliveries_.capacity() < pendingResponses_.size()) {
-        // Legal (and race-free) because the ring is empty at the top
-        // of every evaluate tick and the commit thread only reads it
-        // after this worker joins the barrier.
-        stagedDeliveries_.reserve(pendingResponses_.size());
-    }
+    // Round-robin grant of up to grantsPerCycle requests.
     unsigned granted = 0;
     const unsigned n = unsigned(ports_.size());
     for (unsigned i = 0; i < n && granted < params_.grantsPerCycle; ++i) {
@@ -185,9 +135,7 @@ Interconnect::tick(Tick now)
             continue;
         }
         const MemRequest &req = port.requests.front().req;
-        if (staging ? !downstream_.canAcceptBsp(req, stagedMemReads_,
-                                                stagedMemWrites_)
-                    : !downstream_.canAccept(req)) {
+        if (!downstream_.canAccept(req)) {
             continue;
         }
         // Budget real DRAM bandwidth: a sub-line request still costs
@@ -210,18 +158,7 @@ Interconnect::tick(Tick now)
         if (grp != nullptr) {
             grp->tokens -= cost;
         }
-        if (staging) {
-            panic_if(!stagedGrants_.push({req, now}),
-                     "staged-grant ring overflow");
-            detail::noteStagedEvent();
-            if (req.isWrite()) {
-                ++stagedMemWrites_;
-            } else {
-                ++stagedMemReads_;
-            }
-        } else {
-            downstream_.sendRequest(req, now);
-        }
+        downstream_.sendRequest(req, now);
         port.requests.pop_front();
         if (port.owner != nullptr) {
             pokeWakeup(*port.owner); // canAccept() just rose.
@@ -231,20 +168,11 @@ Interconnect::tick(Tick now)
         rrNext_ = (idx + 1) % n;
     }
 
-    // Deliver due responses (in arrival order). While staging, the
-    // handlers run at commit — they mutate client-partition state and
-    // may immediately send new requests.
+    // Deliver due responses (in arrival order).
     while (!pendingResponses_.empty() &&
            pendingResponses_.front().readyAt <= now) {
         const MemResponse resp = pendingResponses_.front().resp;
         pendingResponses_.pop_front();
-        if (staging) {
-            panic_if(!stagedDeliveries_.push(resp),
-                     "staged-delivery ring overflow");
-            detail::noteStagedEvent();
-            moved = true;
-            continue;
-        }
         Port &port = ports_[resp.req.client];
         if (port.responder != nullptr) {
             port.responder->onResponse(resp, now);
@@ -364,65 +292,8 @@ Interconnect::fastForward(Tick from, Tick to)
 }
 
 void
-Interconnect::bspCommit(Tick now)
-{
-    // 1. Client sends: in the dense cycle these ran during the client
-    //    ticks, before the bus ticked. Replaying them through the
-    //    live sendRequest reproduces queue positions, timestamps and
-    //    per-client statistics exactly (this cycle's grants already
-    //    popped, but a grant can never take a same-cycle send, so the
-    //    final queue content is order-independent).
-    //    Clients staged concurrently into their own rings, so replay
-    //    walks the rings in client-id order — state-identical to any
-    //    dense interleaving, because each send lands in its own
-    //    per-client queue and bumps only per-client counters.
-    StagedReq s;
-    for (auto &ring : stagedSends_) {
-        while (ring.pop(s)) {
-            sendRequest(s.req, s.at);
-        }
-    }
-
-    // 2. Grants decided by this cycle's tick, in grant order.
-    while (stagedGrants_.pop(s)) {
-        downstream_.sendRequest(s.req, s.at);
-    }
-    stagedMemReads_ = 0;
-    stagedMemWrites_ = 0;
-
-    // 3. Response deliveries, in arrival order. Handlers may send new
-    //    requests live from here — they land after the replayed
-    //    sends, just as they would during the dense bus tick.
-    MemResponse resp;
-    while (stagedDeliveries_.pop(resp)) {
-        Port &port = ports_[resp.req.client];
-        if (port.responder != nullptr) {
-            port.responder->onResponse(resp, now);
-        }
-    }
-}
-
-void
-Interconnect::bspPublish()
-{
-    // End-of-cycle queue occupancy, read by client partitions' staged
-    // canAccept() checks throughout the next evaluate phase.
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-        publishedSize_[i] = unsigned(ports_[i].requests.size());
-    }
-}
-
-void
 Interconnect::save(checkpoint::Serializer &ser) const
 {
-    // Checkpoints are taken at inter-cycle boundaries, where BSP
-    // staging buffers are empty by the kernel's invariants.
-    for (const auto &ring : stagedSends_) {
-        panic_if(!ring.empty(), "bus '%s' checkpointed mid-evaluate",
-                 name().c_str());
-    }
-    panic_if(!stagedGrants_.empty() || !stagedDeliveries_.empty(),
-             "bus '%s' checkpointed mid-evaluate", name().c_str());
     ser.putU64(ports_.size());
     for (const auto &port : ports_) {
         ser.putU64(port.requests.size());
@@ -447,13 +318,6 @@ Interconnect::save(checkpoint::Serializer &ser) const
     }
     for (const unsigned g : clientGroup_) {
         ser.putU64(g);
-    }
-    // Record the actual end-of-cycle occupancy, not the publishedSize_
-    // scratch: under the dense/event kernels bspPublish() never runs,
-    // so the scratch would be stale (restore() rebuilds its own copy
-    // from the queues either way).
-    for (const auto &port : ports_) {
-        ser.putU64(port.requests.size());
     }
     for (const auto &s : portRequests_) {
         checkpoint::putStat(ser, s);
@@ -504,19 +368,6 @@ Interconnect::restore(checkpoint::Deserializer &des)
     for (unsigned &g : clientGroup_) {
         g = unsigned(des.getU64());
     }
-    // The published occupancies are consumed but not trusted: they are
-    // BSP-kernel scratch that only bspPublish() maintains, so an image
-    // written under the dense or event kernel carries stale values
-    // (typically the all-zero initial state). At an inter-cycle
-    // boundary published == actual by the publish-every-cycle
-    // invariant, so rebuild them from the restored queues — otherwise
-    // a ParallelBsp resume admits staged sends into already-full
-    // client queues and bspCommit()'s replay overflows.
-    for (auto &size : publishedSize_) {
-        (void)des.getU64();
-        size = 0;
-    }
-    bspPublish();
     for (auto &s : portRequests_) {
         checkpoint::getStat(des, s);
     }

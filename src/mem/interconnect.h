@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "mem/mem_device.h"
-#include "sim/spsc_ring.h"
 #include "sim/stats.h"
 
 namespace hwgc::mem
@@ -114,16 +113,6 @@ class Interconnect : public Clocked, public MemResponder
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
 
-    // ParallelBsp staging (see DESIGN.md §8). During the evaluate
-    // phase the bus runs in its own partition, so every boundary
-    // crossing is staged and replayed here in the dense kernel's
-    // intra-cycle order: client sends (which preceded the bus tick),
-    // then grants into the memory device, then response deliveries
-    // (whose handlers may immediately send live — landing after the
-    // replayed sends, exactly as in the dense cycle).
-    void bspCommit(Tick now) override;
-    void bspPublish() override;
-
     void resetStats();
 
     /** @name Statistics @{ */
@@ -163,36 +152,10 @@ class Interconnect : public Clocked, public MemResponder
         std::deque<TimedReq> requests;
     };
 
-    /** A send or grant captured during a ParallelBsp evaluate phase. */
-    struct StagedReq
-    {
-        MemRequest req;
-        Tick at;
-    };
-
     InterconnectParams params_;
     MemDevice &downstream_;
     std::vector<Port> ports_;
 
-    /**
-     * @name ParallelBsp staging state (empty outside evaluate)
-     *
-     * Each boundary crossing gets its own SPSC ring: the per-client
-     * send rings have exactly one producer (the worker running the
-     * client's partition) and the grant/delivery rings are filled by
-     * the worker ticking the bus itself; the single consumer is
-     * always the commit thread, after the evaluate join. A deque
-     * keeps the (non-movable, cache-line-padded) rings at stable
-     * addresses while clients keep registering.
-     * @{
-     */
-    std::deque<SpscRing<StagedReq>> stagedSends_; //!< Client -> bus.
-    SpscRing<StagedReq> stagedGrants_;            //!< Bus -> memory.
-    SpscRing<MemResponse> stagedDeliveries_;      //!< Bus -> client.
-    std::vector<unsigned> publishedSize_; //!< Last-commit queue sizes.
-    unsigned stagedMemReads_ = 0;  //!< Reads granted this evaluate.
-    unsigned stagedMemWrites_ = 0; //!< Writes granted this evaluate.
-    /** @} */
     /** Per-client request/byte counters; a deque keeps the Scalars'
      *  addresses stable while clients keep registering, so telemetry
      *  groups may hold pointers into it. */

@@ -18,37 +18,19 @@ Ptw::Ptw(std::string name, const PtwParams &params,
       port_(port), l2Tlb_(this->name() + ".l2tlb", params.l2TlbEntries)
 {
     panic_if(port_ == nullptr, "PTW needs a memory port");
-    hasBspHooks_ = true;
 }
 
 unsigned
-Ptw::registerRequester(const Clocked *owner, std::string label)
+Ptw::registerRequester(std::string label)
 {
-    auto p = std::make_unique<Port>();
-    p->owner = owner;
-    p->label = std::move(label);
-    // A requester can never have more than queueDepth walks staged in
-    // one cycle — it is bounded by its own canRequest() checks.
-    p->staged.reserve(params_.queueDepth);
-    ports_.push_back(std::move(p));
-    // Worst case every outstanding completion targets a foreign
-    // partition and comes due on the same cycle.
-    stagedCallbacks_.reserve(ports_.size() * params_.queueDepth);
+    ports_.push_back({std::move(label), {}});
     return unsigned(ports_.size() - 1);
 }
 
 bool
 Ptw::canRequest(unsigned port) const
 {
-    const Port &p = *ports_[port];
-    if (bspStagingActive()) {
-        // Foreign-partition view: last cycle's published occupancy
-        // plus what this requester itself staged this cycle — exactly
-        // the live queue size it would have seen ticking before the
-        // walker in the serial pass.
-        return p.publishedSize + p.staged.size() < params_.queueDepth;
-    }
-    return p.queue.size() < params_.queueDepth;
+    return ports_[port].queue.size() < params_.queueDepth;
 }
 
 void
@@ -56,18 +38,9 @@ Ptw::requestWalk(unsigned port, Addr va, Tick now, WalkCallback cb,
                  std::uint64_t token)
 {
     panic_if(!canRequest(port), "PTW '%s' port '%s': queue overflow",
-             name().c_str(), ports_[port]->label.c_str());
+             name().c_str(), ports_[port].label.c_str());
     pokeWakeup(); // The latched walk becomes visible next cycle.
-    Port &p = *ports_[port];
-    WalkRequest r{va, now + 1, std::move(cb), token};
-    if (bspStagingActive()) {
-        panic_if(!p.staged.push(r),
-                 "PTW '%s' port '%s': staging ring overflow",
-                 name().c_str(), p.label.c_str());
-        detail::noteStagedEvent();
-        return;
-    }
-    p.queue.push_back(std::move(r));
+    ports_[port].queue.push_back({va, now + 1, std::move(cb), token});
 }
 
 void
@@ -116,22 +89,12 @@ Ptw::onResponse(const MemResponse &resp, Tick now)
 void
 Ptw::tick(Tick now)
 {
-    // Fire due callbacks; completions whose requester is being
-    // evaluated in a foreign partition right now are deferred to
-    // bspCommit (same-cycle delivery either way).
+    // Fire due callbacks.
     while (!pendingCallbacks_.empty() &&
            pendingCallbacks_.front().readyAt <= now) {
         PendingCallback pc = std::move(pendingCallbacks_.front());
         pendingCallbacks_.pop_front();
-        const Clocked *owner = ports_[pc.port]->owner;
-        if (owner != nullptr && owner->bspStagingActive()) {
-            panic_if(!stagedCallbacks_.push(pc),
-                     "PTW '%s': callback staging ring overflow",
-                     name().c_str());
-            detail::noteStagedEvent();
-        } else {
-            pc.cb(pc.valid, pc.va, pc.pa, pc.pageBits);
-        }
+        pc.cb(pc.valid, pc.va, pc.pa, pc.pageBits);
     }
 
     if (walking_) {
@@ -142,12 +105,11 @@ Ptw::tick(Tick now)
     }
 
     // Start at most one queued walk: oldest arrival wins, same-cycle
-    // arrivals break by port id. Both keys are placement-independent,
-    // which is what keeps fine partitionings bit-identical.
+    // arrivals break by port id.
     unsigned best = ~0u;
     Tick best_at = maxTick;
     for (unsigned i = 0; i < ports_.size(); ++i) {
-        const auto &q = ports_[i]->queue;
+        const auto &q = ports_[i].queue;
         if (!q.empty() && q.front().arriveAt <= now &&
             q.front().arriveAt < best_at) {
             best = i;
@@ -158,7 +120,7 @@ Ptw::tick(Tick now)
         return;
     }
 
-    Port &p = *ports_[best];
+    Port &p = ports_[best];
     current_ = std::move(p.queue.front());
     currentPort_ = best;
     p.queue.pop_front();
@@ -180,42 +142,11 @@ Ptw::tick(Tick now)
     issueLevel(now);
 }
 
-void
-Ptw::bspCommit(Tick now)
-{
-    (void)now;
-    // Replay cross-partition walk requests. Each ring holds one
-    // requester's issues in order; the arriveAt latch already carries
-    // the issue cycle, so replay order across ports is immaterial.
-    for (auto &pp : ports_) {
-        WalkRequest r;
-        while (pp->staged.pop(r)) {
-            pokeWakeup();
-            panic_if(pp->queue.size() >= params_.queueDepth,
-                     "PTW '%s' port '%s': queue overflow at commit",
-                     name().c_str(), pp->label.c_str());
-            pp->queue.push_back(std::move(r));
-        }
-    }
-    PendingCallback pc;
-    while (stagedCallbacks_.pop(pc)) {
-        pc.cb(pc.valid, pc.va, pc.pa, pc.pageBits);
-    }
-}
-
-void
-Ptw::bspPublish()
-{
-    for (auto &pp : ports_) {
-        pp->publishedSize = pp->queue.size();
-    }
-}
-
 bool
 Ptw::anyQueued() const
 {
     for (const auto &pp : ports_) {
-        if (!pp->queue.empty()) {
+        if (!pp.queue.empty()) {
             return true;
         }
     }
@@ -242,9 +173,9 @@ Ptw::nextWakeup(Tick now) const
         return next; // Waiting on a PTE fetch response.
     }
     for (const auto &pp : ports_) {
-        if (!pp->queue.empty()) {
+        if (!pp.queue.empty()) {
             next = std::min(next,
-                            std::max(pp->queue.front().arriveAt, now));
+                            std::max(pp.queue.front().arriveAt, now));
         }
     }
     return next;
@@ -304,27 +235,21 @@ Ptw::save(checkpoint::Serializer &ser) const
 {
     ser.putU64(ports_.size());
     for (const auto &pp : ports_) {
-        panic_if(!pp->staged.empty(),
-                 "PTW '%s': checkpoint with staged walk requests",
-                 name().c_str());
-        panic_if(!pp->queue.empty() && pp->label.empty(),
+        panic_if(!pp.queue.empty() && pp.label.empty(),
                  "PTW '%s': cannot checkpoint walk requests issued "
                  "through an unlabelled port",
                  name().c_str());
-        ser.putString(pp->label);
-        ser.putU64(pp->queue.size());
-        for (const auto &r : pp->queue) {
+        ser.putString(pp.label);
+        ser.putU64(pp.queue.size());
+        for (const auto &r : pp.queue) {
             ser.putU64(r.va);
             ser.putU64(r.arriveAt);
             ser.putU64(r.token);
         }
     }
-    panic_if(!stagedCallbacks_.empty(),
-             "PTW '%s': checkpoint with staged walk callbacks",
-             name().c_str());
     ser.putU64(pendingCallbacks_.size());
     for (const auto &pc : pendingCallbacks_) {
-        panic_if(ports_[pc.port]->label.empty(),
+        panic_if(ports_[pc.port].label.empty(),
                  "PTW '%s': cannot checkpoint a walk callback issued "
                  "through an unlabelled port",
                  name().c_str());
@@ -339,7 +264,7 @@ Ptw::save(checkpoint::Serializer &ser) const
     ser.putBool(walking_);
     ser.putBool(awaitingResponse_);
     if (walking_) {
-        panic_if(ports_[currentPort_]->label.empty(),
+        panic_if(ports_[currentPort_].label.empty(),
                  "PTW '%s': cannot checkpoint the current walk: it was "
                  "issued through an unlabelled port",
                  name().c_str());
@@ -372,21 +297,20 @@ Ptw::restore(checkpoint::Deserializer &des)
              (unsigned long long)num_ports);
     for (auto &pp : ports_) {
         const std::string label = des.getString();
-        fatal_if(label != pp->label,
+        fatal_if(label != pp.label,
                  "checkpoint '%s': PTW '%s' port label mismatch "
                  "('%s' vs '%s')",
                  des.origin().c_str(), name().c_str(), label.c_str(),
-                 pp->label.c_str());
-        pp->queue.clear();
-        pp->publishedSize = 0;
+                 pp.label.c_str());
+        pp.queue.clear();
         const std::uint64_t num_queued = des.getU64();
         for (std::uint64_t i = 0; i < num_queued; ++i) {
             WalkRequest r;
             r.va = des.getU64();
             r.arriveAt = des.getU64();
             r.token = des.getU64();
-            r.cb = resolveCallback(pp->label, r.token, des.origin());
-            pp->queue.push_back(std::move(r));
+            r.cb = resolveCallback(pp.label, r.token, des.origin());
+            pp.queue.push_back(std::move(r));
         }
     }
     pendingCallbacks_.clear();
@@ -405,7 +329,7 @@ Ptw::restore(checkpoint::Deserializer &des)
                  "port %u of %zu",
                  des.origin().c_str(), name().c_str(), pc.port,
                  ports_.size());
-        pc.cb = resolveCallback(ports_[pc.port]->label, pc.token,
+        pc.cb = resolveCallback(ports_[pc.port].label, pc.token,
                                 des.origin());
         pendingCallbacks_.push_back(std::move(pc));
     }
@@ -424,7 +348,7 @@ Ptw::restore(checkpoint::Deserializer &des)
                  "port %u of %zu",
                  des.origin().c_str(), name().c_str(), currentPort_,
                  ports_.size());
-        current_.cb = resolveCallback(ports_[currentPort_]->label,
+        current_.cb = resolveCallback(ports_[currentPort_].label,
                                       current_.token, des.origin());
         walkPlan_.valid = des.getBool();
         walkPlan_.pa = des.getU64();
@@ -439,7 +363,6 @@ Ptw::restore(checkpoint::Deserializer &des)
     checkpoint::getStat(des, l2Hits_);
     checkpoint::getStat(des, pteFetches_);
     l2Tlb_.restore(des);
-    bspPublish(); // Rebuild the foreign-partition occupancy snapshot.
 }
 
 void

@@ -18,11 +18,8 @@
  * for one cycle (arriveAt = issue + 1) before the walker can pick it
  * up, and the walker starts at most one queued walk per cycle,
  * choosing the oldest arrival and breaking same-cycle ties by port
- * id. Both rules make the pick order a pure function of issue cycles
- * and port ids — never of host scheduling — so the ParallelBsp
- * kernel can place each requester in its own partition and stage
- * cross-partition requests in per-port SPSC rings without changing a
- * single simulated cycle (DESIGN.md §8).
+ * id, so the pick order is a pure function of issue cycles and port
+ * ids.
  */
 
 #ifndef HWGC_MEM_PTW_H
@@ -30,13 +27,11 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 
 #include "mem/page_table.h"
 #include "mem/port.h"
 #include "mem/tlb.h"
 #include "sim/clocked.h"
-#include "sim/spsc_ring.h"
 #include "sim/stats.h"
 
 namespace hwgc::mem
@@ -80,13 +75,12 @@ class Ptw : public Clocked, public MemResponder
 
     /**
      * Attaches a requester and returns its port id for canRequest() /
-     * requestWalk(). @p owner is the requesting component (nullptr for
-     * harness-driven requests, which then always complete live);
-     * @p label is its checkpoint identity — the name handed to the
-     * CallbackResolver, conventionally owner->name(). Call during
-     * construction, before the first tick.
+     * requestWalk(). @p label is its checkpoint identity — the name
+     * handed to the CallbackResolver, conventionally the requesting
+     * component's name(). Call during construction, before the first
+     * tick.
      */
-    unsigned registerRequester(const Clocked *owner, std::string label);
+    unsigned registerRequester(std::string label);
 
     /** True if port @p port can queue another walk this cycle. */
     bool canRequest(unsigned port) const;
@@ -120,8 +114,6 @@ class Ptw : public Clocked, public MemResponder
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void bspCommit(Tick now) override;
-    void bspPublish() override;
     void save(checkpoint::Serializer &ser) const override;
     void restore(checkpoint::Deserializer &des) override;
 
@@ -170,23 +162,14 @@ class Ptw : public Clocked, public MemResponder
         unsigned pageBits = 0;
         WalkCallback cb;
         std::uint64_t token = 0;  //!< Requester-defined (restore identity).
-        unsigned port = 0;        //!< Issuing port (owner + restore identity).
+        unsigned port = 0;        //!< Issuing port (restore identity).
     };
 
-    /**
-     * One requester attachment. The live queue is only touched by the
-     * walker's own partition; cross-partition issues go through the
-     * SPSC staging ring (producer: the requester's worker thread,
-     * consumer: the commit thread) and publishedSize lets the
-     * requester answer canRequest() from last cycle's snapshot.
-     */
+    /** One requester attachment. */
     struct Port
     {
-        const Clocked *owner = nullptr;
         std::string label;
         std::deque<WalkRequest> queue;
-        SpscRing<WalkRequest> staged;
-        std::size_t publishedSize = 0;
     };
 
     /** Issues the PTE fetch for the current level if the port has room. */
@@ -206,12 +189,8 @@ class Ptw : public Clocked, public MemResponder
     MemPort *port_;
     TlbArray l2Tlb_;
 
-    std::vector<std::unique_ptr<Port>> ports_;
+    std::vector<Port> ports_;
     std::deque<PendingCallback> pendingCallbacks_;
-    /** Completions whose requester lives in a foreign partition,
-     *  deferred to bspCommit. One ring suffices: the walker's own
-     *  partition is the only producer. */
-    SpscRing<PendingCallback> stagedCallbacks_;
 
     // Current walk state.
     bool walking_ = false;

@@ -20,13 +20,12 @@
  * fatal() with a precise message, never a corrupted resume.
  *
  * Determinism argument: serialization only happens between cycles
- * (never mid-tick), where every kernel's transient state (BSP staging
- * buffers, the event kernel's due mask) is provably empty, and the
- * wakeup caches need no serialization at all because nextWakeup() is
- * a pure function of component state and the kernel re-polls every
- * component when a run (re)starts. A restored run is therefore
- * bit-identical — cycle counts and statistics — to the uninterrupted
- * one, under any of the three kernels.
+ * (never mid-tick), where the kernel's transient state (the event
+ * kernel's due mask) is provably empty, and the wakeup caches need no
+ * serialization at all because nextWakeup() is a pure function of
+ * component state and the kernel re-polls every component when a run
+ * (re)starts. A restored run is therefore bit-identical — cycle counts
+ * and statistics — to the uninterrupted one, under either kernel.
  */
 
 #ifndef HWGC_SIM_CHECKPOINT_H
@@ -51,7 +50,7 @@ namespace hwgc::checkpoint
 /** Format magic and version; bump the version on any layout change. */
 inline constexpr char magic[8] = {'H', 'W', 'G', 'C',
                                   'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t formatVersion = 1;
+inline constexpr std::uint32_t formatVersion = 2;
 
 /** Serializes state into the chunked checkpoint image. */
 class Serializer

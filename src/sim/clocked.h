@@ -4,7 +4,7 @@
  *
  * All timing models are Clocked components registered with a System.
  * One cycle of simulated time is one core clock at 1 GHz (paper
- * Table I). The System runs in one of three kernel modes:
+ * Table I). The System runs in one of two kernel modes:
  *
  *  - Dense: the reference kernel. Every component is ticked on every
  *    cycle, exactly like real hardware clocks every flop.
@@ -13,18 +13,10 @@
  *    (nextWakeup), the System ticks only the components that are due,
  *    and when nothing is due it fast-forwards the clock straight to
  *    the earliest pending wakeup instead of stepping through the gap.
- *  - ParallelBsp: the host-parallel kernel. Components are statically
- *    partitioned across host worker threads; each simulated cycle is
- *    a parallel evaluate phase (every due partition replays the event
- *    kernel's at-turn pass against last-cycle cross-partition state)
- *    followed by a serial commit phase that drains inter-partition
- *    port traffic in registration order (see DESIGN.md §8).
  *
- * The three modes are cycle-exact equivalents as long as every
- * component honours the wakeup contract documented on
- * Clocked::nextWakeup, and — for ParallelBsp — the partitioning rules
- * documented on System::setPartition (see DESIGN.md, "Simulation
- * kernel" and "Parallel host execution").
+ * The two modes are cycle-exact equivalents as long as every component
+ * honours the wakeup contract documented on Clocked::nextWakeup (see
+ * DESIGN.md, "Simulation kernel").
  */
 
 #ifndef HWGC_SIM_CLOCKED_H
@@ -34,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <string>
 #include <utility>
@@ -48,7 +39,6 @@ namespace hwgc
 {
 
 class System;
-class ParallelKernel;
 
 namespace checkpoint
 {
@@ -56,53 +46,31 @@ class Serializer;
 class Deserializer;
 } // namespace checkpoint
 
-namespace detail
-{
-/**
- * During a ParallelBsp evaluate phase every worker thread (including
- * the commit thread when it runs a partition inline) redirects
- * System::poke() into its partition-local dirty mask through this
- * pointer, so same-partition pokes stay visible at-turn while
- * cross-partition pokes merge deterministically at commit. Defined in
- * parallel_kernel.cc; null outside an evaluate pass.
- */
-extern thread_local std::uint64_t *bspPokeMask;
-
-/**
- * The partition currently being evaluated by this thread (normalized
- * label), or ~0u outside ParallelKernel::runPartition. Lets a callee
- * decide whether an incoming call is same-partition (apply live —
- * at-turn semantics within the partition's registration-ordered pass)
- * or cross-partition (stage for bspCommit). Defined in
- * parallel_kernel.cc.
- */
-extern thread_local unsigned bspActivePartition;
-
-/**
- * Count of events staged for bspCommit by this thread during the
- * current runPartition pass. Every staging append bumps it; the
- * kernel folds the per-pass delta into the cycle result so the
- * superstep batcher knows a cycle produced cross-partition traffic
- * and must hand off to the commit phase. Defined in
- * parallel_kernel.cc.
- */
-extern thread_local std::uint64_t bspStagedEvents;
-
-/** Staging call sites bump the per-pass staged-event counter. */
-inline void
-noteStagedEvent()
-{
-    ++bspStagedEvents;
-}
-} // namespace detail
-
 /** Kernel selection for System (see file header). */
 enum class KernelMode
 {
     Dense, //!< Tick every component every cycle (reference kernel).
     Event, //!< Tick only due components; fast-forward idle gaps.
-    ParallelBsp, //!< Event semantics, partitions ticked in parallel.
 };
+
+/**
+ * Resolves a user-facing kernel name, "dense" or "event", into
+ * @p out. Returns false for any other name; callers reject it with
+ * the offending field named and "want dense or event".
+ */
+inline bool
+kernelModeFromName(const std::string &name, KernelMode &out)
+{
+    if (name == "dense") {
+        out = KernelMode::Dense;
+        return true;
+    }
+    if (name == "event") {
+        out = KernelMode::Event;
+        return true;
+    }
+    return false;
+}
 
 /**
  * Passive observer of the kernel's execution, used by the telemetry
@@ -175,8 +143,8 @@ class Clocked
     /**
      * Classifies the cycle that just finished at time @p now for the
      * cycle-accounting profiler (DESIGN.md §10). Must be a pure
-     * function of end-of-cycle architectural state — identical across
-     * all three kernels at every cycle boundary — and must never
+     * function of end-of-cycle architectural state — identical under
+     * both kernels at every cycle boundary — and must never
      * mutate anything: the profiler is an observer, and enabling it
      * cannot change simulated results.
      *
@@ -220,31 +188,6 @@ class Clocked
     bool hasFastForward() const { return hasFastForward_; }
 
     /**
-     * ParallelBsp commit hook, called serially on every component (in
-     * registration order) after the parallel evaluate phase of each
-     * executed cycle. A component that exchanges same-cycle traffic
-     * across partition boundaries stages it during the evaluate phase
-     * (see bspStagingActive()) and applies it here, reproducing
-     * exactly the intra-cycle order the dense kernel would have used.
-     * An overrider MUST set hasBspHooks_ in its constructor — the
-     * kernel skips the virtual call for everyone else.
-     */
-    virtual void bspCommit(Tick now) { (void)now; }
-
-    /**
-     * Second serial ParallelBsp pass, after every component's
-     * bspCommit() ran: publish end-of-cycle snapshots of state that
-     * other partitions read concurrently next cycle (queue occupancy
-     * for backpressure checks). Split from bspCommit() because commit
-     * handlers of later components may still push traffic into this
-     * one. Gated by the same hasBspHooks_ flag.
-     */
-    virtual void bspPublish() {}
-
-    /** Whether bspCommit()/bspPublish() are overridden. */
-    bool hasBspHooks() const { return hasBspHooks_; }
-
-    /**
      * Serializes this component's complete architectural state —
      * registers, queues, in-flight bookkeeping and statistics — into
      * an already-open checkpoint chunk. Only legal at an inter-cycle
@@ -281,52 +224,8 @@ class Clocked
      */
     void pokeWakeup(const Clocked &other);
 
-    /**
-     * True when a call arriving at this component right now crosses a
-     * partition boundary: the owning System is inside a ParallelBsp
-     * evaluate phase AND the partition being evaluated on this thread
-     * is not this component's own. Externally callable entry points
-     * that carry traffic (sendRequest, onResponse, requestWalk,
-     * assign) must then stage it for bspCommit() instead of applying
-     * it live, and backpressure queries must answer from the last
-     * bspPublish() snapshot plus the caller's own staged traffic.
-     * Same-partition calls — and all calls in the dense and event
-     * kernels and during serial phases — keep the live paths
-     * byte-for-byte untouched.
-     *
-     * Public because shared resources with registered requester ports
-     * (the PTW) must evaluate the predicate from the *target's*
-     * perspective: a walk callback may only fire live when the
-     * requesting component's partition is the one on this thread.
-     */
-  public:
-    bool bspStagingActive() const;
-
-  protected:
-
-    /**
-     * True while the owning System is inside a ParallelBsp evaluate
-     * phase, regardless of which partition is active. For *outbound*
-     * staging decisions taken inside a component's own tick (e.g. the
-     * memory devices deferring response delivery to bspCommit): those
-     * must stage whenever any parallel evaluation is in flight, since
-     * the receiver may live anywhere under a fine partitioning and
-     * commit-time delivery is timing-equivalent either way.
-     */
-    bool bspEvaluatePhase() const;
-
-    /**
-     * True when registered with a System in ParallelBsp mode (any
-     * phase). For validating mode-specific configuration constraints
-     * from entry points (e.g. minimum cross-partition latencies).
-     */
-    bool inBspSystem() const;
-
     /** Set by subclasses that override fastForward() (see above). */
     bool hasFastForward_ = false;
-
-    /** Set by subclasses that override bspCommit()/bspPublish(). */
-    bool hasBspHooks_ = false;
 
   private:
     std::string name_;
@@ -341,14 +240,7 @@ class Clocked
  */
 class System
 {
-    friend class ParallelKernel;
-
   public:
-    // Both out of line (parallel_kernel.cc): the unique_ptr to the
-    // ParallelBsp worker pool needs the complete type to destroy.
-    System();
-    ~System();
-
     /** Registers a component; evaluation order is registration order. */
     void
     add(Clocked *c)
@@ -358,114 +250,12 @@ class System
                  "System supports at most 64 components");
         panic_if(c->system_ != nullptr,
                  "component '%s' already registered", c->name().c_str());
-        panic_if(bsp_ != nullptr, "cannot add components once the "
-                 "ParallelBsp worker pool is built");
         c->system_ = this;
         c->sysIndex_ = components_.size();
         components_.push_back(c);
         wake_.push_back(maxTick);
         succ_.push_back(0);
-        part_.push_back(0);
     }
-
-    /**
-     * Assigns @p c to a ParallelBsp partition (default 0). Partition
-     * ids are arbitrary labels; components sharing one are evaluated
-     * sequentially in registration order on one worker thread, while
-     * distinct partitions evaluate concurrently against last-cycle
-     * cross-partition state. Legality is the assigner's contract:
-     * components with same-cycle synchronous coupling (value-returning
-     * calls into each other's state, same-cycle queue observation)
-     * must share a partition, and every cross-partition interaction
-     * must be observable no earlier than the next cycle (the kernel
-     * rejects declared wakeup edges that would give a later-indexed
-     * component same-cycle visibility across partitions). Must be
-     * called before the first ParallelBsp cycle runs.
-     */
-    void
-    setPartition(Clocked *c, unsigned partition)
-    {
-        panic_if(c == nullptr || c->system_ != this,
-                 "setPartition() for unregistered component");
-        panic_if(bsp_ != nullptr, "cannot repartition once the "
-                 "ParallelBsp worker pool is built");
-        part_[c->sysIndex_] = partition;
-    }
-
-    /** The ParallelBsp partition id assigned to @p c. */
-    unsigned
-    partitionOf(const Clocked &c) const
-    {
-        return part_[c.sysIndex_];
-    }
-
-    /**
-     * Caps the ParallelBsp worker pool (0 = one thread per hardware
-     * core). The pool never exceeds the number of distinct partitions;
-     * simulated results are bit-identical for every thread count.
-     */
-    void
-    setHostThreads(unsigned threads)
-    {
-        panic_if(bsp_ != nullptr, "cannot resize the ParallelBsp "
-                 "worker pool once it is built");
-        hostThreads_ = threads;
-    }
-
-    unsigned hostThreads() const { return hostThreads_; }
-
-    /**
-     * Caps the cycles one ParallelBsp superstep may batch (see
-     * executeCycleBsp): when exactly one partition is due and the
-     * wakeup data proves no other partition can fire for K cycles,
-     * the kernel executes up to that many cycles inside one
-     * fan-out/join round instead of one. 0 leaves the batch unbounded
-     * (the proof still bounds it); 1 disables batching. Host-only:
-     * simulated results are bit-identical for every value.
-     */
-    void setSuperstepMax(unsigned max) { superstepMax_ = max; }
-    unsigned superstepMax() const { return superstepMax_; }
-
-    /** True while inside a ParallelBsp parallel evaluate phase. */
-    bool inBspEvaluate() const { return bspEvaluate_; }
-
-    /**
-     * Normalized ParallelBsp partition label of the component with
-     * registration index @p idx (0 until the worker pool is built;
-     * only consulted during evaluate phases, which imply a built
-     * pool). Dense labels are what detail::bspActivePartition holds.
-     */
-    unsigned
-    densePartitionOf(std::size_t idx) const
-    {
-        return idx < densePart_.size() ? densePart_[idx] : 0;
-    }
-
-    /**
-     * Reassigns ParallelBsp partitions to workers from measured
-     * per-component busy-cycle counts (index = registration order): a
-     * greedy longest-processing-time bin-pack over the summed busy
-     * cycles of each partition. Host-only — the evaluate/commit
-     * semantics are identical for any assignment — so the cost-model
-     * partitioner (--host-partition=cost) may call this mid-run.
-     * Before the pool exists the request is stashed and applied at
-     * pool build. Defined in parallel_kernel.cc.
-     */
-    void rebalancePartitionWorkers(
-        const std::vector<std::uint64_t> &busy_per_component);
-
-    /** @name ParallelBsp host-side execution counters @{
-     *
-     * Deterministic given (partitioning, thread count, workload):
-     * they count simulated scheduling decisions, not host timing, so
-     * the bench baselines may compare them exactly. All zero outside
-     * ParallelBsp mode.
-     */
-    std::uint64_t bspSupersteps() const { return bspSupersteps_; }
-    std::uint64_t bspBatchedCycles() const { return bspBatchedCycles_; }
-    std::uint64_t bspHandshakes() const { return bspHandshakes_; }
-    std::uint64_t bspStagedEvents() const { return bspStagedEvents_; }
-    /** @} */
 
     /**
      * Opts @p dst into wakeup caching. By default the event kernel
@@ -497,15 +287,7 @@ class System
     void
     poke(const Clocked &c)
     {
-        const std::uint64_t bit = std::uint64_t(1) << c.sysIndex_;
-        // During a ParallelBsp evaluate phase, pokes land in the
-        // calling worker's local mask: same-partition pokes stay
-        // visible at-turn, cross-partition ones merge at commit.
-        if (bspEvaluate_ && detail::bspPokeMask != nullptr) {
-            *detail::bspPokeMask |= bit;
-            return;
-        }
-        dirty_ |= bit;
+        dirty_ |= std::uint64_t(1) << c.sysIndex_;
     }
 
     /** Selects the kernel (callers may switch between runs). */
@@ -520,7 +302,6 @@ class System
      * cannot perturb simulated behaviour.
      */
     void setObserver(KernelObserver *observer) { observer_ = observer; }
-    KernelObserver *observer() const { return observer_; }
 
     /**
      * Arms a wall-clock progress watchdog: if a single run call
@@ -661,7 +442,7 @@ class System
     /**
      * runUntilIdle(), but additionally returns control the moment the
      * clock reaches @p stop_at, at a clean inter-cycle boundary. The
-     * event/BSP kernels clamp their fast-forward jumps at the stop
+     * event kernel clamps its fast-forward jumps at the stop
      * cycle, so the boundary always exists; because per-cycle
      * fastForward() accounting is additive over adjacent spans and
      * nextWakeup() is pure, the split changes no simulated state — a
@@ -697,12 +478,11 @@ class System
             }
             return StopReason::Budget;
         }
-        batchLimit_ = std::min(limit, stop_at);
         while (now_ < limit) {
             if (now_ >= stop_at) {
                 return StopReason::Stopped;
             }
-            const CyclePass pass = passCycle();
+            const CyclePass pass = executeCycle();
             if (watchdogDue()) {
                 watchdogFireIfExpired();
             }
@@ -723,9 +503,9 @@ class System
      * wakeup caches are deliberately *not* serialized: nextWakeup()
      * is a pure function of component state and every run entry point
      * marks all caches stale, so restore() rebuilds them exactly.
-     * Kernel mode, host threads and partitions are host-execution
-     * knobs, not architectural state — a checkpoint saved under one
-     * kernel restores under any other. Defined in checkpoint.cc.
+     * The kernel mode is a host-execution knob, not architectural
+     * state — a checkpoint saved under one kernel restores under the
+     * other. Defined in checkpoint.cc.
      */
     void save(checkpoint::Serializer &ser) const;
 
@@ -772,6 +552,16 @@ class System
                       //!< ticked — pokes invalidate it anyway).
     };
 
+    /** Moves all scheduled wakeups that are due into the due mask. */
+    void
+    collectDue()
+    {
+        while (!scheduled_.empty() && scheduled_.top().first <= now_) {
+            dueMask_ |= std::uint64_t(1) << scheduled_.top().second;
+            scheduled_.pop();
+        }
+    }
+
     /**
      * Executes one cycle in a single pass. Each component's due-ness
      * is evaluated *at its turn* in registration order — not in a
@@ -793,32 +583,6 @@ class System
      * pass sees the poke at its turn, exactly like the uncached path.
      * Undeclared components are re-polled every executed cycle.
      */
-    /** Moves all scheduled wakeups that are due into the due mask. */
-    void
-    collectDue()
-    {
-        while (!scheduled_.empty() && scheduled_.top().first <= now_) {
-            dueMask_ |= std::uint64_t(1) << scheduled_.top().second;
-            scheduled_.pop();
-        }
-    }
-
-    /** One cycle under the selected non-dense kernel. */
-    CyclePass
-    passCycle()
-    {
-        return mode_ == KernelMode::ParallelBsp ? executeCycleBsp()
-                                                : executeCycle();
-    }
-
-    /**
-     * One ParallelBsp cycle: a parallel evaluate phase over the due
-     * partitions, then the serial commit/transfer sequence. Defined in
-     * parallel_kernel.cc (it drives the worker pool); builds the pool
-     * on first use.
-     */
-    CyclePass executeCycleBsp();
-
     CyclePass
     executeCycle()
     {
@@ -906,9 +670,8 @@ class System
     bool
     runUntilIdleEvent(Tick limit)
     {
-        batchLimit_ = limit;
         while (now_ < limit) {
-            const CyclePass pass = passCycle();
+            const CyclePass pass = executeCycle();
             if (watchdogDue()) {
                 watchdogFireIfExpired();
             }
@@ -930,9 +693,8 @@ class System
     void
     runEvent(Tick limit)
     {
-        batchLimit_ = limit;
         while (now_ < limit) {
-            const CyclePass pass = passCycle();
+            const CyclePass pass = executeCycle();
             if (watchdogDue()) {
                 watchdogFireIfExpired();
             }
@@ -985,24 +747,12 @@ class System
     std::vector<Clocked *> components_;
     std::vector<Tick> wake_; //!< Cached absolute wakeups (event mode).
     std::vector<std::uint64_t> succ_; //!< Per-src mask of dependents.
-    std::vector<unsigned> part_; //!< ParallelBsp partition labels.
-    std::vector<unsigned> densePart_; //!< Normalized labels (pool-built).
     std::uint64_t dueMask_ = 0; //!< Scheduled-wakeup due components.
     std::uint64_t declared_ = 0; //!< Components with declared inputs.
     std::uint64_t dirty_ = ~std::uint64_t(0); //!< Stale wakeup caches.
-    unsigned hostThreads_ = 0; //!< ParallelBsp pool cap (0 = auto).
-    unsigned superstepMax_ = 0; //!< Batch cap (0 = unbounded, 1 = off).
-    Tick batchLimit_ = maxTick; //!< Run-loop clamp seen by the batcher.
-    std::vector<std::uint64_t> pendingWorkerCost_; //!< Pre-pool stash.
-    std::uint64_t bspSupersteps_ = 0; //!< Fan-out/join rounds run.
-    std::uint64_t bspBatchedCycles_ = 0; //!< Extra cycles per round.
-    std::uint64_t bspHandshakes_ = 0; //!< Worker signal/ack round trips.
-    std::uint64_t bspStagedEvents_ = 0; //!< Cross-partition hand-offs.
     double watchdogSecs_ = 0; //!< Progress watchdog limit (0 = off).
     std::function<void()> watchdogReporter_; //!< Pre-abort dump hook.
     std::chrono::steady_clock::time_point watchdogStart_;
-    bool bspEvaluate_ = false; //!< Inside a parallel evaluate phase.
-    std::unique_ptr<ParallelKernel> bsp_; //!< Lazily built worker pool.
 
     /** Explicitly scheduled (cycle, component index) wakeups. */
     using ScheduledTick = std::pair<Tick, std::size_t>;
@@ -1025,27 +775,6 @@ Clocked::pokeWakeup(const Clocked &other)
     if (other.system_ != nullptr) {
         other.system_->poke(other);
     }
-}
-
-inline bool
-Clocked::bspStagingActive() const
-{
-    return system_ != nullptr && system_->inBspEvaluate() &&
-        detail::bspActivePartition !=
-            system_->densePartitionOf(sysIndex_);
-}
-
-inline bool
-Clocked::bspEvaluatePhase() const
-{
-    return system_ != nullptr && system_->inBspEvaluate();
-}
-
-inline bool
-Clocked::inBspSystem() const
-{
-    return system_ != nullptr &&
-        system_->mode() == KernelMode::ParallelBsp;
 }
 
 } // namespace hwgc

@@ -6,7 +6,6 @@
 #include "logging.h"
 
 #include <cstdlib>
-#include <mutex>
 #include <set>
 #include <vector>
 

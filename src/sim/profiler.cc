@@ -30,9 +30,8 @@ CycleProfiler::CycleProfiler(System &system, std::string stats_prefix)
     auto &registry = StatsRegistry::global();
     const auto labels = classLabels();
     // reserve() up front: the registry and each group hold pointers
-    // into the elements, so the vectors must never reallocate.
+    // into the elements, so the vector must never reallocate.
     comps_.reserve(system_.components().size());
-    parts_.reserve(system_.components().size());
     for (const Clocked *c : system_.components()) {
         comps_.emplace_back();
         auto &pc = comps_.back();
@@ -41,30 +40,6 @@ CycleProfiler::CycleProfiler(System &system, std::string stats_prefix)
         pc.group.add(&pc.total);
         pc.registryPath =
             registry.add(prefix_ + ".profile." + c->name(), &pc.group);
-
-        // Group by ParallelBsp partition id (all 0 outside that
-        // mode). Partitions are fixed before telemetry attaches;
-        // only the worker packing may change later.
-        const unsigned part = system_.partitionOf(*c);
-        std::size_t slot = parts_.size();
-        for (std::size_t p = 0; p < parts_.size(); ++p) {
-            if (parts_[p].id == part) {
-                slot = p;
-                break;
-            }
-        }
-        if (slot == parts_.size()) {
-            parts_.emplace_back();
-            auto &pp = parts_.back();
-            pp.id = part;
-            pp.total = stats::Vector("total", labels);
-            pp.group.add(&pp.total);
-            pp.registryPath = registry.add(
-                prefix_ + ".profile.partition." + std::to_string(part),
-                &pp.group);
-        }
-        parts_[slot].members.push_back(c);
-        pc.partSlot = slot;
     }
 }
 
@@ -73,9 +48,6 @@ CycleProfiler::~CycleProfiler()
     auto &registry = StatsRegistry::global();
     for (const auto &pc : comps_) {
         registry.remove(pc.registryPath);
-    }
-    for (const auto &pp : parts_) {
-        registry.remove(pp.registryPath);
     }
 }
 
@@ -86,7 +58,6 @@ CycleProfiler::accrue(Tick now, std::uint64_t weight)
     for (auto &pc : comps_) {
         const auto cls = std::size_t(pc.clocked->cycleClass(now));
         pc.total.add(cls, weight);
-        parts_[pc.partSlot].total.add(cls, weight);
         if (currentPhase_ >= 0) {
             pc.phase[std::size_t(currentPhase_)]->add(cls, weight);
         }
@@ -231,36 +202,6 @@ CycleProfiler::phaseIndex(const std::string &name) const
     return -1;
 }
 
-unsigned
-CycleProfiler::partitionId(std::size_t i) const
-{
-    return parts_.at(i).id;
-}
-
-std::uint64_t
-CycleProfiler::partitionCycles(std::size_t i, CycleClass c) const
-{
-    return parts_.at(i).total.value(std::size_t(c));
-}
-
-double
-CycleProfiler::partitionLoadImbalance() const
-{
-    std::uint64_t max = 0;
-    std::uint64_t sum = 0;
-    for (const auto &pp : parts_) {
-        const std::uint64_t busy =
-            pp.total.value(std::size_t(CycleClass::Busy));
-        max = std::max(max, busy);
-        sum += busy;
-    }
-    if (sum == 0 || parts_.empty()) {
-        return 1.0;
-    }
-    const double mean = double(sum) / double(parts_.size());
-    return double(max) / mean;
-}
-
 CycleClass
 CycleProfiler::topStallIn(int phase_idx) const
 {
@@ -349,36 +290,6 @@ CycleProfiler::report(std::FILE *out, std::size_t top_n) const
             }
             printLine(pc.clocked->name(), row);
         }
-    }
-
-    // Partition load: is the ParallelBsp work spread evenly? Busy
-    // cycles are what a worker actually computes; everything else it
-    // spends classifying or parked at the barrier.
-    if (parts_.size() > 1) {
-        std::fprintf(out, "  [partition load] (%zu partitions)\n",
-                     parts_.size());
-        std::uint64_t busySum = 0;
-        for (const auto &pp : parts_) {
-            busySum += pp.total.value(std::size_t(CycleClass::Busy));
-        }
-        for (const auto &pp : parts_) {
-            const std::uint64_t busy =
-                pp.total.value(std::size_t(CycleClass::Busy));
-            std::fprintf(out,
-                         "    partition %-3u busy %12" PRIu64
-                         " (%5.1f%% of busy)  members:",
-                         pp.id, busy,
-                         busySum == 0
-                             ? 0.0
-                             : 100.0 * double(busy) / double(busySum));
-            for (const Clocked *c : pp.members) {
-                std::fprintf(out, " %s", c->name().c_str());
-            }
-            std::fprintf(out, "\n");
-        }
-        std::fprintf(out,
-                     "    load imbalance (max/mean busy): %.2fx\n",
-                     partitionLoadImbalance());
     }
 }
 

@@ -118,32 +118,6 @@ class CycleProfiler : public KernelObserver
     const std::vector<std::string> &phases() const { return phaseNames_; }
     /** @} */
 
-    /** @name Per-partition aggregation
-     * Components grouped by their ParallelBsp partition id (snapshot
-     * at construction; every component shares partition 0 outside
-     * ParallelBsp mode). The aggregates land in the stats-JSON export
-     * under "<prefix>.profile.partition.<id>" and feed the partition
-     * load section of report() — the input to judging whether a
-     * --host-partition scheme (or the cost model's re-pack) balanced
-     * the workers. @{ */
-
-    std::size_t numPartitions() const { return parts_.size(); }
-
-    /** The partition id of slot @p i (ids need not be dense). */
-    unsigned partitionId(std::size_t i) const;
-
-    /** Whole-run cycles of class @p c summed over partition slot
-     *  @p i's components. */
-    std::uint64_t partitionCycles(std::size_t i, CycleClass c) const;
-
-    /**
-     * Load imbalance across partitions: max per-partition busy cycles
-     * over mean per-partition busy cycles (1.0 = perfectly balanced,
-     * and also the degenerate single-partition / no-busy answer).
-     */
-    double partitionLoadImbalance() const;
-    /** @} */
-
   private:
     struct PerComponent
     {
@@ -153,16 +127,6 @@ class CycleProfiler : public KernelObserver
         /** One vector per entry of phaseNames_, same order. Owned
          *  behind unique_ptr: the group keeps raw pointers. */
         std::vector<std::unique_ptr<stats::Vector>> phase;
-        std::string registryPath;
-        std::size_t partSlot; //!< Index into parts_.
-    };
-
-    struct PerPartition
-    {
-        unsigned id; //!< ParallelBsp partition id (not dense).
-        stats::Group group{"profile"};
-        stats::Vector total;
-        std::vector<const Clocked *> members;
         std::string registryPath;
     };
 
@@ -177,7 +141,6 @@ class CycleProfiler : public KernelObserver
     System &system_;
     std::string prefix_;
     std::vector<PerComponent> comps_;
-    std::vector<PerPartition> parts_;
     std::vector<std::string> phaseNames_;
     int currentPhase_ = -1; //!< Index into phaseNames_, -1 = none.
     std::uint64_t observed_ = 0;

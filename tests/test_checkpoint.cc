@@ -4,7 +4,7 @@
  * boundary — mid-mark via --checkpoint-at or after a completed phase —
  * must restore into an identically configured device and finish the
  * run bit-identically (same final cycle count, same full stats-JSON
- * export) under every kernel, and corrupt or mismatched checkpoint
+ * export) under either kernel, and corrupt or mismatched checkpoint
  * files must be rejected with a fatal error, never silently
  * mis-restored.
  */
@@ -25,6 +25,7 @@
 #include "driver/fleet.h"
 #include "sim/checkpoint.h"
 #include "sim/telemetry.h"
+#include "tmp_path.h"
 #include "workload/graph_gen.h"
 
 namespace hwgc
@@ -73,12 +74,6 @@ testGraph(std::uint64_t seed, std::uint64_t live = 900)
     p.arrayFraction = 0.15;
     p.seed = seed;
     return p;
-}
-
-std::string
-tmpPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
 }
 
 /** See test_determinism.cc: strip registry instance digits so exports
@@ -155,13 +150,9 @@ finishRun(Rig &rig)
 }
 
 HwgcConfig
-withKernel(HwgcConfig config, KernelMode kernel, unsigned threads,
-           const char *partition = "", unsigned superstep_max = 0)
+withKernel(HwgcConfig config, KernelMode kernel)
 {
     config.kernel = kernel;
-    config.hostThreads = threads;
-    config.hostPartition = partition;
-    config.superstepMax = superstep_max;
     return config;
 }
 
@@ -186,18 +177,18 @@ scopedRun(const workload::GraphParams &graph, const HwgcConfig &config,
  * The core round-trip: an uninterrupted reference run; then for each
  * kernel a writer run that checkpoints mid-mark (and must match the
  * reference — writing cannot perturb the simulation) and a reader run
- * under a *different* kernel that restores that file and must converge
+ * under the *other* kernel that restores that file and must converge
  * to the same final cycle and statistics.
  */
 void
-expectMidMarkRoundTrip(const HwgcConfig &config, bool full_matrix,
+expectMidMarkRoundTrip(const HwgcConfig &config,
                        runtime::Layout layout =
                            runtime::Layout::Bidirectional)
 {
     const auto graph = testGraph(21);
 
     const FinalState ref = scopedRun(
-        graph, withKernel(config, KernelMode::Dense, 0), layout,
+        graph, withKernel(config, KernelMode::Dense), layout,
         [](Rig &) {});
     ASSERT_GT(ref.markCycles, 200u) << "graph too small for a mid-mark "
                                        "checkpoint";
@@ -208,22 +199,18 @@ expectMidMarkRoundTrip(const HwgcConfig &config, bool full_matrix,
     {
         const char *name;
         KernelMode kernel;
-        unsigned threads;
     };
     static constexpr Case cases[] = {
-        {"dense", KernelMode::Dense, 0},
-        {"event", KernelMode::Event, 0},
-        {"parallel-1", KernelMode::ParallelBsp, 1},
-        {"parallel-4", KernelMode::ParallelBsp, 4},
+        {"dense", KernelMode::Dense},
+        {"event", KernelMode::Event},
     };
-    const std::size_t num_cases =
-        full_matrix ? std::size(cases) : std::size_t(2);
 
-    for (std::size_t i = 0; i < num_cases; ++i) {
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
         const Case &save_case = cases[i];
-        // Rotating the restore kernel also proves cross-kernel resume:
-        // kernel mode is a host knob, not architectural state.
-        const Case &load_case = cases[(i + 1) % num_cases];
+        // Rotating the restore kernel also proves cross-kernel resume
+        // in both directions: kernel mode is a host knob, not
+        // architectural state.
+        const Case &load_case = cases[(i + 1) % std::size(cases)];
         const std::string path =
             tmpPath(std::string("midmark-") + save_case.name + ".ckpt");
 
@@ -231,7 +218,7 @@ expectMidMarkRoundTrip(const HwgcConfig &config, bool full_matrix,
             SCOPED_TRACE(std::string("save under ") + save_case.name);
             const FinalState run = scopedRun(
                 graph,
-                withKernel(config, save_case.kernel, save_case.threads),
+                withKernel(config, save_case.kernel),
                 layout, [&](Rig &writer) {
                     writer.device->armCheckpoint(path, at);
                 });
@@ -246,7 +233,7 @@ expectMidMarkRoundTrip(const HwgcConfig &config, bool full_matrix,
                          " from " + save_case.name);
             const FinalState run = scopedRun(
                 graph,
-                withKernel(config, load_case.kernel, load_case.threads),
+                withKernel(config, load_case.kernel),
                 layout, [&](Rig &reader) {
                     reader.device->restoreCheckpoint(path);
                     EXPECT_EQ(reader.device->system().now(), at);
@@ -262,87 +249,28 @@ expectMidMarkRoundTrip(const HwgcConfig &config, bool full_matrix,
 
 TEST(Checkpoint, MidMarkRoundTripKernelMatrix)
 {
-    expectMidMarkRoundTrip(HwgcConfig{}, true);
+    expectMidMarkRoundTrip(HwgcConfig{});
 }
 
 TEST(Checkpoint, MidMarkRoundTripSharedCache)
 {
     HwgcConfig config;
     config.sharedCache = true;
-    expectMidMarkRoundTrip(config, false);
+    expectMidMarkRoundTrip(config);
 }
 
 TEST(Checkpoint, MidMarkRoundTripIdealMemory)
 {
     HwgcConfig config;
     config.memModel = core::MemModel::Ideal;
-    expectMidMarkRoundTrip(config, false);
+    expectMidMarkRoundTrip(config);
 }
 
 TEST(Checkpoint, MidMarkRoundTripSpillPressure)
 {
     HwgcConfig config;
     config.markQueueEntries = 32; // Force the spill path.
-    expectMidMarkRoundTrip(config, false);
-}
-
-/**
- * A checkpoint cycle that lands inside what the batcher would run as
- * one multi-cycle superstep: the run limit must clip the batch at
- * exactly the arming cycle (not at the batch boundary), the written
- * file must match the uninterrupted reference, and a restore under a
- * different partition scheme with batching still on must converge to
- * the same final state.
- */
-TEST(Checkpoint, MidSuperstepRoundTrip)
-{
-    const auto graph = testGraph(23);
-    const HwgcConfig config;
-
-    const FinalState ref = scopedRun(
-        graph, withKernel(config, KernelMode::Dense, 0),
-        runtime::Layout::Bidirectional, [](Rig &) {});
-    ASSERT_GT(ref.markCycles, 200u);
-    const Tick at = ref.markCycles / 2;
-    const std::string path = tmpPath("midsuperstep.ckpt");
-
-    {
-        SCOPED_TRACE("save mid-superstep (fine partitions, unbounded "
-                     "batching)");
-        telemetry::StatsRegistry::global().clearRetired();
-        FinalState run;
-        std::uint64_t batched = 0;
-        {
-            Rig writer(graph,
-                       withKernel(config, KernelMode::ParallelBsp, 2,
-                                  "fine", 0),
-                       runtime::Layout::Bidirectional);
-            writer.device->armCheckpoint(path, at);
-            run = finishRun(writer);
-            batched = writer.device->system().bspBatchedCycles();
-        }
-        EXPECT_GT(batched, 0u)
-            << "batching never engaged; the checkpoint was not "
-               "mid-superstep";
-        EXPECT_EQ(ref.now, run.now);
-        EXPECT_EQ(ref.markCycles, run.markCycles);
-        EXPECT_EQ(ref.marked, run.marked);
-        EXPECT_EQ(ref.freed, run.freed);
-        expectSameStatsJson(ref.statsJson, run.statsJson);
-    }
-    {
-        SCOPED_TRACE("restore under cost partitions");
-        const FinalState run = scopedRun(
-            graph,
-            withKernel(config, KernelMode::ParallelBsp, 4, "cost", 0),
-            runtime::Layout::Bidirectional, [&](Rig &reader) {
-                reader.device->restoreCheckpoint(path);
-                EXPECT_EQ(reader.device->system().now(), at);
-            });
-        EXPECT_EQ(ref.now, run.now);
-        EXPECT_EQ(ref.freed, run.freed);
-        expectSameStatsJson(ref.statsJson, run.statsJson);
-    }
+    expectMidMarkRoundTrip(config);
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/gc_lab.h"
+#include "sim/telemetry.h"
 
 namespace hwgc
 {
@@ -292,6 +293,25 @@ TEST(EventKernel, SkipsIdleCyclesButKeepsTimeAndStateExact)
     EXPECT_EQ(dense_work, event_work); // ...same state...
     EXPECT_EQ(event_ticks, 5u);        // ...but only 5 real ticks
     EXPECT_GT(dense_ticks, 100u);      // vs one per cycle densely.
+}
+
+// ---------------------------------------------------------------------
+// Kernel selection: dense and event are the only kernel names.
+// ---------------------------------------------------------------------
+
+TEST(KernelNameDeathTest, DeviceRejectsRetiredKernelNamingTheField)
+{
+    EXPECT_EXIT(
+        {
+            telemetry::options().kernel = "parallel";
+            mem::PhysMem mem;
+            runtime::Heap heap(mem);
+            core::HwgcDevice device(mem, heap.pageTable(),
+                                    core::HwgcConfig{});
+        },
+        ::testing::ExitedWithCode(1),
+        "--kernel / HWGC_KERNEL: unknown kernel 'parallel' "
+        "\\(want dense or event\\)");
 }
 
 } // namespace

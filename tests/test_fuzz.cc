@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -33,17 +34,12 @@
 #include "fuzz/shrink.h"
 #include "gc/verifier.h"
 #include "sim/checkpoint.h"
+#include "tmp_path.h"
 
 namespace hwgc
 {
 namespace
 {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
 
 bool
 fileExists(const std::string &path)
@@ -168,15 +164,13 @@ TEST(FuzzConfigSpec, AppliesNamedKnobs)
     core::HwgcConfig config;
     std::string err;
     ASSERT_TRUE(fuzz::applyConfigSpec(
-        config, "mq=32,mshrs=2,mem=ideal,bw=2.5,kernel=parallel,threads=3",
-        &err))
+        config, "mq=32,mshrs=2,mem=ideal,bw=2.5,kernel=dense", &err))
         << err;
     EXPECT_EQ(config.markQueueEntries, 32u);
     EXPECT_EQ(config.sharedCacheParams.mshrs, 2u);
     EXPECT_EQ(config.memModel, core::MemModel::Ideal);
     EXPECT_EQ(config.bus.throttleBytesPerCycle, 2.5);
-    EXPECT_EQ(config.kernel, KernelMode::ParallelBsp);
-    EXPECT_EQ(config.hostThreads, 3u);
+    EXPECT_EQ(config.kernel, KernelMode::Dense);
 
     core::HwgcConfig untouched;
     ASSERT_TRUE(fuzz::applyConfigSpec(untouched, "", &err)) << err;
@@ -194,6 +188,19 @@ TEST(FuzzConfigSpec, RejectsUnknownKeysAndBadValues)
     EXPECT_NE(err.find("mq"), std::string::npos) << err;
     EXPECT_FALSE(fuzz::applyConfigSpec(config, "mem=tape", &err));
     EXPECT_FALSE(fuzz::applyConfigSpec(config, "mq", &err));
+
+    // Only dense and event name a kernel, and threads is not a key.
+    EXPECT_FALSE(fuzz::applyConfigSpec(
+        config, "mq=32,mshrs=2,mem=ideal,bw=2.5,kernel=parallel,threads=3",
+        &err));
+    EXPECT_NE(err.find("kernel: unknown kernel 'parallel' (want dense or "
+                       "event)"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(fuzz::applyConfigSpec(config, "threads=3", &err));
+    EXPECT_NE(err.find("bad config spec item 'threads=3'"),
+              std::string::npos)
+        << err;
 }
 
 TEST(FuzzConfigSpec, DevicesAxisBuildsFleetShapes)
@@ -219,11 +226,14 @@ TEST(FuzzConfigSpec, KernelCaseNames)
     fuzz::KernelCase kc;
     ASSERT_TRUE(fuzz::kernelCaseFromName("dense", kc));
     EXPECT_EQ(kc.mode, KernelMode::Dense);
-    ASSERT_TRUE(fuzz::kernelCaseFromName("parallel@4", kc));
-    EXPECT_EQ(kc.mode, KernelMode::ParallelBsp);
-    EXPECT_EQ(kc.threads, 4u);
+    ASSERT_TRUE(fuzz::kernelCaseFromName("event", kc));
+    EXPECT_EQ(kc.mode, KernelMode::Event);
+    EXPECT_EQ(kc.name, "event");
+    EXPECT_FALSE(fuzz::kernelCaseFromName("parallel@4", kc));
+    EXPECT_FALSE(fuzz::kernelCaseFromName("parallel", kc));
     EXPECT_FALSE(fuzz::kernelCaseFromName("vectorized", kc));
     EXPECT_FALSE(fuzz::kernelCaseFromName("parallel@x", kc));
+    EXPECT_EQ(fuzz::kernelMatrix().size(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -234,8 +244,8 @@ TEST(FuzzDiffer, SmallScheduleMatrixIsGreen)
 {
     const fuzz::FuzzResult result = fuzz::runSchedule(smallSchedule());
     EXPECT_TRUE(result.ok) << result.error;
-    // 2 collects x 2 quick-grid configs x 4 kernel legs.
-    EXPECT_EQ(result.collectsRun, 16u);
+    // 2 collects x 2 quick-grid configs x 2 kernel legs.
+    EXPECT_EQ(result.collectsRun, 8u);
 }
 
 TEST(FuzzDiffer, EveryShapeFamilyIsGreen)
@@ -265,8 +275,8 @@ TEST(FuzzDiffer, FleetShapeMatrixIsGreen)
     const fuzz::FuzzResult result =
         fuzz::runSchedule(smallSchedule(21), options);
     EXPECT_TRUE(result.ok) << result.error;
-    // 2 collects x 2 configs x 4 kernel legs.
-    EXPECT_EQ(result.collectsRun, 16u);
+    // 2 collects x 2 configs x 2 kernel legs.
+    EXPECT_EQ(result.collectsRun, 8u);
 }
 
 // ---------------------------------------------------------------------
@@ -279,7 +289,8 @@ TEST(FuzzInjection, MarkBitBugIsCaughtDumpedAndReproducible)
     fuzz::FuzzOptions options;
     options.injectMarkBug = true;
     options.writeArtifacts = true;
-    options.artifactDir = ::testing::TempDir();
+    options.artifactDir = tmpPath("artifacts");
+    std::filesystem::create_directories(options.artifactDir);
     options.driverName = "fuzz_driver";
 
     const fuzz::Schedule schedule = smallSchedule(99);

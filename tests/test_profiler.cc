@@ -67,19 +67,16 @@ expectIdentityHolds(core::HwgcConfig config)
     {
         const char *name;
         KernelMode kernel;
-        unsigned threads;
     };
     static constexpr Case cases[] = {
-        {"dense", KernelMode::Dense, 0},
-        {"event", KernelMode::Event, 0},
-        {"parallel-2", KernelMode::ParallelBsp, 2},
+        {"dense", KernelMode::Dense},
+        {"event", KernelMode::Event},
     };
     OptionsGuard guard;
     telemetry::options().profile = true;
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
         config.kernel = c.kernel;
-        config.hostThreads = c.threads;
         const auto lab = profiledRun(config);
         const telemetry::CycleProfiler *prof = lab->device().profiler();
         ASSERT_NE(prof, nullptr);

@@ -27,6 +27,7 @@
 #include "sim/cycle_class.h"
 #include "sim/profiler.h"
 #include "sim/telemetry.h"
+#include "tmp_path.h"
 #include "workload/graph_gen.h"
 
 namespace hwgc
@@ -75,17 +76,10 @@ testGraph(std::uint64_t seed)
     return p;
 }
 
-std::string
-tmpPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
-
 HwgcConfig
-withKernel(HwgcConfig config, KernelMode kernel, unsigned threads)
+withKernel(HwgcConfig config, KernelMode kernel)
 {
     config.kernel = kernel;
-    config.hostThreads = threads;
     return config;
 }
 
@@ -163,7 +157,7 @@ expectProfiledRoundTrip(const HwgcConfig &config)
 
     // Reference: one uninterrupted profiled run (dense kernel).
     const Attribution ref = profiledRun(
-        graph, withKernel(config, KernelMode::Dense, 0), [](Rig &) {});
+        graph, withKernel(config, KernelMode::Dense), [](Rig &) {});
     ASSERT_GT(ref.markCycles, 200u);
     ASSERT_GT(ref.freed, 0u);
     EXPECT_EQ(ref.observed, std::uint64_t(ref.finalNow));
@@ -173,32 +167,29 @@ expectProfiledRoundTrip(const HwgcConfig &config)
     //     the reference exactly, attribution included.
     const std::string path = tmpPath("profiled-midmark.ckpt");
     const Attribution writer = profiledRun(
-        graph, withKernel(config, KernelMode::Dense, 0),
+        graph, withKernel(config, KernelMode::Dense),
         [&](Rig &rig) { rig.device->armCheckpoint(path, at); });
     EXPECT_EQ(ref.finalNow, writer.finalNow);
     EXPECT_EQ(ref.freed, writer.freed);
     expectSameAttribution(ref, writer);
 
-    // (2) + (3) Restore under every kernel: the restored profiler saw
+    // (2) + (3) Restore under both kernels: the restored profiler saw
     //     only the suffix, the identity holds over it, and the suffix
     //     is kernel-independent.
     struct Case
     {
         const char *name;
         KernelMode kernel;
-        unsigned threads;
     };
     static constexpr Case cases[] = {
-        {"dense", KernelMode::Dense, 0},
-        {"event", KernelMode::Event, 0},
-        {"parallel-1", KernelMode::ParallelBsp, 1},
-        {"parallel-4", KernelMode::ParallelBsp, 4},
+        {"dense", KernelMode::Dense},
+        {"event", KernelMode::Event},
     };
     std::unique_ptr<Attribution> suffix_ref;
     for (const Case &c : cases) {
         SCOPED_TRACE(std::string("restore under ") + c.name);
         const Attribution run = profiledRun(
-            graph, withKernel(config, c.kernel, c.threads),
+            graph, withKernel(config, c.kernel),
             [&](Rig &rig) {
                 rig.device->restoreCheckpoint(path);
                 EXPECT_EQ(rig.device->system().now(), at);
