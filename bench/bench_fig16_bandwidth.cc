@@ -137,9 +137,7 @@ main(int argc, char **argv)
 
     record.write(suite_timer.seconds());
 
-    session.meta().kernel =
-        lab.device().config().kernel == KernelMode::Event ? "event"
-                                                          : "dense";
+    session.meta().kernel = kernelModeName(lab.device().system().mode());
     session.meta().config = "dacapo:avrora";
     session.meta().simCycles = lab.device().system().now();
     session.finish(); // Export while the lab is still alive.

@@ -148,17 +148,9 @@ main(int argc, char **argv)
 
     unsigned devices = 2, tenants = 8, gcs = 5;
     std::uint64_t queries = 250'000;
-    // --kernel= is a global telemetry flag (Session consumed it from
-    // argv already); the fleet SoC builds its devices around a shared
-    // System, so the name is applied to every device config here.
+    // --kernel= is a global telemetry flag (Session parsed it); the
+    // fleet's SoC picks it up because the config names no kernel.
     std::string policy_name = "all";
-    std::string kernel_name = telemetry::options().kernel.empty()
-                                  ? "event"
-                                  : telemetry::options().kernel;
-    KernelMode kernel = KernelMode::Event;
-    fatal_if(!kernelModeFromName(kernel_name, kernel),
-             "--kernel / HWGC_KERNEL: unknown kernel '%s' (want dense or "
-             "event)", kernel_name.c_str());
     for (int i = 1; i < argc; ++i) {
         std::string value;
         if (argValue(argv[i], "--gc-policy=", policy_name)) {
@@ -188,23 +180,23 @@ main(int argc, char **argv)
 
     const auto mix = tenantMix(tenants, queries);
     std::printf("  %u device(s), %u tenant(s), %u GCs/tenant, "
-                "%llu queries/service tenant, kernel %s\n\n",
-                devices, tenants, gcs, (unsigned long long)queries,
-                kernel_name.c_str());
+                "%llu queries/service tenant\n\n",
+                devices, tenants, gcs, (unsigned long long)queries);
 
     bench::BenchRecord record("fleet_latency");
     bench::HostTimer total_timer;
     std::vector<PolicyOutcome> outcomes;
     double total_sim_cycles = 0.0;
+    const char *kernel_name = "";
 
     for (const driver::GcPolicy policy : policies) {
         driver::FleetConfig config;
-        config.hwgc.kernel = kernel;
         config.devices = devices;
         config.policy = policy;
         config.gcsPerTenant = gcs;
 
         driver::FleetLab lab(config, mix);
+        kernel_name = kernelModeName(lab.system().mode());
         bench::HostTimer timer;
         lab.run();
         const double host_secs = timer.seconds();
@@ -215,10 +207,10 @@ main(int argc, char **argv)
         out.simCycles = lab.now();
         total_sim_cycles += double(lab.now());
 
-        std::printf("  policy %-8s (%llu GCs, %llu cycles)\n",
+        std::printf("  policy %-8s (%llu GCs, %llu cycles, kernel %s)\n",
                     driver::gcPolicyName(policy),
                     (unsigned long long)lab.totalGcs(),
-                    (unsigned long long)lab.now());
+                    (unsigned long long)lab.now(), kernel_name);
         std::printf("  %-8s %4s %9s %9s %9s %9s %9s %6s\n", "tenant",
                     "gcs", "stw(ms)", "p50(ms)", "p99(ms)", "p99.9",
                     "max(ms)", "viol");

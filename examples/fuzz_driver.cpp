@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -236,7 +237,7 @@ main(int argc, char **argv)
 {
     telemetry::Session session(argc, argv);
 
-    std::string seeds_range, schedule_path, config_spec, kernel_name;
+    std::string seeds_range, schedule_path, config_spec;
     std::string grid_name = "quick", artifact_dir = ".";
     std::string farm_snapshot, farm_run, label = "run", result_json;
     std::uint64_t seed = 1, pauses = 3, live = 0, garbage = 0;
@@ -249,7 +250,6 @@ main(int argc, char **argv)
         if (argValue(arg, "--seeds=", seeds_range) ||
             argValue(arg, "--schedule=", schedule_path) ||
             argValue(arg, "--config=", config_spec) ||
-            argValue(arg, "--kernel=", kernel_name) ||
             argValue(arg, "--grid=", grid_name) ||
             argValue(arg, "--artifact-dir=", artifact_dir) ||
             argValue(arg, "--farm-snapshot=", farm_snapshot) ||
@@ -285,6 +285,9 @@ main(int argc, char **argv)
     session.meta().binary = "fuzz_driver";
     session.meta().seed = seed;
     session.meta().config = config_spec;
+    // --kernel= / HWGC_KERNEL, parsed by the Session, narrows the
+    // kernel matrix and the farm's configuration.
+    const std::optional<KernelMode> &kernel = telemetry::options().kernel;
 
     // ---- Farm: snapshot a warm heap ------------------------------------
     if (!farm_snapshot.empty()) {
@@ -309,16 +312,8 @@ main(int argc, char **argv)
             std::fprintf(stderr, "fuzz_driver: %s\n", spec_err.c_str());
             return 2;
         }
-        if (!kernel_name.empty()) {
-            fuzz::KernelCase kc;
-            if (!fuzz::kernelCaseFromName(kernel_name, kc)) {
-                std::fprintf(stderr,
-                             "fuzz_driver: --kernel: unknown kernel '%s' "
-                             "(want dense or event)\n",
-                             kernel_name.c_str());
-                return 2;
-            }
-            config.kernel = kc.mode;
+        if (kernel) {
+            config.kernel = *kernel;
         }
 
         const double t0 = hostSeconds();
@@ -368,16 +363,8 @@ main(int argc, char **argv)
     if (!config_spec.empty() && config_spec != "default") {
         options.grid = {{"cli", config_spec}};
     }
-    if (!kernel_name.empty()) {
-        fuzz::KernelCase kc;
-        if (!fuzz::kernelCaseFromName(kernel_name, kc)) {
-            std::fprintf(stderr,
-                         "fuzz_driver: --kernel: unknown kernel '%s' "
-                         "(want dense or event)\n",
-                         kernel_name.c_str());
-            return 2;
-        }
-        options.kernels = {kc};
+    if (kernel) {
+        options.kernels = {{*kernel, kernelModeName(*kernel)}};
     }
 
     const auto report = [&](const fuzz::Schedule &schedule,

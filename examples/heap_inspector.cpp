@@ -62,31 +62,26 @@ postMortem(const std::string &path)
     des.endChunk();
     std::printf("\ndevice configuration: %s\n", signature.c_str());
 
+    using hwgc::core::MmioRegs;
+    MmioRegs regs;
     des.beginChunk("regs");
-    const std::uint64_t page_table = des.getU64();
-    const std::uint64_t hwgc_space = des.getU64();
-    const std::uint64_t roots = des.getU64();
-    const std::uint64_t block_table = des.getU64();
-    const std::uint64_t blocks = des.getU64();
-    const std::uint64_t spill_base = des.getU64();
-    const std::uint64_t spill_bytes = des.getU64();
-    const std::uint64_t status = des.getU64();
+    regs.restore(des);
     des.endChunk();
     const char *status_name =
-        status == hwgc::core::MmioRegs::Marking    ? "Marking"
-        : status == hwgc::core::MmioRegs::Sweeping ? "Sweeping"
-        : status == hwgc::core::MmioRegs::Idle     ? "Idle"
-                                                   : "?";
+        regs.status == MmioRegs::Marking    ? "Marking"
+        : regs.status == MmioRegs::Sweeping ? "Sweeping"
+        : regs.status == MmioRegs::Idle     ? "Idle"
+                                            : "?";
     std::printf("mmio: status=%s pageTable=%#llx hwgcSpace=%#llx "
                 "roots=%llu blockTable=%#llx blocks=%llu "
                 "spill=%#llx+%llu\n",
-                status_name, (unsigned long long)page_table,
-                (unsigned long long)hwgc_space,
-                (unsigned long long)roots,
-                (unsigned long long)block_table,
-                (unsigned long long)blocks,
-                (unsigned long long)spill_base,
-                (unsigned long long)spill_bytes);
+                status_name, (unsigned long long)regs.pageTableBase,
+                (unsigned long long)regs.hwgcSpaceBase,
+                (unsigned long long)regs.rootCount,
+                (unsigned long long)regs.blockTableBase,
+                (unsigned long long)regs.blockCount,
+                (unsigned long long)regs.spillBase,
+                (unsigned long long)regs.spillBytes);
 
     des.beginChunk("kernel");
     const std::uint64_t now = des.getU64();

@@ -12,6 +12,8 @@
 #ifndef HWGC_CORE_HWGC_CONFIG_H
 #define HWGC_CORE_HWGC_CONFIG_H
 
+#include <optional>
+
 #include "mem/dram.h"
 #include "mem/ideal_mem.h"
 #include "mem/ptw.h"
@@ -85,12 +87,13 @@ struct HwgcConfig
     /** @} */
 
     /**
-     * Simulation kernel driving the device's System. Event mode skips
+     * Simulation kernel driving the SoC's System. Event mode skips
      * idle cycles and is cycle-exact with Dense (test_event_kernel
      * and tests/test_determinism.cc assert this); Dense remains as the
-     * reference for A/B runs.
+     * reference for A/B runs. Unset, the --kernel= / HWGC_KERNEL
+     * option picks it, and event is the default (DESIGN.md §6).
      */
-    KernelMode kernel = KernelMode::Event;
+    std::optional<KernelMode> kernel;
 
     /**
      * SoC shape requested from drivers that can instantiate a device

@@ -1,13 +1,12 @@
 /**
  * @file
- * Device assembly: memory side, ports, units, and phase control.
+ * Device assembly: ports, units, phase control and checkpoints.
  */
 
 #include "hwgc_device.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -16,88 +15,69 @@
 namespace hwgc::core
 {
 
+void
+MmioRegs::save(checkpoint::Serializer &ser) const
+{
+    for (const std::uint64_t word :
+         {pageTableBase, hwgcSpaceBase, rootCount, blockTableBase,
+          blockCount, spillBase, spillBytes, status}) {
+        ser.putU64(word);
+    }
+}
+
+void
+MmioRegs::restore(checkpoint::Deserializer &des)
+{
+    for (std::uint64_t *word :
+         {&pageTableBase, &hwgcSpaceBase, &rootCount, &blockTableBase,
+          &blockCount, &spillBase, &spillBytes, &status}) {
+        *word = des.getU64();
+    }
+}
+
 HwgcDevice::HwgcDevice(mem::PhysMem &mem,
                        const mem::PageTable &page_table,
                        const HwgcConfig &config)
-    : HwgcDevice(mem, page_table, config, nullptr)
+    : config_(config),
+      ownedSoc_(new Soc(mem, config, Soc::Scope::Device)),
+      soc_(*ownedSoc_), pageTable_(page_table)
 {
+    join();
+    soc_.seal();
+    attachObservers();
 }
 
-HwgcDevice::HwgcDevice(mem::PhysMem &mem,
-                       const mem::PageTable &page_table,
-                       const HwgcConfig &config, const SocContext &soc)
-    : HwgcDevice(mem, page_table, config, &soc)
+HwgcDevice::HwgcDevice(Soc &soc, const mem::PageTable &page_table)
+    : config_(soc.config()), soc_(soc), pageTable_(page_table)
 {
+    join();
 }
 
-HwgcDevice::HwgcDevice(mem::PhysMem &mem,
-                       const mem::PageTable &page_table,
-                       const HwgcConfig &config, const SocContext *soc)
-    : config_(config), mem_(mem), pageTable_(page_table)
+void
+HwgcDevice::join()
 {
-    external_ = soc != nullptr;
-    if (external_) {
-        panic_if(soc->system == nullptr || soc->bus == nullptr ||
-                 soc->memory == nullptr,
-                 "fleet device needs a shared system, bus and memory");
-        sys_ = soc->system;
-        busPtr_ = soc->bus;
-        memPtr_ = soc->memory;
-        dramPtr_ = soc->dram;
-        namePrefix_ = soc->namePrefix;
-        statsPrefix_ = soc->statsPrefix;
-    } else {
-        ownSystem_ = std::make_unique<System>();
-        sys_ = ownSystem_.get();
-        // --kernel= / HWGC_KERNEL overrides the configured kernel so
-        // binaries without their own kernel plumbing (examples,
-        // benches) can run either of the two bit-identical kernels.
-        KernelMode mode = config_.kernel;
-        std::string kernel_opt = telemetry::options().kernel;
-        if (kernel_opt.empty()) {
-            // Direct env fallback for binaries that never construct a
-            // telemetry::Session.
-            if (const char *env = std::getenv("HWGC_KERNEL")) {
-                kernel_opt = env;
-            }
-        }
-        fatal_if(!kernel_opt.empty() &&
-                     !kernelModeFromName(kernel_opt, mode),
-                 "--kernel / HWGC_KERNEL: unknown kernel '%s' (want "
-                 "dense or event)", kernel_opt.c_str());
-        sys_->setMode(mode);
-
-        // Memory side: DRAM (Table I) or the ideal pipe (Fig 17).
-        if (config_.memModel == MemModel::Ddr3) {
-            auto dram = std::make_unique<mem::Dram>("dram",
-                                                    config_.dram, mem_);
-            dramPtr_ = dram.get();
-            memory_ = std::move(dram);
-        } else {
-            memory_ = std::make_unique<mem::IdealMem>(
-                "idealmem", config_.ideal, mem_);
-        }
-        memPtr_ = memory_.get();
-        bus_ = std::make_unique<mem::Interconnect>("bus", config_.bus,
-                                                   *memory_);
-        busPtr_ = bus_.get();
-    }
+    const Soc::Slot slot = soc_.join(*this);
+    namePrefix_ = slot.namePrefix;
+    statsPrefix_ = slot.statsPrefix;
+    mem::PhysMem &mem = soc_.physMem();
+    mem::Interconnect &bus = soc_.bus();
+    System &sys = soc_.system();
 
     // Port plumbing. In the shared design every traversal component
     // (and the PTW) competes for one 16 KiB cache (Fig 18a); in the
     // partitioned design the PTW keeps a private 8 KiB cache and the
     // others talk to the interconnect directly (Fig 18b).
-    auto make_bus_port = [this](const std::string &label) {
+    auto make_bus_port = [this, &bus](const std::string &label) {
         busPorts_.push_back(std::make_unique<mem::BusPort>(
-            *busPtr_, nullptr, namePrefix_ + label));
+            bus, nullptr, namePrefix_ + label));
         return busPorts_.back().get();
     };
 
     mem::MemPort *ptw_port = nullptr;
     if (config_.sharedCache) {
         sharedCache_ = std::make_unique<mem::TimedCache>(
-            namePrefix_ + "unitcache", config_.sharedCacheParams, mem_,
-            *busPtr_);
+            namePrefix_ + "unitcache", config_.sharedCacheParams, mem,
+            bus);
         markerPort_ = sharedCache_->addPort(nullptr, "marker");
         tracerPort_ = sharedCache_->addPort(nullptr, "tracer");
         spillPort_ = sharedCache_->addPort(nullptr, "markQueue");
@@ -105,8 +85,8 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
         ptw_port = sharedCache_->addPort(nullptr, "ptw");
     } else {
         ptwCache_ = std::make_unique<mem::TimedCache>(
-            namePrefix_ + "ptwcache", config_.ptwCacheParams, mem_,
-            *busPtr_);
+            namePrefix_ + "ptwcache", config_.ptwCacheParams, mem,
+            bus);
         markerPort_ = make_bus_port("marker");
         tracerPort_ = make_bus_port("tracer");
         spillPort_ = make_bus_port("markQueue");
@@ -143,9 +123,10 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
         sweeperPorts_, *ptw_);
 
     // Wire responders now that the units exist.
-    auto wire = [this](mem::MemPort *port, mem::MemResponder *responder) {
+    auto wire = [this, &bus](mem::MemPort *port,
+                             mem::MemResponder *responder) {
         if (auto *bp = dynamic_cast<mem::BusPort *>(port)) {
-            busPtr_->setClientResponder(bp->clientId(), responder);
+            bus.setClientResponder(bp->clientId(), responder);
         } else if (sharedCache_) {
             sharedCache_->setPortResponder(port, responder);
         } else {
@@ -166,33 +147,23 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
         ptwCache_->setPortResponder(ptw_port, ptw_.get());
     }
 
-    // Clock everything. Evaluation order: consumers before producers
-    // is not required (queues decouple), but memory devices last so
-    // same-cycle requests are seen next cycle. A fleet device only
-    // registers its unit components; the fleet driver adds the shared
-    // bus and memory once, after the last device.
-    auto addc = [this](Clocked *c) {
-        sys_->add(c);
-        ownComponents_.push_back(c);
-    };
-    addc(rootReader_.get());
-    addc(marker_.get());
-    addc(tracer_.get());
-    addc(markQueue_.get());
-    addc(reclamation_.get());
+    // Clock the units. Evaluation order: consumers before producers
+    // is not required (queues decouple); Soc::seal() adds the bus and
+    // memory after the last device's units.
+    units_ = {rootReader_.get(), marker_.get(), tracer_.get(),
+              markQueue_.get(), reclamation_.get()};
     for (auto &sweeper : reclamation_->sweepers()) {
-        addc(sweeper.get());
+        units_.push_back(sweeper.get());
     }
-    addc(ptw_.get());
+    units_.push_back(ptw_.get());
     if (sharedCache_) {
-        addc(sharedCache_.get());
+        units_.push_back(sharedCache_.get());
     }
     if (ptwCache_) {
-        addc(ptwCache_.get());
+        units_.push_back(ptwCache_.get());
     }
-    if (!external_) {
-        sys_->add(bus_.get());
-        sys_->add(memory_.get());
+    for (Clocked *c : units_) {
+        sys.add(c);
     }
 
     // Wakeup-caching contract (event kernel): every component above
@@ -212,58 +183,64 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
     //    the marker's tick feeds and drains.
     //  - rootReader and the sweepers wait on PTW walk callbacks.
     //  - reclamation polls sweeper->idle() and PTW walk callbacks.
-    //  - the bus polls memory.canAccept.
-    // markQueue, ptw, the caches and memory read only their own
-    // state, so their entry-point pokes alone keep them fresh.
-    sys_->declareWakeupInputs(marker_.get(),
-                              {markQueue_.get(), ptw_.get()});
-    sys_->declareWakeupInputs(
+    // markQueue, ptw and the caches read only their own state, so
+    // their entry-point pokes alone keep them fresh. Soc::seal()
+    // declares the bus and memory edges.
+    sys.declareWakeupInputs(marker_.get(), {markQueue_.get(), ptw_.get()});
+    sys.declareWakeupInputs(
         tracer_.get(), {marker_.get(), markQueue_.get(), ptw_.get()});
-    if (!config_.decoupledTracer) {
+    if (!config_.decoupledTracer && config_.sharedCache) {
         // Coupled-pipeline ablation: the tracer also polls the
-        // marker's in-flight reads, which drop inside the bus/cache
-        // tick that delivers the marker's response. A fleet device
-        // defers the bus edge to declareSharedBusEdges() — the shared
-        // bus is registered after the devices.
-        if (!external_) {
-            sys_->declareWakeupInputs(
-                tracer_.get(), {static_cast<Clocked *>(busPtr_)});
-        }
-        if (config_.sharedCache) {
-            sys_->declareWakeupInputs(
-                tracer_.get(),
-                {static_cast<Clocked *>(sharedCache_.get())});
-        }
+        // marker's in-flight reads, which drop inside the cache tick
+        // that delivers the marker's response (the bus edge waits
+        // for Soc::seal()).
+        sys.declareWakeupInputs(tracer_.get(), {sharedCache_.get()});
     }
     markQueue_->setConsumer(marker_.get());
     if (config_.sharedCache) {
         sharedCache_->setPortOwner(markerPort_, marker_.get());
     } else {
-        busPtr_->setClientOwner(
+        bus.setClientOwner(
             static_cast<mem::BusPort *>(markerPort_)->clientId(),
             marker_.get());
     }
-    sys_->declareWakeupInputs(rootReader_.get(), {ptw_.get()});
-    sys_->declareWakeupInputs(reclamation_.get(), {ptw_.get()});
+    sys.declareWakeupInputs(rootReader_.get(), {ptw_.get()});
+    sys.declareWakeupInputs(reclamation_.get(), {ptw_.get()});
     for (auto &sweeper : reclamation_->sweepers()) {
-        sys_->declareWakeupInputs(sweeper.get(), {ptw_.get()});
-        sys_->declareWakeupInputs(reclamation_.get(), {sweeper.get()});
+        sys.declareWakeupInputs(sweeper.get(), {ptw_.get()});
+        sys.declareWakeupInputs(reclamation_.get(), {sweeper.get()});
     }
-    sys_->declareWakeupInputs(markQueue_.get(), {});
-    sys_->declareWakeupInputs(ptw_.get(), {});
+    sys.declareWakeupInputs(markQueue_.get(), {});
+    sys.declareWakeupInputs(ptw_.get(), {});
     if (sharedCache_) {
-        sys_->declareWakeupInputs(sharedCache_.get(), {});
+        sys.declareWakeupInputs(sharedCache_.get(), {});
     }
     if (ptwCache_) {
-        sys_->declareWakeupInputs(ptwCache_.get(), {});
-    }
-    if (!external_) {
-        sys_->declareWakeupInputs(bus_.get(), {memory_.get()});
-        sys_->declareWakeupInputs(memory_.get(), {});
+        sys.declareWakeupInputs(ptwCache_.get(), {});
     }
 
     installWalkResolver();
-    registerTelemetry();
+
+    rootReader_->addStats(stats_.add(statsPrefix_, "rootReader"));
+    marker_->addStats(stats_.add(statsPrefix_, "marker"));
+    marker_->tlb().addStats(stats_.add(statsPrefix_, "marker.tlb"));
+    tracer_->addStats(stats_.add(statsPrefix_, "tracer"));
+    tracer_->tlb().addStats(stats_.add(statsPrefix_, "tracer.tlb"));
+    markQueue_->addStats(stats_.add(statsPrefix_, "markQueue"));
+    traceQueue_->addStats(stats_.add(statsPrefix_, "traceQueue"));
+    reclamation_->addStats(stats_.add(statsPrefix_, "reclamation"));
+    for (std::size_t i = 0; i < reclamation_->sweepers().size(); ++i) {
+        reclamation_->sweepers()[i]->addStats(
+            stats_.add(statsPrefix_, "sweeper" + std::to_string(i)));
+    }
+    ptw_->addStats(stats_.add(statsPrefix_, "ptw"));
+    ptw_->l2Tlb().addStats(stats_.add(statsPrefix_, "ptw.l2tlb"));
+    if (sharedCache_) {
+        sharedCache_->addStats(stats_.add(statsPrefix_, "unitcache"));
+    }
+    if (ptwCache_) {
+        ptwCache_->addStats(stats_.add(statsPrefix_, "ptwcache"));
+    }
 }
 
 void
@@ -298,71 +275,16 @@ HwgcDevice::installWalkResolver()
 }
 
 void
-HwgcDevice::declareSharedBusEdges()
+HwgcDevice::attachObservers()
 {
-    panic_if(!external_,
-             "declareSharedBusEdges is for fleet devices only");
-    if (!config_.decoupledTracer) {
-        sys_->declareWakeupInputs(
-            tracer_.get(), {static_cast<Clocked *>(busPtr_)});
-    }
-}
-
-void
-HwgcDevice::registerTelemetry()
-{
-    auto &registry = telemetry::StatsRegistry::global();
-    // Fleet devices register under the driver-assigned prefix (stable
-    // "system.hwgcN" numbering across checkpoint/restore); owned-SoC
-    // devices keep the classic first-free uniquification.
-    statsPrefix_ = statsPrefix_.empty()
-        ? registry.uniquePrefix("system.hwgc")
-        : statsPrefix_;
-    auto addGroup = [&](const std::string &sub) -> stats::Group & {
-        statGroups_.push_back(std::make_unique<stats::Group>(sub));
-        statPaths_.push_back(registry.add(statsPrefix_ + "." + sub,
-                                          statGroups_.back().get()));
-        return *statGroups_.back();
-    };
-    rootReader_->addStats(addGroup("rootReader"));
-    marker_->addStats(addGroup("marker"));
-    marker_->tlb().addStats(addGroup("marker.tlb"));
-    tracer_->addStats(addGroup("tracer"));
-    tracer_->tlb().addStats(addGroup("tracer.tlb"));
-    markQueue_->addStats(addGroup("markQueue"));
-    traceQueue_->addStats(addGroup("traceQueue"));
-    reclamation_->addStats(addGroup("reclamation"));
-    for (std::size_t i = 0; i < reclamation_->sweepers().size(); ++i) {
-        reclamation_->sweepers()[i]->addStats(
-            addGroup("sweeper" + std::to_string(i)));
-    }
-    ptw_->addStats(addGroup("ptw"));
-    ptw_->l2Tlb().addStats(addGroup("ptw.l2tlb"));
-    if (!external_) {
-        // Shared bus/memory stats belong to the fleet driver, not to
-        // any one device.
-        bus_->addStats(addGroup("bus"));
-        memory_->addStats(addGroup("memory"));
-    }
-    if (sharedCache_) {
-        sharedCache_->addStats(addGroup("unitcache"));
-    }
-    if (ptwCache_) {
-        ptwCache_->addStats(addGroup("ptwcache"));
-    }
-
     // Attach kernel observers only when a telemetry sink is on, so
     // the default cost is one null-pointer compare per executed cycle.
-    // A shared System holds one observer; in fleet mode the driver
-    // owns it (the devices only contribute stats groups).
-    if (external_) {
-        return;
-    }
+    System &sys = soc_.system();
     const telemetry::Options &opts = telemetry::options();
     if (telemetry::TraceWriter::global().enabled() ||
         opts.statsInterval != 0) {
         std::vector<std::string> names;
-        for (const Clocked *c : sys_->components()) {
+        for (const Clocked *c : sys.components()) {
             names.push_back(c->name());
         }
         sysTracer_ = std::make_unique<telemetry::SystemTracer>(
@@ -374,12 +296,12 @@ HwgcDevice::registerTelemetry()
             return double(traceQueue_->size());
         });
         sysTracer_->addRateCounter("bus.utilization", [this] {
-            return double(bus_->busBusyCycles());
+            return double(soc_.bus().busBusyCycles());
         });
-        if (dramPtr_ != nullptr) {
-            sysTracer_->addRateCounter("dram.bytesPerCycle", [this] {
-                return double(dramPtr_->bytesRead().value() +
-                              dramPtr_->bytesWritten().value());
+        if (mem::Dram *dram = soc_.dram()) {
+            sysTracer_->addRateCounter("dram.bytesPerCycle", [dram] {
+                return double(dram->bytesRead().value() +
+                              dram->bytesWritten().value());
             });
         }
         if (sharedCache_) {
@@ -398,11 +320,11 @@ HwgcDevice::registerTelemetry()
     // the profiler observes first and forwards to the tracer.
     if (opts.profile) {
         profiler_ = std::make_unique<telemetry::CycleProfiler>(
-            *sys_, statsPrefix_);
+            sys, statsPrefix_);
         profiler_->setChain(sysTracer_.get());
-        sys_->setObserver(profiler_.get());
+        sys.setObserver(profiler_.get());
     } else if (sysTracer_) {
-        sys_->setObserver(sysTracer_.get());
+        sys.setObserver(sysTracer_.get());
     }
 }
 
@@ -412,14 +334,10 @@ HwgcDevice::~HwgcDevice()
         removeCrashHook(crashHookId_);
     }
     if (sysTracer_) {
-        sysTracer_->flush(sys_->now());
+        sysTracer_->flush(system().now());
     }
     if (sysTracer_ || profiler_) {
-        sys_->setObserver(nullptr);
-    }
-    auto &registry = telemetry::StatsRegistry::global();
-    for (const std::string &path : statPaths_) {
-        registry.remove(path);
+        system().setObserver(nullptr);
     }
 }
 
@@ -440,7 +358,7 @@ HwgcDevice::configure(const runtime::Heap &heap)
     ptw_->setPageTable(heap.pageTable());
     markQueue_->setSpillRegion(regs_.spillBase, regs_.spillBytes);
 
-    if (external_) {
+    if (!ownedSoc_) {
         // Checkpoint arming and the watchdog act on the whole shared
         // SoC; the fleet driver owns both.
         return;
@@ -461,15 +379,15 @@ HwgcDevice::configure(const runtime::Heap &heap)
     // the "<path>.crash.<pid>" post-mortem path is shared with real
     // panics.
     if (opts.watchdogSecs > 0.0) {
-        sys_->setWatchdog(opts.watchdogSecs,
-                          [this] { writeWatchdogReport(); });
+        system().setWatchdog(opts.watchdogSecs,
+                             [this] { writeWatchdogReport(); });
     }
 }
 
 Tick
 HwgcDevice::runUntil(const char *phase)
 {
-    const Tick start = sys_->now();
+    const Tick start = system().now();
     for (;;) {
         // An armed --checkpoint-at= pauses the kernel at that exact
         // inter-cycle boundary, mid-phase; the split run is
@@ -480,19 +398,20 @@ HwgcDevice::runUntil(const char *phase)
             !checkpointAtDone_) {
             stop = checkpointAt_;
         }
-        const System::StopReason reason = sys_->runUntilIdleStop(stop);
+        const System::StopReason reason =
+            system().runUntilIdleStop(stop);
         if (reason == System::StopReason::Stopped) {
             checkpointAtDone_ = true;
             if (writeCheckpoint(checkpointOut_)) {
                 inform("checkpoint: wrote '%s' at cycle %llu",
                        checkpointOut_.c_str(),
-                       (unsigned long long)sys_->now());
+                       (unsigned long long)system().now());
             }
             continue;
         }
         panic_if(reason == System::StopReason::Budget,
                  "%s phase deadlocked (cycle budget exhausted)", phase);
-        return sys_->now() - start;
+        return system().now() - start;
     }
 }
 
@@ -511,10 +430,17 @@ HwgcDevice::startMark()
 }
 
 bool
+HwgcDevice::unitsDrained() const
+{
+    return std::none_of(units_.begin(), units_.end(),
+                        [](const Clocked *c) { return c->busy(); });
+}
+
+bool
 HwgcDevice::markDone() const
 {
     return markQueue_->empty() && marker_->idle() && tracer_->idle() &&
-        rootReader_->done();
+        rootReader_->done() && unitsDrained();
 }
 
 HwPhaseResult
@@ -532,7 +458,7 @@ HwPhaseResult
 HwgcDevice::runMark()
 {
     const bool resuming = regs_.status == MmioRegs::Marking;
-    const Tick start = sys_->now();
+    const Tick start = system().now();
     DPRINTF(start, "Device", "%s: mark phase %s, %llu roots",
             statsPrefix_.c_str(), resuming ? "resume" : "start",
             (unsigned long long)regs_.rootCount);
@@ -548,7 +474,7 @@ HwgcDevice::runMark()
     HwPhaseResult result = finishMark();
     result.cycles = cycles;
 
-    const Tick end = sys_->now();
+    const Tick end = system().now();
     DPRINTF(end, "Device", "%s: mark phase done, %llu marked",
             statsPrefix_.c_str(),
             (unsigned long long)result.objectsMarked);
@@ -579,7 +505,7 @@ HwgcDevice::startSweep()
 bool
 HwgcDevice::sweepDone() const
 {
-    return reclamation_->done();
+    return reclamation_->done() && unitsDrained();
 }
 
 HwPhaseResult
@@ -596,7 +522,7 @@ HwPhaseResult
 HwgcDevice::runSweep()
 {
     const bool resuming = regs_.status == MmioRegs::Sweeping;
-    const Tick start = sys_->now();
+    const Tick start = system().now();
     DPRINTF(start, "Device", "%s: sweep phase %s, %llu blocks",
             statsPrefix_.c_str(), resuming ? "resume" : "start",
             (unsigned long long)regs_.blockCount);
@@ -612,7 +538,7 @@ HwgcDevice::runSweep()
     HwPhaseResult result = finishSweep();
     result.cycles = cycles;
 
-    const Tick end = sys_->now();
+    const Tick end = system().now();
     DPRINTF(end, "Device", "%s: sweep phase done, %llu freed",
             statsPrefix_.c_str(),
             (unsigned long long)result.cellsFreed);
@@ -648,8 +574,8 @@ HwgcDevice::resetPhaseState()
     ptw_->l2Tlb().flush();
     // A shared (fleet) memory backend stays warm: peer devices may be
     // mid-phase, and the context switch only flushes unit state.
-    if (!external_) {
-        memory_->resetTimingState();
+    if (ownedSoc_) {
+        ownedSoc_->memory().resetTimingState();
     }
 }
 
@@ -662,9 +588,9 @@ HwgcDevice::resetStats()
     traceQueue_->resetStats();
     reclamation_->resetStats();
     ptw_->resetStats();
-    if (!external_) {
-        bus_->resetStats();
-        memory_->resetStats();
+    if (ownedSoc_) {
+        ownedSoc_->bus().resetStats();
+        ownedSoc_->memory().resetStats();
     }
     if (sharedCache_) {
         sharedCache_->resetStats();
@@ -698,8 +624,8 @@ HwgcDevice::configSignature() const
 void
 HwgcDevice::saveCheckpoint(checkpoint::Serializer &ser) const
 {
-    panic_if(external_,
-             "fleet device state is checkpointed by the fleet driver");
+    panic_if(!ownedSoc_,
+             "a shared SoC is checkpointed by its owner, not per device");
     // The configuration fingerprint goes first so a mismatched file
     // fails with "configurations differ" before any state parsing.
     ser.beginChunk("config");
@@ -707,44 +633,17 @@ HwgcDevice::saveCheckpoint(checkpoint::Serializer &ser) const
     ser.endChunk();
 
     ser.beginChunk("regs");
-    ser.putU64(regs_.pageTableBase);
-    ser.putU64(regs_.hwgcSpaceBase);
-    ser.putU64(regs_.rootCount);
-    ser.putU64(regs_.blockTableBase);
-    ser.putU64(regs_.blockCount);
-    ser.putU64(regs_.spillBase);
-    ser.putU64(regs_.spillBytes);
-    ser.putU64(regs_.status);
+    regs_.save(ser);
     ser.endChunk();
 
-    ser.beginChunk("kernel");
-    sys_->save(ser);
-    ser.endChunk();
-
-    // One chunk per Clocked component, named by instance name, in
-    // registration (= evaluation) order.
-    for (const Clocked *c : sys_->components()) {
-        ser.beginChunk(c->name());
-        c->save(ser);
-        ser.endChunk();
-    }
-
-    // The trace queue is passive (not Clocked) but carries phase state.
-    ser.beginChunk("traceQueue");
-    traceQueue_->save(ser);
-    ser.endChunk();
-
-    // The functional memory image (shared farm-snapshot encoding).
-    ser.beginChunk("physmem");
-    checkpoint::putPhysMem(ser, mem_);
-    ser.endChunk();
+    ownedSoc_->save(ser);
 }
 
 void
 HwgcDevice::restoreCheckpoint(checkpoint::Deserializer &des)
 {
-    panic_if(external_,
-             "fleet device state is restored by the fleet driver");
+    panic_if(!ownedSoc_,
+             "a shared SoC is restored by its owner, not per device");
     des.beginChunk("config");
     const std::string sig = des.getString();
     des.endChunk();
@@ -755,43 +654,20 @@ HwgcDevice::restoreCheckpoint(checkpoint::Deserializer &des)
              configSignature().c_str());
 
     des.beginChunk("regs");
-    regs_.pageTableBase = des.getU64();
-    regs_.hwgcSpaceBase = des.getU64();
-    regs_.rootCount = des.getU64();
-    regs_.blockTableBase = des.getU64();
-    regs_.blockCount = des.getU64();
-    regs_.spillBase = des.getU64();
-    regs_.spillBytes = des.getU64();
-    regs_.status = des.getU64();
+    regs_.restore(des);
     des.endChunk();
 
-    des.beginChunk("kernel");
-    sys_->restore(des);
-    des.endChunk();
-
-    for (Clocked *c : sys_->components()) {
-        des.beginChunk(c->name());
-        c->restore(des);
-        des.endChunk();
-    }
-
-    des.beginChunk("traceQueue");
-    traceQueue_->restore(des);
-    des.endChunk();
-
-    des.beginChunk("physmem");
-    checkpoint::getPhysMem(des, mem_);
-    des.endChunk();
+    ownedSoc_->restore(des);
 
     fatal_if(!des.atEnd(),
              "checkpoint '%s': trailing data after the last expected "
              "chunk — the saving and restoring configurations differ",
              des.origin().c_str());
 
-    DPRINTF(sys_->now(), "Device",
+    DPRINTF(system().now(), "Device",
             "%s: restored checkpoint '%s' at cycle %llu (status %llu)",
             statsPrefix_.c_str(), des.origin().c_str(),
-            (unsigned long long)sys_->now(),
+            (unsigned long long)system().now(),
             (unsigned long long)regs_.status);
 }
 
@@ -862,7 +738,7 @@ HwgcDevice::writeCrashDump()
     telemetry::RunMetadata meta;
     meta.binary = "crash-dump";
     meta.config = configSignature();
-    meta.simCycles = sys_->now();
+    meta.simCycles = system().now();
     telemetry::StatsRegistry::global().exportJsonFile(
         base + ".stats.json", meta);
     inform("crash dump: wrote '%s.stats.json'", base.c_str());
@@ -882,14 +758,14 @@ HwgcDevice::writeWatchdogReport()
                  "watchdog: %s made no progress (cycle %llu); live "
                  "state follows\n",
                  statsPrefix_.c_str(),
-                 (unsigned long long)sys_->now());
+                 (unsigned long long)system().now());
     if (profiler_) {
         profiler_->report(stderr);
     }
     telemetry::RunMetadata meta;
     meta.binary = "watchdog-dump";
     meta.config = configSignature();
-    meta.simCycles = sys_->now();
+    meta.simCycles = system().now();
     std::ostringstream os;
     telemetry::StatsRegistry::global().exportJson(os, meta);
     std::fputs(os.str().c_str(), stderr);

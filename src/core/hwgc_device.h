@@ -7,10 +7,11 @@
  * Linux driver writes the process's page-table base and the unit's
  * configuration (hwgc-space, block list, spill region, size classes)
  * into memory-mapped registers, launches a GC phase, and polls a
- * status register. The device owns its own simulated SoC memory side
- * (interconnect + DRAM or ideal pipe) because the unit runs during a
- * stop-the-world pause — the CPU's only traffic is polling MMIO,
- * which does not touch DRAM.
+ * status register. A standalone device builds a private one-device
+ * Soc (interconnect + DRAM or ideal pipe) because the unit runs during
+ * a stop-the-world pause — the CPU's only traffic is polling MMIO,
+ * which does not touch DRAM. A fleet device joins a shared Soc
+ * instead (DESIGN.md §12).
  */
 
 #ifndef HWGC_CORE_HWGC_DEVICE_H
@@ -22,6 +23,7 @@
 #include "core/marker.h"
 #include "core/reclamation_unit.h"
 #include "core/root_reader.h"
+#include "core/soc.h"
 #include "core/tracer.h"
 #include "mem/timed_cache.h"
 #include "runtime/heap.h"
@@ -31,25 +33,6 @@
 
 namespace hwgc::core
 {
-
-/**
- * Shared-SoC context for fleet assembly (DESIGN.md §12): when a
- * device is instantiated into a fleet it joins an externally owned
- * System and shares one Interconnect + memory device with its peer
- * devices instead of building a private memory side. The fleet
- * driver owns kernel mode, telemetry for the shared bus/memory,
- * checkpoint arming and the watchdog; the device only contributes
- * its unit components.
- */
-struct SocContext
-{
-    System *system = nullptr;         //!< Shared kernel/clock.
-    mem::Interconnect *bus = nullptr; //!< Shared interconnect.
-    mem::MemDevice *memory = nullptr; //!< Shared DRAM / ideal pipe.
-    mem::Dram *dram = nullptr;        //!< Non-null when DRAM-backed.
-    std::string namePrefix;           //!< Component prefix, "hwgc0.".
-    std::string statsPrefix;          //!< Stats prefix, "system.hwgc0".
-};
 
 /** The device's memory-mapped register file (driver interface). */
 struct MmioRegs
@@ -65,6 +48,11 @@ struct MmioRegs
     /** Status register values polled by the runtime (§IV-C). */
     enum Status : std::uint64_t { Idle = 0, Marking = 1, Sweeping = 2 };
     std::uint64_t status = Idle;
+
+    /** Checkpoint encoding: the eight words above, in order. @{ */
+    void save(checkpoint::Serializer &ser) const;
+    void restore(checkpoint::Deserializer &des);
+    /** @} */
 };
 
 /** Result of one accelerator phase. */
@@ -81,6 +69,9 @@ class HwgcDevice
 {
   public:
     /**
+     * A standalone device: builds a private one-device Soc over
+     * @p mem, joins it and seals it.
+     *
      * @param page_table The process page table the PTW walks (the
      *        driver writes its base into the MMIO registers).
      */
@@ -88,13 +79,14 @@ class HwgcDevice
                const HwgcConfig &config);
 
     /**
-     * Fleet-mode constructor: the device registers its units into
-     * @p soc's shared System and sends memory traffic through the
-     * shared bus. configure() can retarget it at any tenant heap in
-     * the shared PhysMem (time-multiplexing, §VII).
+     * A fleet device: joins @p soc as its next device with the SoC's
+     * configuration, registering its units into the shared System
+     * and sending memory traffic through the shared bus. The owner
+     * seals @p soc after the last device joined. configure() can
+     * retarget the device at any tenant heap in the shared PhysMem
+     * (time-multiplexing, §VII).
      */
-    HwgcDevice(mem::PhysMem &mem, const mem::PageTable &page_table,
-               const HwgcConfig &config, const SocContext &soc);
+    HwgcDevice(Soc &soc, const mem::PageTable &page_table);
 
     ~HwgcDevice();
 
@@ -120,8 +112,11 @@ class HwgcDevice
      * phase drains. A fleet interleaves many devices on one shared
      * System, so the driver launches a phase, steps the shared clock
      * itself, polls the done predicate at scheduling boundaries, and
-     * then collects the result. startMark()/startSweep() are no-ops
-     * when the phase is already in flight (checkpoint resume).
+     * then collects the result. The done predicates hold only once
+     * the device's own units are idle, so a unit with responses still
+     * in flight is never context-switched under its pending traffic.
+     * startMark()/startSweep() are no-ops when the phase is already
+     * in flight (checkpoint resume).
      * @{
      */
     void startMark();
@@ -133,31 +128,14 @@ class HwgcDevice
     /** @} */
 
     /**
-     * Fleet wiring hook: declares the deferred wakeup edges against
-     * the shared bus (they need the bus registered in the shared
-     * System, which happens after device construction). Called once
-     * per device by the fleet driver; owned-SoC devices declare the
-     * same edges in their constructor.
-     */
-    void declareSharedBusEdges();
-
-    /** True when this device joined an external (fleet) SoC. */
-    bool external() const { return external_; }
-
-    /** The unit components this device registered into the System. */
-    const std::vector<Clocked *> &ownComponents() const
-    {
-        return ownComponents_;
-    }
-
-    /**
      * Flushes all unit-internal state (TLBs, caches, filters) —
      * called between GC pauses; the real device is context-switched
      * the same way (§VII "Context Switching").
      */
     void resetPhaseState();
 
-    /** Resets every statistic in the device and its memory side. */
+    /** Resets every statistic in the device (and, standalone, in its
+     *  bus and memory). */
     void resetStats();
 
     /**
@@ -170,7 +148,8 @@ class HwgcDevice
      * the functional memory image. Restoring into an identically
      * configured device resumes the run bit-identically — same final
      * cycle count, same statistics — under either kernel (the kernel
-     * mode is a host knob, not state).
+     * mode is a host knob, not state). Standalone devices only: a
+     * shared Soc is checkpointed by its owner (FleetLab).
      * @{
      */
 
@@ -208,14 +187,14 @@ class HwgcDevice
     TraceQueue &traceQueue() { return *traceQueue_; }
     RootReader &rootReader() { return *rootReader_; }
     ReclamationUnit &reclamation() { return *reclamation_; }
-    mem::Interconnect &bus() { return *busPtr_; }
-    mem::MemDevice &memory() { return *memPtr_; }
+    mem::Interconnect &bus() { return soc_.bus(); }
+    mem::MemDevice &memory() { return soc_.memory(); }
     mem::Ptw &ptw() { return *ptw_; }
-    mem::Dram *dram() { return dramPtr_; }
+    mem::Dram *dram() { return soc_.dram(); }
     mem::TimedCache *sharedCache() { return sharedCache_.get(); }
     mem::TimedCache *ptwCache() { return ptwCache_.get(); }
     const HwgcConfig &config() const { return config_; }
-    System &system() { return *sys_; }
+    System &system() { return soc_.system(); }
     /** @} */
 
     /**
@@ -233,10 +212,14 @@ class HwgcDevice
      */
     const std::string &statsPrefix() const { return statsPrefix_; }
 
+    /** Prepended to every component name: "" standalone, "hwgc0."... */
+    const std::string &namePrefix() const { return namePrefix_; }
+
     /**
      * The cycle-accounting profiler, or nullptr unless
-     * telemetry::options().profile was set before construction
-     * (--profile / HWGC_PROFILE). See DESIGN.md §10.
+     * telemetry::options().profile was set before a standalone
+     * device was constructed (--profile / HWGC_PROFILE). Fleet
+     * devices attach no observers. See DESIGN.md §10.
      */
     telemetry::CycleProfiler *profiler() { return profiler_.get(); }
 
@@ -246,9 +229,15 @@ class HwgcDevice
      *  --checkpoint-at= boundary to write the checkpoint. */
     Tick runUntil(const char *phase);
 
-    /** Shared assembly path behind both public constructors. */
-    HwgcDevice(mem::PhysMem &mem, const mem::PageTable &page_table,
-               const HwgcConfig &config, const SocContext *soc);
+    /** Joins soc_: builds and registers the units and their stats
+     *  (the assembly both constructors share). */
+    void join();
+
+    /** True when the units and the device-side caches are idle. */
+    bool unitsDrained() const;
+
+    /** Attaches the tracer and profiler observers (standalone). */
+    void attachObservers();
 
     /** Installs the PTW's (owner, token) -> walk-callback factory. */
     void installWalkResolver();
@@ -264,22 +253,13 @@ class HwgcDevice
     void writeWatchdogReport();
 
     HwgcConfig config_;
-    mem::PhysMem &mem_;
+    /** The private SoC of a standalone device; null in a fleet. */
+    std::unique_ptr<Soc> ownedSoc_;
+    Soc &soc_;
     const mem::PageTable &pageTable_;
     MmioRegs regs_;
-
-    /** @name SoC plumbing: owned (classic) or shared (fleet) @{ */
-    bool external_ = false;
-    std::string namePrefix_;     //!< Prepended to component names.
-    std::unique_ptr<System> ownSystem_;
-    System *sys_ = nullptr;
-    std::unique_ptr<mem::MemDevice> memory_;
-    mem::MemDevice *memPtr_ = nullptr;
-    mem::Dram *dramPtr_ = nullptr;
-    std::unique_ptr<mem::Interconnect> bus_;
-    mem::Interconnect *busPtr_ = nullptr;
-    std::vector<Clocked *> ownComponents_;
-    /** @} */
+    std::string namePrefix_;
+    std::vector<Clocked *> units_; //!< Registered by join().
     std::unique_ptr<mem::TimedCache> sharedCache_; //!< Fig 18a mode.
     std::unique_ptr<mem::TimedCache> ptwCache_;    //!< Partitioned.
     std::unique_ptr<mem::Ptw> ptw_;
@@ -299,13 +279,8 @@ class HwgcDevice
     std::unique_ptr<RootReader> rootReader_;
     std::unique_ptr<ReclamationUnit> reclamation_;
 
-    /** Registers every component's stats under statsPrefix_ and
-     *  attaches the kernel observer when telemetry is active. */
-    void registerTelemetry();
-
     std::string statsPrefix_;
-    std::vector<std::unique_ptr<stats::Group>> statGroups_;
-    std::vector<std::string> statPaths_;
+    telemetry::StatsGroups stats_;
     std::unique_ptr<telemetry::SystemTracer> sysTracer_;
     std::unique_ptr<telemetry::CycleProfiler> profiler_;
 

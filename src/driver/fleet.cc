@@ -8,9 +8,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "mem/dram.h"
-#include "mem/ideal_mem.h"
-#include "mem/interconnect.h"
 #include "workload/quantile.h"
 
 namespace hwgc::driver
@@ -18,21 +15,6 @@ namespace hwgc::driver
 
 namespace
 {
-
-/** True when every unit component of @p dev reports idle. A phase is
- *  only treated as complete once the done predicate holds AND the
- *  device's own components drained — a unit with responses still in
- *  flight must not be context-switched under its pending traffic. */
-bool
-unitsIdle(const core::HwgcDevice &dev)
-{
-    for (const Clocked *c : dev.ownComponents()) {
-        if (c->busy()) {
-            return false;
-        }
-    }
-    return true;
-}
 
 /** Cycles for a millisecond budget at the 1 GHz core clock. */
 Tick
@@ -47,7 +29,8 @@ FleetLab::FleetLab(const FleetConfig &config,
                    const std::vector<TenantParams> &tenants)
     : config_(config),
       scheduler_(makeScheduler(config.policy)),
-      mem_(config.tenantStride * std::max<std::size_t>(tenants.size(), 1))
+      mem_(config.tenantStride * std::max<std::size_t>(tenants.size(), 1)),
+      soc_(mem_, config.hwgc)
 {
     fatal_if(config_.devices == 0, "fleet needs at least one device");
     fatal_if(tenants.empty(), "fleet needs at least one tenant");
@@ -60,8 +43,6 @@ FleetLab::FleetLab(const FleetConfig &config,
              "(%zu tenants x %llu stride exceeds it)",
              tenants.size(),
              (unsigned long long)config_.tenantStride);
-
-    sys_.setMode(config_.hwgc.kernel);
 
     // Tenant heaps: disjoint addrBase strides of one shared PhysMem,
     // so N runtimes coexist behind one DRAM backend.
@@ -83,67 +64,21 @@ FleetLab::FleetLab(const FleetConfig &config,
                      (0.25 + 0.75 * ten.rng.uniform())));
     }
 
-    // Shared memory side, created before the devices (they hold
-    // references) but registered with the System after them, so the
-    // registration order matches the classic device: units first,
-    // then bus, then memory.
-    if (config_.hwgc.memModel == core::MemModel::Ddr3) {
-        auto dram = std::make_unique<mem::Dram>("dram",
-                                                config_.hwgc.dram, mem_);
-        dramPtr_ = dram.get();
-        memory_ = std::move(dram);
-    } else {
-        memory_ = std::make_unique<mem::IdealMem>(
-            "idealmem", config_.hwgc.ideal, mem_);
-    }
-    bus_ = std::make_unique<mem::Interconnect>("bus", config_.hwgc.bus,
-                                               *memory_);
-
-    auto &registry = telemetry::StatsRegistry::global();
-    devices_.resize(config_.devices);
-    for (unsigned d = 0; d < config_.devices; ++d) {
-        Device &dev = devices_[d];
-        dev.firstClient = bus_->numClients();
-        core::SocContext soc;
-        soc.system = &sys_;
-        soc.bus = bus_.get();
-        soc.memory = memory_.get();
-        soc.dram = dramPtr_;
-        soc.namePrefix = "hwgc" + std::to_string(d) + ".";
-        soc.statsPrefix = registry.indexedPrefix("system.hwgc", d);
-        dev.device = std::make_unique<core::HwgcDevice>(
-            mem_, tenants_[0].heap->pageTable(), config_.hwgc, soc);
-        dev.numClients = bus_->numClients() - dev.firstClient;
-    }
-
-    sys_.add(bus_.get());
-    sys_.add(memory_.get());
-    sys_.declareWakeupInputs(bus_.get(), {memory_.get()});
-    sys_.declareWakeupInputs(memory_.get(), {});
-    for (Device &dev : devices_) {
-        dev.device->declareSharedBusEdges();
-    }
-
     // Per-tenant pacing: all of device d's bus clients are charged to
     // budget group d; dispatch programs the group's rate to the
     // running tenant's budget and completion disables it again.
+    mem::Interconnect &bus = soc_.bus();
+    devices_.resize(config_.devices);
     for (unsigned d = 0; d < config_.devices; ++d) {
-        const Device &dev = devices_[d];
-        for (unsigned c = 0; c < dev.numClients; ++c) {
-            bus_->setClientGroup(dev.firstClient + c, d);
+        Device &dev = devices_[d];
+        const unsigned first_client = bus.numClients();
+        dev.device = std::make_unique<core::HwgcDevice>(
+            soc_, tenants_[0].heap->pageTable());
+        for (unsigned c = first_client; c < bus.numClients(); ++c) {
+            bus.setClientGroup(c, d);
         }
     }
-
-    // Shared bus/memory stats belong to the fleet, not to any device.
-    const std::string prefix = registry.uniquePrefix("system.fleet");
-    auto addGroup = [&](const std::string &sub) -> stats::Group & {
-        statGroups_.push_back(std::make_unique<stats::Group>(sub));
-        statPaths_.push_back(registry.add(prefix + "." + sub,
-                                          statGroups_.back().get()));
-        return *statGroups_.back();
-    };
-    bus_->addStats(addGroup("bus"));
-    memory_->addStats(addGroup("memory"));
+    soc_.seal();
 
     stats_.resize(tenants_.size());
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
@@ -152,15 +87,7 @@ FleetLab::FleetLab(const FleetConfig &config,
 
     const double watchdog = telemetry::options().watchdogSecs;
     if (watchdog > 0.0) {
-        sys_.setWatchdog(watchdog);
-    }
-}
-
-FleetLab::~FleetLab()
-{
-    auto &registry = telemetry::StatsRegistry::global();
-    for (const std::string &path : statPaths_) {
-        registry.remove(path);
+        soc_.system().setWatchdog(watchdog);
     }
 }
 
@@ -219,17 +146,15 @@ FleetLab::nextTriggerTime() const
 void
 FleetLab::pollCompletions()
 {
-    const Tick now = sys_.now();
+    const Tick now = this->now();
     for (Device &dev : devices_) {
-        if (dev.phase == 1 && dev.device->markDone() &&
-            unitsIdle(*dev.device)) {
+        if (dev.phase == 1 && dev.device->markDone()) {
             dev.device->finishMark();
             dev.device->startSweep();
             dev.phase = 2;
             dev.sweepStartAt = now;
         }
-        if (dev.phase == 2 && dev.device->sweepDone() &&
-            unitsIdle(*dev.device)) {
+        if (dev.phase == 2 && dev.device->sweepDone()) {
             completeGc(dev);
         }
     }
@@ -238,7 +163,7 @@ FleetLab::pollCompletions()
 void
 FleetLab::enqueueTriggers()
 {
-    const Tick now = sys_.now();
+    const Tick now = this->now();
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         Tenant &ten = tenants_[t];
         if (ten.queued || ten.running ||
@@ -274,7 +199,7 @@ FleetLab::dispatchIdle()
             return;
         }
         const std::size_t pick =
-            scheduler_->pick(pending_, sys_.now());
+            scheduler_->pick(pending_, now());
         panic_if(pick >= pending_.size(),
                  "scheduler picked out of range");
         const GcRequest req = pending_[pick];
@@ -287,7 +212,7 @@ FleetLab::dispatchIdle()
 void
 FleetLab::dispatch(Device &dev, const GcRequest &req)
 {
-    const Tick now = sys_.now();
+    const Tick now = this->now();
     Tenant &ten = tenants_[req.tenant];
     ten.running = true;
 
@@ -300,7 +225,7 @@ FleetLab::dispatch(Device &dev, const GcRequest &req)
     dev.device->configure(*ten.heap);
 
     const unsigned d = unsigned(&dev - devices_.data());
-    bus_->setGroupThrottle(d, ten.params.paceBytesPerCycle);
+    soc_.bus().setGroupThrottle(d, ten.params.paceBytesPerCycle);
 
     dev.device->startMark();
     dev.tenant = req.tenant;
@@ -315,12 +240,12 @@ FleetLab::dispatch(Device &dev, const GcRequest &req)
 void
 FleetLab::completeGc(Device &dev)
 {
-    const Tick now = sys_.now();
+    const Tick now = this->now();
     Tenant &ten = tenants_[dev.tenant];
     dev.device->finishSweep();
 
     const unsigned d = unsigned(&dev - devices_.data());
-    bus_->setGroupThrottle(d, 0.0);
+    soc_.bus().setGroupThrottle(d, 0.0);
 
     // The mutator resumes from the collected heap and churns it.
     ten.heap->onAfterSweep();
@@ -358,7 +283,7 @@ FleetLab::runUntilCycle(Tick stop_at)
             config_.quantum;
     }
     unsigned stalls = 0;
-    while (!done() && sys_.now() < stop_at) {
+    while (!done() && now() < stop_at) {
         pollCompletions();
         enqueueTriggers();
         dispatchIdle();
@@ -375,24 +300,24 @@ FleetLab::runUntilCycle(Tick stop_at)
             panic_if(next == maxTick,
                      "fleet idle with no future trigger");
             const Tick target = std::min(next, stop_at);
-            if (target > sys_.now()) {
-                sys_.run(target - sys_.now());
+            if (target > now()) {
+                system().run(target - now());
             }
             stalls = 0;
             continue;
         }
 
-        const Tick before = sys_.now();
+        const Tick before = now();
         const Tick boundary =
-            (sys_.now() / config_.quantum + 1) * config_.quantum;
+            (now() / config_.quantum + 1) * config_.quantum;
         const Tick target = std::min(boundary, stop_at);
         const System::StopReason reason =
-            sys_.runUntilIdleStop(target);
+            system().runUntilIdleStop(target);
         panic_if(reason == System::StopReason::Budget,
                  "fleet wedged: cycle budget elapsed with phases in "
                  "flight");
         if (reason == System::StopReason::Idle &&
-            sys_.now() == before) {
+            now() == before) {
             // The system was already idle at this boundary. One such
             // pass is legal — the phase drained exactly at the
             // quantum edge and the next pollCompletions() retires it
@@ -416,7 +341,7 @@ FleetLab::run()
 const std::vector<TenantStats> &
 FleetLab::measure()
 {
-    const double horizon_ms = double(sys_.now()) / 1e6;
+    const double horizon_ms = double(now()) / 1e6;
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         const Tenant &ten = tenants_[t];
         TenantStats &s = stats_[t];
@@ -501,36 +426,9 @@ FleetLab::saveCheckpoint(checkpoint::Serializer &ser) const
         ser.putU64(dev.triggerAt);
         ser.putU64(dev.dispatchAt);
         ser.putU64(dev.sweepStartAt);
-        const core::MmioRegs &regs =
-            const_cast<core::HwgcDevice &>(*dev.device).regs();
-        ser.putU64(regs.pageTableBase);
-        ser.putU64(regs.hwgcSpaceBase);
-        ser.putU64(regs.rootCount);
-        ser.putU64(regs.blockTableBase);
-        ser.putU64(regs.blockCount);
-        ser.putU64(regs.spillBase);
-        ser.putU64(regs.spillBytes);
-        ser.putU64(regs.status);
+        dev.device->regs().save(ser);
     }
     ser.endChunk();
-
-    ser.beginChunk("kernel");
-    sys_.save(ser);
-    ser.endChunk();
-
-    for (const Clocked *c : sys_.components()) {
-        ser.beginChunk(c->name());
-        c->save(ser);
-        ser.endChunk();
-    }
-
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-        ser.beginChunk("hwgc" + std::to_string(d) + ".traceQueue");
-        const_cast<core::HwgcDevice &>(*devices_[d].device)
-            .traceQueue()
-            .save(ser);
-        ser.endChunk();
-    }
 
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         ser.beginChunk("heap" + std::to_string(t));
@@ -541,9 +439,7 @@ FleetLab::saveCheckpoint(checkpoint::Serializer &ser) const
         ser.endChunk();
     }
 
-    ser.beginChunk("physmem");
-    checkpoint::putPhysMem(ser, mem_);
-    ser.endChunk();
+    soc_.save(ser);
 }
 
 void
@@ -593,47 +489,9 @@ FleetLab::restoreCheckpoint(checkpoint::Deserializer &des)
         dev.triggerAt = des.getU64();
         dev.dispatchAt = des.getU64();
         dev.sweepStartAt = des.getU64();
-        core::MmioRegs &regs =
-            saved_regs[std::size_t(&dev - devices_.data())];
-        regs.pageTableBase = des.getU64();
-        regs.hwgcSpaceBase = des.getU64();
-        regs.rootCount = des.getU64();
-        regs.blockTableBase = des.getU64();
-        regs.blockCount = des.getU64();
-        regs.spillBase = des.getU64();
-        regs.spillBytes = des.getU64();
-        regs.status = des.getU64();
+        saved_regs[std::size_t(&dev - devices_.data())].restore(des);
     }
     des.endChunk();
-
-    // Retarget every serving device at its tenant's heap *before*
-    // restoring component state: the PTW page-table pointer and the
-    // mark queue's spill region are configure()-time wiring, not
-    // serialized state, and both retarget calls insist on empty
-    // queues (true on a freshly constructed fleet, not after the
-    // chunks below load a mid-phase image).
-    for (Device &dev : devices_) {
-        if (dev.tenant != noTenant) {
-            dev.device->configure(*tenants_[dev.tenant].heap);
-            tenants_[dev.tenant].running = true;
-        }
-    }
-
-    des.beginChunk("kernel");
-    sys_.restore(des);
-    des.endChunk();
-
-    for (Clocked *c : sys_.components()) {
-        des.beginChunk(c->name());
-        c->restore(des);
-        des.endChunk();
-    }
-
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-        des.beginChunk("hwgc" + std::to_string(d) + ".traceQueue");
-        devices_[d].device->traceQueue().restore(des);
-        des.endChunk();
-    }
 
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         des.beginChunk("heap" + std::to_string(t));
@@ -644,9 +502,20 @@ FleetLab::restoreCheckpoint(checkpoint::Deserializer &des)
         des.endChunk();
     }
 
-    des.beginChunk("physmem");
-    checkpoint::getPhysMem(des, mem_);
-    des.endChunk();
+    // Retarget every serving device at its tenant's heap *before*
+    // restoring component state: the PTW page-table pointer and the
+    // mark queue's spill region are configure()-time wiring, not
+    // serialized state, and both retarget calls insist on empty
+    // queues (true on a freshly constructed fleet, not after the
+    // SoC chunks load a mid-phase image).
+    for (Device &dev : devices_) {
+        if (dev.tenant != noTenant) {
+            dev.device->configure(*tenants_[dev.tenant].heap);
+            tenants_[dev.tenant].running = true;
+        }
+    }
+
+    soc_.restore(des);
 
     fatal_if(!des.atEnd(),
              "fleet checkpoint '%s': trailing data after the last "

@@ -118,7 +118,6 @@ class FleetLab
   public:
     FleetLab(const FleetConfig &config,
              const std::vector<TenantParams> &tenants);
-    ~FleetLab();
 
     /** Services the fleet until every tenant completed its GCs. */
     void run();
@@ -144,14 +143,14 @@ class FleetLab
     const std::vector<TenantStats> &stats() const { return stats_; }
 
     /** @name Component access @{ */
-    System &system() { return sys_; }
-    Tick now() const { return sys_.now(); }
+    System &system() { return soc_.system(); }
+    Tick now() const { return soc_.system().now(); }
     unsigned numDevices() const { return unsigned(devices_.size()); }
     unsigned numTenants() const { return unsigned(tenants_.size()); }
     core::HwgcDevice &device(unsigned i) { return *devices_[i].device; }
     runtime::Heap &heap(unsigned t) { return *tenants_[t].heap; }
-    mem::Interconnect &bus() { return *bus_; }
-    mem::MemDevice &memory() { return *memory_; }
+    mem::Interconnect &bus() { return soc_.bus(); }
+    mem::MemDevice &memory() { return soc_.memory(); }
     const GcScheduler &scheduler() const { return *scheduler_; }
     std::uint64_t totalGcs() const;
     /** @} */
@@ -198,8 +197,6 @@ class FleetLab
     struct Device
     {
         std::unique_ptr<core::HwgcDevice> device;
-        unsigned firstClient = 0; //!< Bus client-id range [first,
-        unsigned numClients = 0;  //!< first+num) of this device.
         unsigned tenant = noTenant;
         unsigned phase = 0; //!< 0 idle, 1 marking, 2 sweeping.
         Tick triggerAt = 0;
@@ -228,10 +225,7 @@ class FleetLab
     std::unique_ptr<GcScheduler> scheduler_;
 
     mem::PhysMem mem_;
-    System sys_;
-    std::unique_ptr<mem::MemDevice> memory_;
-    mem::Dram *dramPtr_ = nullptr;
-    std::unique_ptr<mem::Interconnect> bus_;
+    core::Soc soc_; //!< Shared clock, bus and memory.
 
     std::vector<Tenant> tenants_;
     std::vector<Device> devices_;
@@ -239,10 +233,6 @@ class FleetLab
 
     std::vector<TenantStats> stats_;
     bool measured_ = false;
-
-    /** Shared bus/memory telemetry (the devices register their own). */
-    std::vector<std::unique_ptr<stats::Group>> statGroups_;
-    std::vector<std::string> statPaths_;
 };
 
 } // namespace hwgc::driver

@@ -21,15 +21,8 @@ GcLab::GcLab(const workload::BenchmarkProfile &profile,
 
     // CPU-side memory device (same model class as the unit's, so the
     // comparison is apples to apples).
-    if (config_.hwgc.memModel == core::MemModel::Ddr3) {
-        auto dram = std::make_unique<mem::Dram>("cpu.dram",
-                                                config_.hwgc.dram, mem_);
-        cpuDramPtr_ = dram.get();
-        cpuMemory_ = std::move(dram);
-    } else {
-        cpuMemory_ = std::make_unique<mem::IdealMem>(
-            "cpu.idealmem", config_.hwgc.ideal, mem_);
-    }
+    cpuMemory_ = core::makeMemDevice(config_.hwgc, mem_, "cpu.");
+    cpuDramPtr_ = dynamic_cast<mem::Dram *>(cpuMemory_.get());
     core_ = std::make_unique<cpu::CoreModel>(
         "rocket", config_.core, mem_, heap_->pageTable(), *cpuMemory_);
     swCollector_ = std::make_unique<gc::SwCollector>(*heap_, *core_);
@@ -38,27 +31,13 @@ GcLab::GcLab(const workload::BenchmarkProfile &profile,
         mem_, heap_->pageTable(), config_.hwgc);
 
     // Register the CPU baseline's stats beside the device's.
-    auto &registry = telemetry::StatsRegistry::global();
-    const std::string prefix = registry.uniquePrefix("system.cpu");
-    auto addGroup = [&](const std::string &sub) -> stats::Group & {
-        statGroups_.push_back(std::make_unique<stats::Group>(sub));
-        statPaths_.push_back(registry.add(prefix + "." + sub,
-                                          statGroups_.back().get()));
-        return *statGroups_.back();
-    };
-    core_->addStats(addGroup("core"));
-    core_->l1d().addStats(addGroup("core.l1d"));
-    core_->l2().addStats(addGroup("core.l2"));
-    core_->dtlb().addStats(addGroup("core.dtlb"));
-    cpuMemory_->addStats(addGroup("memory"));
-}
-
-GcLab::~GcLab()
-{
-    auto &registry = telemetry::StatsRegistry::global();
-    for (const std::string &path : statPaths_) {
-        registry.remove(path);
-    }
+    const std::string prefix =
+        telemetry::StatsRegistry::global().uniquePrefix("system.cpu");
+    core_->addStats(cpuStats_.add(prefix, "core"));
+    core_->l1d().addStats(cpuStats_.add(prefix, "core.l1d"));
+    core_->l2().addStats(cpuStats_.add(prefix, "core.l2"));
+    core_->dtlb().addStats(cpuStats_.add(prefix, "core.dtlb"));
+    cpuMemory_->addStats(cpuStats_.add(prefix, "memory"));
 }
 
 PauseResult

@@ -87,7 +87,6 @@ class GcLab
   public:
     GcLab(const workload::BenchmarkProfile &profile,
           const LabConfig &config = {});
-    ~GcLab();
 
     /** Runs every pause of the profile; returns per-pause results. */
     const std::vector<PauseResult> &run();
@@ -134,8 +133,7 @@ class GcLab
 
     // Telemetry registration of the CPU side (the device registers
     // its own components under its own prefix).
-    std::vector<std::unique_ptr<stats::Group>> statGroups_;
-    std::vector<std::string> statPaths_;
+    telemetry::StatsGroups cpuStats_;
 
     std::vector<PauseResult> results_;
 };

@@ -116,10 +116,12 @@ applyConfigSpec(core::HwgcConfig &config, const std::string &spec,
                 return fail("unknown mem model '" + value + "'");
             }
         } else if (key == "kernel") {
-            if (!kernelModeFromName(value, config.kernel)) {
+            KernelMode mode = KernelMode::Event;
+            if (!kernelModeFromName(value, mode)) {
                 return fail("kernel: unknown kernel '" + value +
                             "' (want dense or event)");
             }
+            config.kernel = mode;
         } else {
             return fail("bad config spec item '" + item + "'");
         }

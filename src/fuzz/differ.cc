@@ -12,12 +12,8 @@
 #include "cpu/core_model.h"
 #include "gc/sw_collector.h"
 #include "gc/verifier.h"
-#include "mem/dram.h"
-#include "mem/ideal_mem.h"
-#include "mem/interconnect.h"
 #include "runtime/object_model.h"
 #include "sim/checkpoint.h"
-#include "sim/telemetry.h"
 
 namespace hwgc::fuzz
 {
@@ -52,11 +48,11 @@ struct SwDigest
 };
 
 /** One hardware leg: its own heap image and device — or, when the
- *  config asks for `devices=N` with N > 1, a fleet-shaped array of N
- *  devices behind one shared System + interconnect + memory, with the
- *  schedule's collections round-robined across the array. Every
- *  device retargets the same heap, so the functional digests must
- *  match the single-device legs exactly. */
+ *  config asks for `devices=N` with N > 1, N devices joined to one
+ *  shared Soc (FleetLab's assembly), with the schedule's collections
+ *  round-robined across the array. Every device retargets the same
+ *  heap, so the functional digests must match the single-device legs
+ *  exactly. */
 class HwUniverse
 {
   public:
@@ -72,40 +68,12 @@ class HwUniverse
             return;
         }
 
-        // Fleet shape: mirror FleetLab's SoC wiring (units registered
-        // before bus before memory).
-        sys_ = std::make_unique<System>();
-        sys_->setMode(config.kernel);
-        if (config.memModel == core::MemModel::Ddr3) {
-            auto dram =
-                std::make_unique<mem::Dram>("dram", config.dram, mem_);
-            dram_ = dram.get();
-            memory_ = std::move(dram);
-        } else {
-            memory_ = std::make_unique<mem::IdealMem>("idealmem",
-                                                      config.ideal, mem_);
-        }
-        bus_ = std::make_unique<mem::Interconnect>("bus", config.bus,
-                                                   *memory_);
-        auto &registry = telemetry::StatsRegistry::global();
+        soc_ = std::make_unique<core::Soc>(mem_, config);
         for (unsigned d = 0; d < config.devices; ++d) {
-            core::SocContext soc;
-            soc.system = sys_.get();
-            soc.bus = bus_.get();
-            soc.memory = memory_.get();
-            soc.dram = dram_;
-            soc.namePrefix = "hwgc" + std::to_string(d) + ".";
-            soc.statsPrefix = registry.indexedPrefix("system.hwgc", d);
             fleet_.push_back(std::make_unique<core::HwgcDevice>(
-                mem_, heap_.pageTable(), config, soc));
+                *soc_, heap_.pageTable()));
         }
-        sys_->add(bus_.get());
-        sys_->add(memory_.get());
-        sys_->declareWakeupInputs(bus_.get(), {memory_.get()});
-        sys_->declareWakeupInputs(memory_.get(), {});
-        for (auto &dev : fleet_) {
-            dev->declareSharedBusEdges();
-        }
+        soc_->seal();
     }
 
     void mutate(double churn) { builder_.mutate(churn); }
@@ -182,40 +150,30 @@ class HwUniverse
   private:
     /**
      * Drives the shared System in fixed quanta until the launched
-     * phase reports done AND the device's own components drained
-     * (FleetLab's completion rule). Decisions at quantum boundaries
-     * keep the fleet legs bit-identical across kernels.
+     * phase reports done (FleetLab's completion rule). Decisions at
+     * quantum boundaries keep the fleet legs bit-identical across
+     * kernels.
      */
     core::HwPhaseResult
     runFleetPhase(core::HwgcDevice &dev, bool mark)
     {
-        const Tick start = sys_->now();
+        System &sys = soc_->system();
+        const Tick start = sys.now();
         if (mark) {
             dev.startMark();
         } else {
             dev.startSweep();
         }
-        const auto drained = [&] {
-            if (mark ? !dev.markDone() : !dev.sweepDone()) {
-                return false;
-            }
-            for (const Clocked *c : dev.ownComponents()) {
-                if (c->busy()) {
-                    return false;
-                }
-            }
-            return true;
-        };
         std::uint64_t quanta = 0;
-        while (!drained()) {
-            sys_->run(256);
+        while (mark ? !dev.markDone() : !dev.sweepDone()) {
+            sys.run(256);
             panic_if(++quanta > (1ULL << 24),
                      "fuzz fleet universe wedged: %s phase never "
                      "drained", mark ? "mark" : "sweep");
         }
         core::HwPhaseResult result =
             mark ? dev.finishMark() : dev.finishSweep();
-        result.cycles = sys_->now() - start;
+        result.cycles = sys.now() - start;
         return result;
     }
 
@@ -240,10 +198,7 @@ class HwUniverse
     std::unique_ptr<core::HwgcDevice> device_; //!< devices <= 1.
 
     /** Fleet shape (devices > 1): shared SoC + device array. @{ */
-    std::unique_ptr<System> sys_;
-    std::unique_ptr<mem::MemDevice> memory_;
-    mem::Dram *dram_ = nullptr;
-    std::unique_ptr<mem::Interconnect> bus_;
+    std::unique_ptr<core::Soc> soc_;
     std::vector<std::unique_ptr<core::HwgcDevice>> fleet_;
     std::size_t collectIdx_ = 0; //!< Round-robin dispatch counter.
     /** @} */

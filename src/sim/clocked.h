@@ -72,6 +72,13 @@ kernelModeFromName(const std::string &name, KernelMode &out)
     return false;
 }
 
+/** The user-facing name of @p mode: "dense" or "event". */
+inline const char *
+kernelModeName(KernelMode mode)
+{
+    return mode == KernelMode::Dense ? "dense" : "event";
+}
+
 /**
  * Passive observer of the kernel's execution, used by the telemetry
  * layer to derive per-component activity spans and to pace interval
@@ -397,19 +404,7 @@ class System
     bool
     runUntilIdle(Tick max_cycles = 2'000'000'000ULL)
     {
-        const Tick limit = saturatingLimit(max_cycles);
-        if (now_ >= limit) {
-            return false;
-        }
-        if (!anyBusy()) {
-            return true;
-        }
-        // Anything may have been reconfigured between runs (phase
-        // starts, resets): every cached wakeup is stale.
-        dirty_ = ~std::uint64_t(0);
-        watchdogArm();
-        return mode_ == KernelMode::Dense ? runUntilIdleDense(limit)
-                                          : runUntilIdleEvent(limit);
+        return runUntilIdleStop(maxTick, max_cycles) == StopReason::Idle;
     }
 
     /** Runs for exactly @p cycles cycles (idle or not). */
@@ -418,17 +413,7 @@ class System
     {
         const Tick limit = saturatingLimit(cycles);
         watchdogArm();
-        if (mode_ == KernelMode::Dense) {
-            while (now_ < limit) {
-                step();
-                if (watchdogDue()) {
-                    watchdogFireIfExpired();
-                }
-            }
-        } else {
-            dirty_ = ~std::uint64_t(0);
-            runEvent(limit);
-        }
+        runLoop(limit, maxTick, false);
     }
 
     /** Why runUntilIdleStop() returned. */
@@ -462,39 +447,8 @@ class System
         if (!anyBusy()) {
             return StopReason::Idle;
         }
-        dirty_ = ~std::uint64_t(0);
         watchdogArm();
-        if (mode_ == KernelMode::Dense) {
-            while (now_ < limit) {
-                if (now_ >= stop_at) {
-                    return StopReason::Stopped;
-                }
-                if (!step()) {
-                    return StopReason::Idle;
-                }
-                if (watchdogDue()) {
-                    watchdogFireIfExpired();
-                }
-            }
-            return StopReason::Budget;
-        }
-        while (now_ < limit) {
-            if (now_ >= stop_at) {
-                return StopReason::Stopped;
-            }
-            const CyclePass pass = executeCycle();
-            if (watchdogDue()) {
-                watchdogFireIfExpired();
-            }
-            if (pass.ticked) {
-                if (!anyBusy()) {
-                    return StopReason::Idle;
-                }
-                continue;
-            }
-            fastForwardTo(std::min({pass.next, limit, stop_at}));
-        }
-        return StopReason::Budget;
+        return runLoop(limit, stop_at, true);
     }
 
     /**
@@ -530,18 +484,45 @@ class System
         return false;
     }
 
-    bool
-    runUntilIdleDense(Tick limit)
+    /**
+     * The one driver loop behind every run entry point: executes
+     * cycles under the selected kernel until the clock reaches
+     * @p limit (Budget) or @p stop_at (Stopped), or — with
+     * @p stop_when_idle — until every component is idle (Idle). The
+     * dense kernel steps every cycle through step(); the event kernel
+     * executes a cycle through executeCycle() and, when it ticked
+     * nothing, fast-forwards to the next wakeup (clamped at the limit
+     * and the stop cycle — if every wakeup is maxTick while
+     * components stay busy, that is the same deadlock the dense
+     * kernel would step through as no-ops).
+     */
+    StopReason
+    runLoop(Tick limit, Tick stop_at, bool stop_when_idle)
     {
+        // Anything may have been reconfigured between runs (phase
+        // starts, resets): every cached wakeup is stale.
+        dirty_ = ~std::uint64_t(0);
+        const bool dense = mode_ == KernelMode::Dense;
         while (now_ < limit) {
-            if (!step()) {
-                return true;
+            if (now_ >= stop_at) {
+                return StopReason::Stopped;
+            }
+            bool idle = false;
+            if (dense) {
+                idle = !step();
+            } else if (const CyclePass pass = executeCycle(); pass.ticked) {
+                idle = stop_when_idle && !anyBusy();
+            } else {
+                fastForwardTo(std::min({pass.next, limit, stop_at}));
             }
             if (watchdogDue()) {
                 watchdogFireIfExpired();
             }
+            if (idle && stop_when_idle) {
+                return StopReason::Idle;
+            }
         }
-        return false;
+        return StopReason::Budget;
     }
 
     /** Outcome of one event-kernel cycle pass. */
@@ -665,43 +646,6 @@ class System
             observer_->fastForwarded(now_, target);
         }
         now_ = target;
-    }
-
-    bool
-    runUntilIdleEvent(Tick limit)
-    {
-        while (now_ < limit) {
-            const CyclePass pass = executeCycle();
-            if (watchdogDue()) {
-                watchdogFireIfExpired();
-            }
-            if (pass.ticked) {
-                if (!anyBusy()) {
-                    return true;
-                }
-                continue;
-            }
-            // An empty cycle while busy: jump to the next wakeup (or
-            // the budget limit — if every wakeup is maxTick while
-            // components stay busy, that is the same deadlock the
-            // dense kernel would step through as no-ops).
-            fastForwardTo(std::min(pass.next, limit));
-        }
-        return false;
-    }
-
-    void
-    runEvent(Tick limit)
-    {
-        while (now_ < limit) {
-            const CyclePass pass = executeCycle();
-            if (watchdogDue()) {
-                watchdogFireIfExpired();
-            }
-            if (!pass.ticked) {
-                fastForwardTo(std::min(pass.next, limit));
-            }
-        }
     }
 
     /** Restarts the watchdog timer (each public run entry point). */

@@ -206,88 +206,108 @@ options()
     return opts;
 }
 
+namespace
+{
+
+/**
+ * One option: its command-line flag, its environment variable, and
+ * the one parse both sources go through. A flag takes "--flag=VALUE";
+ * a switch is the bare "--flag" and reads as the value "1".
+ */
+struct OptionSpec
+{
+    const char *flag;  //!< "--stats-json".
+    const char *env;   //!< "HWGC_STATS_JSON", or nullptr (CLI only).
+    bool takesValue;   //!< false for a switch ("--profile").
+    void (*set)(Options &opts, const char *value, const char *source);
+};
+
+const OptionSpec optionSpecs[] = {
+    {"--stats-json", "HWGC_STATS_JSON", true,
+     [](Options &o, const char *v, const char *) { o.statsJson = v; }},
+    {"--trace-out", "HWGC_TRACE_OUT", true,
+     [](Options &o, const char *v, const char *) { o.traceOut = v; }},
+    {"--stats-interval", "HWGC_STATS_INTERVAL", true,
+     [](Options &o, const char *v, const char *source) {
+         o.statsInterval = parseU64Option(v, source, o.statsInterval);
+     }},
+    // HWGC_DEBUG is applied by a static initializer in logging.cc.
+    {"--debug-flags", nullptr, true,
+     [](Options &, const char *v, const char *) {
+         Debug::parseFlagList(v);
+     }},
+    {"--kernel", "HWGC_KERNEL", true,
+     [](Options &o, const char *v, const char *source) {
+         KernelMode mode = KernelMode::Event;
+         fatal_if(!kernelModeFromName(v, mode),
+                  "%s: unknown kernel '%s' (want dense or event)", source,
+                  v);
+         o.kernel = mode;
+     }},
+    {"--checkpoint-in", "HWGC_CHECKPOINT_IN", true,
+     [](Options &o, const char *v, const char *) { o.checkpointIn = v; }},
+    {"--checkpoint-out", "HWGC_CHECKPOINT_OUT", true,
+     [](Options &o, const char *v, const char *) {
+         o.checkpointOut = v;
+     }},
+    {"--checkpoint-at", "HWGC_CHECKPOINT_AT", true,
+     [](Options &o, const char *v, const char *source) {
+         o.checkpointAt = parseU64Option(v, source, o.checkpointAt);
+     }},
+    {"--profile", "HWGC_PROFILE", false,
+     [](Options &o, const char *v, const char *) {
+         o.profile = envFlag(v);
+     }},
+    {"--watchdog-secs", "HWGC_WATCHDOG_SECS", true,
+     [](Options &o, const char *v, const char *source) {
+         o.watchdogSecs = parseDoubleOption(v, source, o.watchdogSecs);
+     }},
+    {"--bench-out", "HWGC_BENCH_OUT", true,
+     [](Options &o, const char *v, const char *) { o.benchOut = v; }},
+};
+
+/** The value @p arg carries for @p spec, or nullptr if not its flag. */
+const char *
+flagValue(const OptionSpec &spec, const char *arg)
+{
+    const std::size_t n = std::strlen(spec.flag);
+    if (std::strncmp(arg, spec.flag, n) != 0) {
+        return nullptr;
+    }
+    if (!spec.takesValue) {
+        return arg[n] == '\0' ? "1" : nullptr;
+    }
+    return arg[n] == '=' ? arg + n + 1 : nullptr;
+}
+
+} // namespace
+
 void
 applyEnv()
 {
-    Options &opts = options();
-    if (const char *v = std::getenv("HWGC_STATS_JSON")) {
-        opts.statsJson = v;
+    for (const OptionSpec &spec : optionSpecs) {
+        const char *v = spec.env != nullptr ? std::getenv(spec.env)
+                                            : nullptr;
+        if (v != nullptr) {
+            spec.set(options(), v, spec.env);
+        }
     }
-    if (const char *v = std::getenv("HWGC_TRACE_OUT")) {
-        opts.traceOut = v;
-    }
-    if (const char *v = std::getenv("HWGC_STATS_INTERVAL")) {
-        opts.statsInterval = parseU64Option(v, "HWGC_STATS_INTERVAL",
-                                            opts.statsInterval);
-    }
-    if (const char *v = std::getenv("HWGC_KERNEL")) {
-        opts.kernel = v;
-    }
-    if (const char *v = std::getenv("HWGC_CHECKPOINT_IN")) {
-        opts.checkpointIn = v;
-    }
-    if (const char *v = std::getenv("HWGC_CHECKPOINT_OUT")) {
-        opts.checkpointOut = v;
-    }
-    if (const char *v = std::getenv("HWGC_CHECKPOINT_AT")) {
-        opts.checkpointAt = parseU64Option(v, "HWGC_CHECKPOINT_AT",
-                                           opts.checkpointAt);
-    }
-    if (const char *v = std::getenv("HWGC_PROFILE")) {
-        opts.profile = envFlag(v);
-    }
-    if (const char *v = std::getenv("HWGC_WATCHDOG_SECS")) {
-        opts.watchdogSecs = parseDoubleOption(v, "HWGC_WATCHDOG_SECS",
-                                              opts.watchdogSecs);
-    }
-    if (const char *v = std::getenv("HWGC_BENCH_OUT")) {
-        opts.benchOut = v;
-    }
-    // HWGC_DEBUG is applied by a static initializer in logging.cc.
 }
 
 void
 parseArgs(int &argc, char **argv)
 {
-    auto valueOf = [](const char *arg,
-                      const char *key) -> const char * {
-        const std::size_t n = std::strlen(key);
-        return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
-    };
-
-    Options &opts = options();
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (const char *v = valueOf(argv[i], "--stats-json=")) {
-            opts.statsJson = v;
-        } else if (const char *v = valueOf(argv[i], "--trace-out=")) {
-            opts.traceOut = v;
-        } else if (const char *v =
-                       valueOf(argv[i], "--stats-interval=")) {
-            opts.statsInterval = parseU64Option(v, "--stats-interval",
-                                                opts.statsInterval);
-        } else if (const char *v = valueOf(argv[i], "--debug-flags=")) {
-            Debug::parseFlagList(v);
-        } else if (const char *v = valueOf(argv[i], "--kernel=")) {
-            opts.kernel = v;
-        } else if (const char *v = valueOf(argv[i], "--checkpoint-in=")) {
-            opts.checkpointIn = v;
-        } else if (const char *v =
-                       valueOf(argv[i], "--checkpoint-out=")) {
-            opts.checkpointOut = v;
-        } else if (const char *v =
-                       valueOf(argv[i], "--checkpoint-at=")) {
-            opts.checkpointAt = parseU64Option(v, "--checkpoint-at",
-                                               opts.checkpointAt);
-        } else if (std::strcmp(argv[i], "--profile") == 0) {
-            opts.profile = true;
-        } else if (const char *v =
-                       valueOf(argv[i], "--watchdog-secs=")) {
-            opts.watchdogSecs = parseDoubleOption(v, "--watchdog-secs",
-                                                  opts.watchdogSecs);
-        } else if (const char *v = valueOf(argv[i], "--bench-out=")) {
-            opts.benchOut = v;
-        } else {
+        bool consumed = false;
+        for (const OptionSpec &spec : optionSpecs) {
+            if (const char *v = flagValue(spec, argv[i])) {
+                spec.set(options(), v, spec.flag);
+                consumed = true;
+                break;
+            }
+        }
+        if (!consumed) {
             argv[out++] = argv[i];
         }
     }
@@ -485,6 +505,22 @@ StatsRegistry::clearRetired()
 {
     retired_.clear();
     clearSnapshots();
+}
+
+StatsGroups::~StatsGroups()
+{
+    for (const std::string &path : paths_) {
+        StatsRegistry::global().remove(path);
+    }
+}
+
+stats::Group &
+StatsGroups::add(const std::string &prefix, const std::string &sub)
+{
+    groups_.push_back(std::make_unique<stats::Group>(sub));
+    paths_.push_back(StatsRegistry::global().add(prefix + "." + sub,
+                                                 groups_.back().get()));
+    return *groups_.back();
 }
 
 // ---------------------------------------------------------------------

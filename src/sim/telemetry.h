@@ -37,6 +37,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -97,14 +98,15 @@ struct Options
     /** @} */
 
     /**
-     * Simulation kernel override: "", "dense" or "event" (--kernel= /
-     * HWGC_KERNEL). "" keeps each driver's configured
-     * HwgcConfig::kernel. Both kernels are bit-identical in simulated
-     * cycles and statistics; this picks the host execution strategy
-     * for binaries whose config the user cannot reach (examples,
-     * benches).
+     * Simulation kernel for SoCs whose HwgcConfig::kernel is unset
+     * (--kernel= / HWGC_KERNEL: dense or event; any other name is
+     * fatal at the parse). A config that names a kernel keeps it.
+     * Both kernels are bit-identical in simulated cycles and
+     * statistics; this picks the host execution strategy for
+     * binaries whose config the user cannot reach (examples,
+     * benches). Unset here too, the kernel is event.
      */
-    std::string kernel;
+    std::optional<KernelMode> kernel;
 
     /**
      * Cycle-accounting profiler (DESIGN.md §10): every component
@@ -136,14 +138,14 @@ struct Options
 /** The mutable global options instance. */
 Options &options();
 
-/** Applies HWGC_STATS_JSON / HWGC_TRACE_OUT / HWGC_STATS_INTERVAL. */
+/** Applies every HWGC_* variable Options lists. */
 void applyEnv();
 
 /**
- * Parses and strips the telemetry arguments from @p argv, leaving
- * everything else (including argv[0]) for the caller. Unrecognized
- * arguments are untouched. Recognized forms: --stats-json=PATH,
- * --trace-out=PATH, --stats-interval=N, --debug-flags=LIST.
+ * Parses and strips the option flags Options lists from @p argv,
+ * leaving everything else (including argv[0]) for the caller.
+ * Unrecognized arguments are untouched. Each option goes through the
+ * same parse from either source.
  */
 void parseArgs(int &argc, char **argv);
 
@@ -271,6 +273,30 @@ class StatsRegistry
     std::map<std::string, unsigned> prefixCounters_;
     std::vector<SnapshotRow> snapshots_;
     std::map<std::string, std::uint64_t> snapshotPrev_;
+};
+
+/**
+ * The stats groups one owner (a device, a SoC, a lab) registers in
+ * the global registry: add() registers a fresh group at
+ * "<prefix>.<sub>", and destruction retires every group it added.
+ * Declare it after the components whose statistics the groups point
+ * at, so the retirement still reads live values.
+ */
+class StatsGroups
+{
+  public:
+    StatsGroups() = default;
+    ~StatsGroups();
+
+    StatsGroups(const StatsGroups &) = delete;
+    StatsGroups &operator=(const StatsGroups &) = delete;
+
+    /** Registers group @p sub under @p prefix and returns it. */
+    stats::Group &add(const std::string &prefix, const std::string &sub);
+
+  private:
+    std::vector<std::unique_ptr<stats::Group>> groups_;
+    std::vector<std::string> paths_;
 };
 
 /**

@@ -12,17 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hwgc_device.h"
 #include "driver/fleet.h"
+#include "instance_ids.h"
 #include "sim/checkpoint.h"
 #include "sim/telemetry.h"
 #include "tmp_path.h"
@@ -74,29 +74,6 @@ testGraph(std::uint64_t seed, std::uint64_t live = 900)
     p.arrayFraction = 0.15;
     p.seed = seed;
     return p;
-}
-
-/** See test_determinism.cc: strip registry instance digits so exports
- *  from different runs become directly comparable strings. */
-std::string
-normalizeInstanceIds(std::string s)
-{
-    for (const char *key :
-         {"system.hwgc", "system.cpu", "system.fleet"}) {
-        const std::size_t klen = std::strlen(key);
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            std::size_t digits = pos + klen;
-            std::size_t end = digits;
-            while (end < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[end]))) {
-                ++end;
-            }
-            s.replace(digits, end - digits, "#");
-            pos = digits + 1;
-        }
-    }
-    return s;
 }
 
 std::string
@@ -378,7 +355,9 @@ fleetTestTenants()
     std::vector<driver::TenantParams> tenants(3);
     for (unsigned t = 0; t < tenants.size(); ++t) {
         auto &tenant = tenants[t];
-        tenant.name = "t" + std::to_string(t);
+        std::string name(1, 't');
+        name += std::to_string(t);
+        tenant.name = std::move(name);
         tenant.graph = testGraph(700 + t, 300);
         tenant.gcPeriodCycles = 150'000;
         tenant.seed = 40 + t;

@@ -296,22 +296,63 @@ TEST(EventKernel, SkipsIdleCyclesButKeepsTimeAndStateExact)
 }
 
 // ---------------------------------------------------------------------
-// Kernel selection: dense and event are the only kernel names.
+// Kernel selection: dense and event are the only kernel names, a
+// config that names a kernel gets it, and --kernel= / HWGC_KERNEL
+// picks the kernel only for configs that leave it unset.
 // ---------------------------------------------------------------------
+
+/** Starts a Session on the command line "prog --kernel=parallel". */
+void
+sessionWithRetiredKernel()
+{
+    char prog[] = "prog";
+    char flag[] = "--kernel=parallel";
+    char *argv[] = {prog, flag, nullptr};
+    int argc = 2;
+    telemetry::Session session(argc, argv);
+}
 
 TEST(KernelNameDeathTest, DeviceRejectsRetiredKernelNamingTheField)
 {
-    EXPECT_EXIT(
-        {
-            telemetry::options().kernel = "parallel";
-            mem::PhysMem mem;
-            runtime::Heap heap(mem);
-            core::HwgcDevice device(mem, heap.pageTable(),
-                                    core::HwgcConfig{});
-        },
-        ::testing::ExitedWithCode(1),
-        "--kernel / HWGC_KERNEL: unknown kernel 'parallel' "
-        "\\(want dense or event\\)");
+    EXPECT_EXIT(sessionWithRetiredKernel(),
+                ::testing::ExitedWithCode(1),
+                "--kernel: unknown kernel 'parallel' "
+                "\\(want dense or event\\)");
+}
+
+/** Sets the --kernel= option for one scope. */
+class KernelOption
+{
+  public:
+    explicit KernelOption(KernelMode mode)
+    {
+        telemetry::options().kernel = mode;
+    }
+    ~KernelOption() { telemetry::options().kernel.reset(); }
+};
+
+KernelMode
+deviceKernel(const core::HwgcConfig &config)
+{
+    mem::PhysMem mem;
+    runtime::Heap heap(mem);
+    core::HwgcDevice device(mem, heap.pageTable(), config);
+    return device.system().mode();
+}
+
+TEST(KernelSelection, ConfiguredKernelBeatsTheOption)
+{
+    const KernelOption option(KernelMode::Event);
+    core::HwgcConfig config;
+    config.kernel = KernelMode::Dense;
+    EXPECT_EQ(deviceKernel(config), KernelMode::Dense);
+}
+
+TEST(KernelSelection, UnsetConfigFollowsTheOption)
+{
+    EXPECT_EQ(deviceKernel(core::HwgcConfig{}), KernelMode::Event);
+    const KernelOption option(KernelMode::Dense);
+    EXPECT_EQ(deviceKernel(core::HwgcConfig{}), KernelMode::Dense);
 }
 
 } // namespace

@@ -11,14 +11,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/fleet.h"
+#include "instance_ids.h"
 #include "sim/logging.h"
 #include "sim/telemetry.h"
 #include "tmp_path.h"
@@ -36,7 +37,9 @@ tinyTenants(unsigned n)
     std::vector<driver::TenantParams> tenants;
     for (unsigned t = 0; t < n; ++t) {
         driver::TenantParams p;
-        p.name = "t" + std::to_string(t);
+        std::string name(1, 't');
+        name += std::to_string(t);
+        p.name = std::move(name);
         p.graph = workload::smokeProfile().graph;
         p.graph.seed = 1000 + t;
         p.churnPerGC = 0.3;
@@ -66,27 +69,6 @@ tinyConfig(unsigned devices,
     config.policy = policy;
     config.gcsPerTenant = 2;
     return config;
-}
-
-/** Strips process-lifetime instance ids so exports compare equal. */
-std::string
-normalizeInstanceIds(std::string s)
-{
-    for (const char *key : {"system.hwgc", "system.fleet"}) {
-        const std::size_t klen = std::strlen(key);
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            std::size_t digits = pos + klen;
-            std::size_t end = digits;
-            while (end < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[end]))) {
-                ++end;
-            }
-            s.replace(digits, end - digits, "#");
-            pos = digits + 1;
-        }
-    }
-    return s;
 }
 
 /** Everything a fleet run must reproduce bit-for-bit. */

@@ -18,12 +18,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "driver/gc_lab.h"
+#include "instance_ids.h"
 #include "sim/cycle_class.h"
 #include "sim/profiler.h"
 #include "sim/telemetry.h"
@@ -142,28 +141,6 @@ TEST(ProfilerIdentity, TibLayout)
 // ---------------------------------------------------------------------
 // (2) Profiler on/off is bit-identical in cycles and core stats.
 // ---------------------------------------------------------------------
-
-/** See test_determinism.cc: strips registry instance numbers so dumps
- *  from different runs compare as strings. */
-std::string
-normalizeInstanceIds(std::string s)
-{
-    for (const char *key : {"system.hwgc", "system.cpu"}) {
-        const std::size_t klen = std::strlen(key);
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            std::size_t digits = pos + klen;
-            std::size_t end = digits;
-            while (end < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[end]))) {
-                ++end;
-            }
-            s.replace(digits, end - digits, "#");
-            pos = digits + 1;
-        }
-    }
-    return s;
-}
 
 /** Drops the "<prefix>.profile.<comp>" sections the profiler itself
  *  registers — they exist only in the profiled run by design; every
