@@ -6,6 +6,11 @@
  * units on and off would allow a concurrent GC to throttle or boost
  * tracing"). Sweeps a token-bucket cap on the unit's bus and reports
  * the mark-time / bandwidth trade-off.
+ *
+ * With --bench-out= it also writes BENCH_ext_throttle.json: per cap,
+ * the mark and sweep cycles and DRAM bytes summed over the pauses,
+ * the bus's starved grants, and the cycles the kernel executed — so
+ * the global-throttle path is gated exactly by bench_compare.py.
  */
 
 #include <cstdio>
@@ -21,6 +26,8 @@ main(int argc, char **argv)
     bench::banner("Extension: bandwidth throttling (Sec VII)",
                   "graceful GC pacing against a bytes/cycle budget");
 
+    bench::BenchRecord record("ext_throttle");
+    bench::HostTimer suite_timer;
     const auto profile = workload::dacapoProfile("avrora");
 
     std::printf("  %-12s %12s %14s %14s\n", "cap (GB/s)", "mark",
@@ -35,6 +42,8 @@ main(int argc, char **argv)
         const double seconds =
             double(r.hwMarkCycles + r.hwSweepCycles) / coreClockHz;
         const double gbps = double(r.hw.dramBytes) / seconds / 1e9;
+        const std::uint64_t stall_grants =
+            lab.device().bus().throttledGrants();
         if (cap == 0.0) {
             std::printf("  %-12s", "unlimited");
         } else {
@@ -42,10 +51,26 @@ main(int argc, char **argv)
         }
         std::printf(" %9.3f ms %11.3f GB/s %14llu\n",
                     bench::msFromCycles(lab.avgHwMarkCycles()), gbps,
-                    (unsigned long long)
-                        lab.device().bus().throttledGrants());
+                    (unsigned long long)stall_grants);
+
+        std::uint64_t mark = 0, sweep = 0, dram_bytes = 0;
+        for (const auto &pause : lab.results()) {
+            mark += pause.hwMarkCycles;
+            sweep += pause.hwSweepCycles;
+            dram_bytes += pause.hw.dramBytes;
+        }
+        char key[32];
+        std::snprintf(key, sizeof key, "cap_%g.", cap);
+        const std::string prefix = key;
+        record.metric(prefix + "mark_cycles", mark);
+        record.metric(prefix + "sweep_cycles", sweep);
+        record.metric(prefix + "dram_bytes", dram_bytes);
+        record.metric(prefix + "throttled_grants", stall_grants);
+        record.metric(prefix + "event_executed",
+                      lab.device().system().executedCycles());
     }
     std::printf("\n  (measured DRAM bandwidth stays under each cap; "
                 "mark time degrades smoothly)\n");
+    record.write(suite_timer.seconds());
     return 0;
 }
