@@ -172,8 +172,9 @@ HwgcDevice::join()
     // and producers poke the specific consumer a hand-off can unblock
     // (the bus/cache poke a port's owner when a pop raises canSend,
     // the mark queue pokes the marker when entries become
-    // dequeueable, the tracer pokes the marker when a trace-queue pop
-    // raises canPush). What remains to declare are the coarse
+    // dequeueable and the tracer when a spill completion frees room,
+    // the tracer pokes the marker when a trace-queue pop raises
+    // canPush). What remains to declare are the coarse
     // cross-reads — state a component's nextWakeup() inspects that
     // another component's *tick* mutates without calling into it:
     //  - marker and tracer wait on PTW walk callbacks and launch
@@ -197,13 +198,19 @@ HwgcDevice::join()
         sys.declareWakeupInputs(tracer_.get(), {sharedCache_.get()});
     }
     markQueue_->setConsumer(marker_.get());
-    if (config_.sharedCache) {
-        sharedCache_->setPortOwner(markerPort_, marker_.get());
-    } else {
-        bus.setClientOwner(
-            static_cast<mem::BusPort *>(markerPort_)->clientId(),
-            marker_.get());
-    }
+    markQueue_->setProducer(tracer_.get());
+    // The marker and the tracer sleep while their memory port is
+    // full, so the port's owner pokes them when a pop frees a slot.
+    auto own_port = [this, &bus](mem::MemPort *port, const Clocked *unit) {
+        if (config_.sharedCache) {
+            sharedCache_->setPortOwner(port, unit);
+        } else {
+            bus.setClientOwner(
+                static_cast<mem::BusPort *>(port)->clientId(), unit);
+        }
+    };
+    own_port(markerPort_, marker_.get());
+    own_port(tracerPort_, tracer_.get());
     sys.declareWakeupInputs(rootReader_.get(), {ptw_.get()});
     sys.declareWakeupInputs(reclamation_.get(), {ptw_.get()});
     for (auto &sweeper : reclamation_->sweepers()) {

@@ -161,6 +161,9 @@ MarkQueue::onResponse(const mem::MemResponse &resp, Tick now)
     if (consumer_ != nullptr) {
         pokeWakeup(*consumer_); // The refill made inQ dequeueable.
     }
+    if (producer_ != nullptr) {
+        pokeWakeup(*producer_); // canEnqueue() may have just risen.
+    }
 }
 
 void

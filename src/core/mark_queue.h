@@ -59,6 +59,14 @@ class MarkQueue : public Clocked, public mem::MemResponder
      */
     void setConsumer(const Clocked *consumer) { consumer_ = consumer; }
 
+    /**
+     * Registers the component that sleeps on canEnqueue() (the
+     * tracer's response drain). Its cached wakeup is poked when a
+     * spill read completion frees spill room — the one rise of
+     * canEnqueue() outside a marker or mark-queue tick.
+     */
+    void setProducer(const Clocked *producer) { producer_ = producer; }
+
     /** True if a reference is available (Q, then inQ). */
     bool canDequeue() const;
 
@@ -138,6 +146,7 @@ class MarkQueue : public Clocked, public mem::MemResponder
     HwgcConfig config_;
     mem::MemPort *port_;
     const Clocked *consumer_ = nullptr;
+    const Clocked *producer_ = nullptr;
     Addr spillBase_;
     std::uint64_t spillCapacityEntries_;
 

@@ -19,7 +19,8 @@ Tracer::Tracer(std::string name, const HwgcConfig &config,
       markQueue_(mark_queue), port_(port), ptw_(ptw),
       tlb_(this->name() + ".tlb", config.unitTlbEntries)
 {
-    hasFastForward_ = true; // Accrues throttledCycles over skipped spans.
+    // Replays throttle stalls and blocked retries' TLB hits.
+    hasFastForward_ = true;
     panic_if(port_ == nullptr, "tracer needs a memory port");
     ptwPort_ = ptw_.registerRequester(this->name());
 }
@@ -56,6 +57,10 @@ Tracer::translate(Addr va, Tick now)
         return std::nullopt;
     }
     if (const auto pa = tlb_.lookup(va)) {
+        panic_if(numProbes_ == probeSlots_.size(),
+                 "%s: more TLB probes in one issue attempt than recorded",
+                 name().c_str());
+        probeSlots_[numProbes_++] = tlb_.lastHitSlot();
         return *pa;
     }
     if (ptw_.canRequest(ptwPort_)) {
@@ -97,6 +102,33 @@ Tracer::mayIssue() const
         marker_->inFlight() != 0) {
         return false; // Coupled-pipeline ablation.
     }
+    return true;
+}
+
+bool
+Tracer::issueReady() const
+{
+    if (!active_ && traceQueue_.empty()) {
+        return false;
+    }
+    if (!mayIssue() || walkPending_) {
+        return false;
+    }
+    return !(active_ && (active_->awaitTibPtr || active_->awaitTibMeta));
+}
+
+bool
+Tracer::trySend(const mem::MemRequest &req, Tick now)
+{
+    if (!port_->canSend(req)) {
+        portRefused_ = true;
+        refusedReq_ = req;
+        return false;
+    }
+    port_->send(req, now);
+    ++inFlight_;
+    ++requests_;
+    bytesRequested_ += req.size;
     return true;
 }
 
@@ -153,6 +185,8 @@ Tracer::drainPendingRefs()
 void
 Tracer::issue(Tick now)
 {
+    portRefused_ = false;
+    numProbes_ = 0;
     if (!active_ && traceQueue_.empty()) {
         return; // Nothing to trace; idle cycles are not throttle stalls.
     }
@@ -200,14 +234,10 @@ Tracer::issue(Tick now)
         req.size = wordBytes;
         req.op = mem::Op::Read;
         req.tag = kindTibPtr;
-        if (!port_->canSend(req)) {
+        if (!trySend(req, now)) {
             return;
         }
-        port_->send(req, now);
-        ++inFlight_;
-        ++requests_;
         ++tibReads_;
-        bytesRequested_ += wordBytes;
         a.needTibPtr = false;
         a.awaitTibPtr = true;
         return;
@@ -225,14 +255,10 @@ Tracer::issue(Tick now)
         req.size = wordBytes;
         req.op = mem::Op::Read;
         req.tag = kindTibMeta;
-        if (!port_->canSend(req)) {
+        if (!trySend(req, now)) {
             return;
         }
-        port_->send(req, now);
-        ++inFlight_;
-        ++requests_;
         ++tibReads_;
-        bytesRequested_ += wordBytes;
         a.needTibMeta = false;
         a.awaitTibMeta = true;
         return;
@@ -266,14 +292,10 @@ Tracer::issue(Tick now)
             off.size = wordBytes;
             off.op = mem::Op::Read;
             off.tag = kindTibMeta;
-            if (!port_->canSend(off)) {
+            if (!trySend(off, now)) {
                 return;
             }
-            port_->send(off, now);
-            ++inFlight_;
-            ++requests_;
             ++tibReads_;
-            bytesRequested_ += wordBytes;
             a.nextOffsetGroup = group + 1;
             return; // One request per cycle.
         }
@@ -282,13 +304,9 @@ Tracer::issue(Tick now)
         req.size = wordBytes;
         req.op = mem::Op::Read;
         req.tag = kindRefData;
-        if (!port_->canSend(req)) {
+        if (!trySend(req, now)) {
             return;
         }
-        port_->send(req, now);
-        ++inFlight_;
-        ++requests_;
-        bytesRequested_ += wordBytes;
         ++a.slotsIssued;
         a.cursor += wordBytes;
         return;
@@ -308,13 +326,9 @@ Tracer::issue(Tick now)
     req.size = size;
     req.op = mem::Op::Read;
     req.tag = kindRefData;
-    if (!port_->canSend(req)) {
+    if (!trySend(req, now)) {
         return;
     }
-    port_->send(req, now);
-    ++inFlight_;
-    ++requests_;
-    bytesRequested_ += size;
     const Addr old_page = alignDown(a.cursor, pageBytes);
     a.cursor += size;
     if (a.cursor < a.end &&
@@ -336,33 +350,36 @@ Tracer::tick(Tick now)
 Tick
 Tracer::nextWakeup(Tick now) const
 {
-    if (!pendingRefs_.empty()) {
-        return now; // Drain attempt every cycle.
-    }
-    if (active_ || !traceQueue_.empty()) {
-        if (!mayIssue()) {
-            // Throttled: every blocking input (mark-queue fill, tag
-            // slots, the coupled marker's reads) changes only inside
-            // another component's tick or callback, and every
-            // executed cycle re-polls all wakeups. throttledCycles
-            // accrues in fastForward().
-            return maxTick;
-        }
-        if (walkPending_) {
-            return maxTick; // Blocked on the PTW callback.
-        }
-        if (active_ && (active_->awaitTibPtr || active_->awaitTibMeta)) {
-            return maxTick; // Dependent TIB load in flight.
-        }
+    if (!pendingRefs_.empty() && markQueue_.canEnqueue()) {
+        // Drain attempt. A full mark queue makes the drain a no-op;
+        // its space returns through a marker or mark-queue tick
+        // (declared inputs) or a spill completion (which pokes us).
         return now;
     }
-    return maxTick; // At most in-flight reads remain (onResponse).
+    if (!issueReady()) {
+        // Nothing to issue, or throttled, or blocked on the PTW
+        // callback or a dependent TIB load: every input changes only
+        // inside a declared input's tick or a callback that pokes us.
+        // throttledCycles accrues in fastForward().
+        return maxTick;
+    }
+    if (portBlocked()) {
+        // Blocked retry: the port's owner pokes us when it drains,
+        // and fastForward() replays the retries' TLB probes.
+        return maxTick;
+    }
+    return now;
 }
 
 CycleClass
 Tracer::cycleClass(Tick now) const
 {
-    if (nextWakeup(now) <= now) {
+    (void)now;
+    if (!pendingRefs_.empty() || issueReady()) {
+        // A drain or an issue attempt. The retries of a request the
+        // full port keeps refusing read Busy too, as they did when the
+        // tracer ticked through them; calling them a stall would move
+        // the profile and is left to a change that re-baselines it.
         return CycleClass::Busy;
     }
     if (active_ || !traceQueue_.empty()) {
@@ -400,12 +417,24 @@ Tracer::cycleClass(Tick now) const
 void
 Tracer::fastForward(Tick from, Tick to)
 {
-    // The dense kernel counts one throttle stall per cycle the tracer
-    // has work but mayIssue() is false. That state is frozen across
-    // skipped cycles (only ticks mutate it; pendingRefs_ is empty or
-    // we would have been due), so the span accrues in one step.
-    if ((active_ || !traceQueue_.empty()) && !mayIssue()) {
+    // Replay what the skipped ticks would have done. Only two kinds
+    // of tick change anything while the tracer sleeps with work: a
+    // throttled one counts a stall, and a retry of the refused
+    // request repeats its TLB hits. Both inputs hold across the span,
+    // since only other components' ticks and callbacks change them.
+    if (!active_ && traceQueue_.empty()) {
+        return;
+    }
+    if (!mayIssue()) {
         throttled_ += to - from;
+        return;
+    }
+    if (portRefused_) {
+        panic_if(port_->canSend(refusedReq_),
+                 "%s: skipped cycles [%llu, %llu) its port would have "
+                 "accepted", name().c_str(), (unsigned long long)from,
+                 (unsigned long long)to);
+        tlb_.replayHits(probeSlots_.data(), numProbes_, to - from);
     }
 }
 
@@ -476,6 +505,7 @@ Tracer::restore(checkpoint::Deserializer &des)
     walkDone_ = des.getBool();
     walkPa_ = des.getU64();
     walkVa_ = des.getU64();
+    portRefused_ = false;
     checkpoint::getStat(des, requests_);
     checkpoint::getStat(des, bytesRequested_);
     checkpoint::getStat(des, refsEnqueued_);
@@ -493,6 +523,7 @@ Tracer::reset()
     panic_if(!idle(), "tracer reset while active");
     tlb_.flush();
     walkDone_ = false;
+    portRefused_ = false;
 }
 
 void

@@ -23,6 +23,7 @@
 #ifndef HWGC_CORE_TRACER_H
 #define HWGC_CORE_TRACER_H
 
+#include <array>
 #include <deque>
 #include <optional>
 
@@ -47,6 +48,14 @@ class Tracer : public Clocked, public mem::MemResponder
 
     /** True when no object, request or buffered reference remains. */
     bool idle() const;
+
+    /** True while the tracer sleeps on a request its full memory
+     *  port refused (see portRefused_). */
+    bool
+    portBlocked() const
+    {
+        return portRefused_ && !port_->canSend(refusedReq_);
+    }
 
     // MemResponder interface.
     void onResponse(const mem::MemResponse &resp, Tick now) override;
@@ -133,6 +142,14 @@ class Tracer : public Clocked, public mem::MemResponder
     /** Returns true if issuing is currently allowed. */
     bool mayIssue() const;
 
+    /** True when a tick would attempt an issue: work is waiting,
+     *  mayIssue() holds, and no walk or dependent TIB load blocks. */
+    bool issueReady() const;
+
+    /** Sends @p req if the port accepts it; otherwise records the
+     *  refused attempt (see portRefused_) and returns false. */
+    bool trySend(const mem::MemRequest &req, Tick now);
+
     void issue(Tick now);
     void drainPendingRefs();
 
@@ -154,6 +171,23 @@ class Tracer : public Clocked, public mem::MemResponder
     bool walkDone_ = false;
     Addr walkPa_ = 0;
     Addr walkVa_ = 0;
+
+    /**
+     * @name The last issue attempt, if the memory port refused it
+     * Until the port accepts, every further tick repeats that attempt
+     * exactly: the same TLB hits (nothing inserts into the TLB while
+     * no walk is pending) and the same refusal. So the tracer sleeps
+     * until the port's owner pokes it, and fastForward() replays the
+     * skipped attempts' TLB probes. A host-side memo, not
+     * architectural state: it is not checkpointed, and a restored
+     * tracer ticks once to re-derive it.
+     * @{
+     */
+    bool portRefused_ = false;
+    mem::MemRequest refusedReq_;
+    std::array<unsigned, 2> probeSlots_{}; //!< TLB slots hit, in order.
+    unsigned numProbes_ = 0;
+    /** @} */
 
     stats::Scalar requests_{"requests"};
     stats::Scalar bytesRequested_{"bytesRequested"};

@@ -35,6 +35,13 @@ FleetLab::FleetLab(const FleetConfig &config,
     fatal_if(config_.devices == 0, "fleet needs at least one device");
     fatal_if(tenants.empty(), "fleet needs at least one tenant");
     fatal_if(config_.quantum == 0, "fleet quantum must be nonzero");
+    for (const TenantParams &tenant : tenants) {
+        fatal_if(!mem::TokenBucket::validRate(tenant.paceBytesPerCycle),
+                 "tenant '%s': paceBytesPerCycle %g is not a bandwidth "
+                 "(want 0 or a finite rate of at least 2^-32 "
+                 "bytes/cycle)",
+                 tenant.name.c_str(), tenant.paceBytesPerCycle);
+    }
     // Compressed references pack VA>>3 into 32 bits (§V-C): every
     // tenant heap must sit below 32 GiB of shared address space.
     fatal_if(config_.hwgc.compressRefs &&

@@ -66,7 +66,9 @@ struct TenantParams
     /**
      * Per-tenant bus bandwidth budget in bytes/cycle while one of the
      * fleet's devices collects this tenant (§VII bandwidth
-     * throttling, per-group buckets). 0 = unpaced.
+     * throttling, per-group buckets). 0 = unpaced; the rate rounds to
+     * the bucket's 2^-32-byte step, and a negative, non-finite or
+     * below-one-step rate is rejected by the FleetLab constructor.
      */
     double paceBytesPerCycle = 0.0;
 

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "mem/token_bucket.h"
+
 namespace hwgc::fuzz
 {
 
@@ -103,6 +105,10 @@ applyConfigSpec(core::HwgcConfig &config, const std::string &spec,
         } else if (key == "ptwmshrs" && parseUnsigned(value, u)) {
             config.ptwCacheParams.mshrs = u;
         } else if (key == "bw" && parseDouble(value, d)) {
+            fatal_if(!mem::TokenBucket::validRate(d),
+                     "bw: '%s' is not a bandwidth (want 0 or a finite "
+                     "bytes/cycle of at least 2^-32)",
+                     value.c_str());
             config.bus.throttleBytesPerCycle = d;
         } else if (key == "devices" && parseUnsigned(value, u) &&
                    u != 0) {

@@ -24,7 +24,9 @@ namespace hwgc::fuzz
  * utlb, sweep, stlb, shared, mshrs, ptwmshrs, mem (ddr3|ideal), bw
  * (bus throttle bytes/cycle, 0 = off), kernel (dense|event), devices
  * (fleet-shape device array size, >= 1). An empty spec is valid and
- * changes nothing.
+ * changes nothing. A bw that parses but is not a bandwidth (negative,
+ * non-finite, or below the bucket's 2^-32-byte step) is fatal, naming
+ * the key.
  * @return false (with a message in @p err) on any unknown key or
  *         malformed value; @p config may be partially updated then.
  */

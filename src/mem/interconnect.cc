@@ -15,7 +15,13 @@ Interconnect::Interconnect(std::string name,
                            MemDevice &downstream)
     : Clocked(std::move(name)), params_(params), downstream_(downstream)
 {
-    hasFastForward_ = true; // Per-elapsed-cycle counter and tokens.
+    // Per-elapsed-cycle counter, token accrual and starved grants.
+    hasFastForward_ = true;
+    fatal_if(!TokenBucket::validRate(params_.throttleBytesPerCycle),
+             "bus '%s': throttleBytesPerCycle %g is not a bandwidth "
+             "(want 0 or a finite rate of at least 2^-32 bytes/cycle)",
+             this->name().c_str(), params_.throttleBytesPerCycle);
+    throttle_.setRate(params_.throttleBytesPerCycle);
     downstream_.setResponder(this);
 }
 
@@ -36,6 +42,7 @@ void
 Interconnect::setClientGroup(unsigned client, unsigned group)
 {
     panic_if(client >= ports_.size(), "unknown client %u", client);
+    pokeWakeup(); // The client's grant cycle moves with its bucket.
     clientGroup_[client] = group;
     if (group != noGroup && group >= groups_.size()) {
         groups_.resize(group + 1);
@@ -46,10 +53,14 @@ void
 Interconnect::setGroupThrottle(unsigned group, double bytes_per_cycle)
 {
     panic_if(group == noGroup, "cannot budget the noGroup sentinel");
+    panic_if(!TokenBucket::validRate(bytes_per_cycle),
+             "bus '%s': group %u budget %g is not a bandwidth",
+             name().c_str(), group, bytes_per_cycle);
+    pokeWakeup(); // Grant cycles move with the rate.
     if (group >= groups_.size()) {
         groups_.resize(group + 1);
     }
-    groups_[group].rate = bytes_per_cycle;
+    groups_[group].setRate(bytes_per_cycle);
 }
 
 void
@@ -108,20 +119,12 @@ Interconnect::tick(Tick now)
     bool moved = false;
 
     // Token-bucket throttle (§VII): tokens accrue per cycle and are
-    // spent per granted byte; the bucket is capped at a couple of
-    // line transfers so idle periods cannot bank unbounded bursts.
-    if (params_.throttleBytesPerCycle > 0.0) {
-        throttleTokens_ = std::min(
-            throttleTokens_ + params_.throttleBytesPerCycle,
-            4.0 * double(lineBytes));
-    }
-    // Per-group pacing buckets (fleet per-tenant budgets) accrue the
-    // same way, each against its own rate.
-    for (BudgetGroup &grp : groups_) {
-        if (grp.rate > 0.0) {
-            grp.tokens = std::min(grp.tokens + grp.rate,
-                                  4.0 * double(lineBytes));
-        }
+    // spent per granted byte. Per-group pacing buckets (fleet
+    // per-tenant budgets) accrue the same way, each against its own
+    // rate; a disabled bucket's accrual is a no-op.
+    throttle_.accrue(1);
+    for (TokenBucket &grp : groups_) {
+        grp.accrue(1);
     }
 
     // Round-robin grant of up to grantsPerCycle requests.
@@ -138,25 +141,20 @@ Interconnect::tick(Tick now)
         if (!downstream_.canAccept(req)) {
             continue;
         }
-        // Budget real DRAM bandwidth: a sub-line request still costs
-        // the DRAM a full BL8 burst, so charge line granularity.
-        const double cost =
-            double(std::max<unsigned>(req.size, lineBytes));
-        if (params_.throttleBytesPerCycle > 0.0 &&
-            throttleTokens_ < cost) {
+        if (throttle_.enabled() && !throttle_.covers(grantCost)) {
             ++throttledGrants_;
             continue; // Out of bandwidth budget this cycle.
         }
-        BudgetGroup *grp = portGroup(idx);
-        if (grp != nullptr && grp->tokens < cost) {
+        TokenBucket *grp = portGroup(idx);
+        if (grp != nullptr && !grp->covers(grantCost)) {
             ++groupThrottledGrants_;
             continue; // Out of tenant budget this cycle.
         }
-        if (params_.throttleBytesPerCycle > 0.0) {
-            throttleTokens_ -= cost;
+        if (throttle_.enabled()) {
+            throttle_.spend(grantCost);
         }
         if (grp != nullptr) {
-            grp->tokens -= cost;
+            grp->spend(grantCost);
         }
         downstream_.sendRequest(req, now);
         port.requests.pop_front();
@@ -185,47 +183,68 @@ Interconnect::tick(Tick now)
     }
 }
 
+bool
+Interconnect::paced() const
+{
+    if (throttle_.enabled()) {
+        return true;
+    }
+    for (const TokenBucket &grp : groups_) {
+        if (grp.enabled()) {
+            return true;
+        }
+    }
+    return false;
+}
+
+Tick
+Interconnect::grantDelay(unsigned client) const
+{
+    // The tick at now + d has made d + 1 accruals when it checks the
+    // buckets, so a head needing k accruals is granted k - 1 cycles
+    // from now (now itself if it is covered already).
+    Tick accruals =
+        throttle_.enabled() ? throttle_.accrualsUntil(grantCost) : 0;
+    if (const TokenBucket *grp = portGroup(client)) {
+        accruals = std::max(accruals, grp->accrualsUntil(grantCost));
+    }
+    return accruals == maxTick ? maxTick : std::max<Tick>(accruals, 1) - 1;
+}
+
 Tick
 Interconnect::nextWakeup(Tick now) const
 {
-    const bool throttling = params_.throttleBytesPerCycle > 0.0;
-    if (throttling && throttleTokens_ < 4.0 * double(lineBytes)) {
-        // Token accrual must replay cycle by cycle until the bucket
-        // saturates at its cap, or the floating-point sum would not
-        // stay bit-identical to the dense kernel's.
-        return now;
-    }
-    bool pacing = throttling;
-    for (const BudgetGroup &grp : groups_) {
-        if (grp.rate <= 0.0) {
-            continue;
-        }
-        pacing = true;
-        if (grp.tokens < 4.0 * double(lineBytes)) {
-            return now; // Same cycle-exact accrual as the global bucket.
-        }
-    }
     Tick next = maxTick;
     if (!pendingResponses_.empty()) {
-        next = std::min(next, pendingResponses_.front().readyAt);
+        next = pendingResponses_.front().readyAt;
     }
-    for (const auto &port : ports_) {
+    for (unsigned i = 0; i < unsigned(ports_.size()); ++i) {
+        const Port &port = ports_[i];
         if (port.requests.empty()) {
             continue;
         }
-        if (pacing) {
-            return now; // Grants spend tokens every cycle.
-        }
-        const auto &front = port.requests.front();
+        const TimedReq &front = port.requests.front();
         if (front.readyAt > now) {
             next = std::min(next, front.readyAt);
-        } else if (downstream_.canAccept(front.req)) {
+            continue;
+        }
+        if (!downstream_.canAccept(front.req)) {
+            // A ready head the downstream cannot accept is blocked:
+            // only a downstream tick can free the in-flight slot it
+            // needs, and that tick re-polls this wakeup (the memory
+            // is a declared input).
+            continue;
+        }
+        // A token-starved head sleeps until its buckets cover it;
+        // fastForward() replays the starved cycles in between.
+        const Tick delay = grantDelay(i);
+        if (delay == 0) {
             return now;
         }
-        // A ready head the downstream cannot accept is blocked: only
-        // a downstream tick can free the in-flight slot it needs, and
-        // the kernel re-polls all wakeups after every executed cycle,
-        // so the blocked port contributes no wakeup of its own.
+        if (delay != maxTick) {
+            next = std::min(next, delay > maxTick - now ? maxTick
+                                                        : now + delay);
+        }
     }
     return next;
 }
@@ -236,7 +255,6 @@ Interconnect::cycleClass(Tick now) const
     if (!busy()) {
         return CycleClass::Idle;
     }
-    const bool throttling = params_.throttleBytesPerCycle > 0.0;
     for (unsigned i = 0; i < unsigned(ports_.size()); ++i) {
         const auto &port = ports_[i];
         if (port.requests.empty()) {
@@ -252,15 +270,13 @@ Interconnect::cycleClass(Tick now) const
             // stall under bandwidth pressure (Fig 16).
             return CycleClass::StallDram;
         }
-        const double cost =
-            double(std::max<unsigned>(front.req.size, lineBytes));
-        if (throttling && throttleTokens_ < cost) {
+        if (throttle_.enabled() && !throttle_.covers(grantCost)) {
             // Token-starved grant: the residual-bandwidth budget
             // (§VII) is the limiter, i.e. DRAM bandwidth.
             return CycleClass::StallDram;
         }
-        const BudgetGroup *grp = portGroup(i);
-        if (grp != nullptr && grp->tokens < cost) {
+        const TokenBucket *grp = portGroup(i);
+        if (grp != nullptr && !grp->covers(grantCost)) {
             // Starved by the tenant's pacing budget instead of the
             // global one — still a bandwidth limit.
             return CycleClass::StallDram;
@@ -272,22 +288,44 @@ Interconnect::cycleClass(Tick now) const
 void
 Interconnect::fastForward(Tick from, Tick to)
 {
-    // Cycles elapse (and throttle tokens accrue) even on cycles the
-    // kernel did not tick us; nextWakeup() guarantees the bucket is
-    // already at its cap whenever that happens, so the clamped
-    // accrual below is exact.
+    // Skipped cycles tick the cycle counter and, while pacing, accrue
+    // tokens and starve every ready head the downstream would take.
+    // Replay both in closed form. nextWakeup() woke the bus at the
+    // first cycle any head could be granted, so the span holds none.
     cycles_ += to - from;
-    if (params_.throttleBytesPerCycle > 0.0) {
-        throttleTokens_ = std::min(
-            throttleTokens_ +
-                double(to - from) * params_.throttleBytesPerCycle,
-            4.0 * double(lineBytes));
+    if (!paced()) {
+        return;
     }
-    for (BudgetGroup &grp : groups_) {
-        if (grp.rate > 0.0) {
-            grp.tokens = std::min(grp.tokens + double(to - from) * grp.rate,
-                                  4.0 * double(lineBytes));
+    const Tick span = to - from;
+    for (unsigned i = 0; i < unsigned(ports_.size()); ++i) {
+        const Port &port = ports_[i];
+        if (port.requests.empty()) {
+            continue;
         }
+        const TimedReq &head = port.requests.front();
+        if (head.readyAt >= to || !downstream_.canAccept(head.req)) {
+            continue; // Skipped before any bucket is checked.
+        }
+        // Span cycles [first, span) see this head ready; the global
+        // bucket starves a prefix of them and the group bucket must
+        // starve the rest.
+        const Tick first = head.readyAt > from ? head.readyAt - from : 0;
+        const Tick global_short =
+            throttle_.enabled() ? throttle_.shortCycles(grantCost, first, span)
+                                : 0;
+        const Tick rest = span - first - global_short;
+        const TokenBucket *grp = portGroup(i);
+        panic_if(rest != 0 && (grp == nullptr ||
+                               grp->tokensAfter(span) >= grantCost),
+                 "bus '%s': skipped cycles [%llu, %llu) would have "
+                 "granted client %u", name().c_str(),
+                 (unsigned long long)from, (unsigned long long)to, i);
+        throttledGrants_ += global_short;
+        groupThrottledGrants_ += rest;
+    }
+    throttle_.accrue(span);
+    for (TokenBucket &grp : groups_) {
+        grp.accrue(span);
     }
 }
 
@@ -308,13 +346,13 @@ Interconnect::save(checkpoint::Serializer &ser) const
         ser.putU64(tr.readyAt);
     }
     ser.putU64(rrNext_);
-    ser.putDouble(throttleTokens_);
+    ser.putU64(throttle_.tokens());
     // Group budgets are architectural state (the fleet driver programs
     // them per dispatch), so the full mapping travels with the image.
     ser.putU64(groups_.size());
-    for (const BudgetGroup &grp : groups_) {
-        ser.putDouble(grp.rate);
-        ser.putDouble(grp.tokens);
+    for (const TokenBucket &grp : groups_) {
+        ser.putU64(grp.rate());
+        ser.putU64(grp.tokens());
     }
     for (const unsigned g : clientGroup_) {
         ser.putU64(g);
@@ -359,11 +397,11 @@ Interconnect::restore(checkpoint::Deserializer &des)
         pendingResponses_.push_back(tr);
     }
     rrNext_ = unsigned(des.getU64());
-    throttleTokens_ = des.getDouble();
-    groups_.assign(std::size_t(des.getU64()), BudgetGroup{});
-    for (BudgetGroup &grp : groups_) {
-        grp.rate = des.getDouble();
-        grp.tokens = des.getDouble();
+    throttle_.restore(throttle_.rate(), des.getU64());
+    groups_.assign(std::size_t(des.getU64()), TokenBucket{});
+    for (TokenBucket &grp : groups_) {
+        const std::uint64_t rate = des.getU64();
+        grp.restore(rate, des.getU64());
     }
     for (unsigned &g : clientGroup_) {
         g = unsigned(des.getU64());

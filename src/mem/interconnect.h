@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mem/mem_device.h"
+#include "mem/token_bucket.h"
 #include "sim/stats.h"
 
 namespace hwgc::mem
@@ -35,7 +36,9 @@ struct InterconnectParams
      * Bandwidth throttle (paper §VII "Bandwidth Throttling"): caps
      * the data granted through this bus to the given bytes/cycle via
      * a token bucket, so a GC unit "only use[s] residual bandwidth"
-     * instead of interfering with the application. 0 disables.
+     * instead of interfering with the application. 0 disables; the
+     * rate rounds to the bucket's 2^-32-byte step, and a negative,
+     * non-finite or below-one-step rate is rejected at construction.
      */
     double throttleBytesPerCycle = 0.0;
 };
@@ -75,10 +78,11 @@ class Interconnect : public Clocked, public MemResponder
      * tenant paid for. Clients are mapped into budget groups (all of
      * one device's ports -> the running tenant's group) and each
      * group with a nonzero rate accrues and spends tokens exactly
-     * like the global bucket: accrual capped at four line transfers,
-     * grants charged at line granularity, starved grants counted and
-     * classed as DRAM stalls. Both buckets must pass for a grant.
-     * noGroup (the default) exempts a client from group pacing.
+     * like the global bucket (mem::TokenBucket): accrual capped at
+     * four line transfers, grants charged at line granularity, starved
+     * grants counted and classed as DRAM stalls. Both buckets must
+     * pass for a grant. noGroup (the default) exempts a client from
+     * group pacing.
      * @{
      */
     static constexpr unsigned noGroup = ~0u;
@@ -86,7 +90,8 @@ class Interconnect : public Clocked, public MemResponder
     /** Assigns @p client to budget group @p group (or noGroup). */
     void setClientGroup(unsigned client, unsigned group);
 
-    /** Sets group @p group's budget in bytes/cycle (0 = unpaced). */
+    /** Sets group @p group's budget in bytes/cycle (0 = unpaced);
+     *  the rate must pass TokenBucket::validRate(). */
     void setGroupThrottle(unsigned group, double bytes_per_cycle);
 
     std::uint64_t groupThrottledGrants() const
@@ -126,12 +131,26 @@ class Interconnect : public Clocked, public MemResponder
     {
         return throttledGrants_.value();
     }
+    /** The global throttle's bucket (disabled when unthrottled). */
+    const TokenBucket &throttleBucket() const { return throttle_; }
     /** @} */
 
     /** Registers the bus statistics (incl. per-client counters). */
     void addStats(stats::Group &g) const;
 
   private:
+    /** The bucket cost of any grant: a transfer is at most one line,
+     *  and a sub-line request still costs the DRAM a full BL8 burst,
+     *  so grants are charged at line granularity. */
+    static constexpr std::uint64_t grantCost = TokenBucket::steps(lineBytes);
+
+    /** Whether the global bucket or any group bucket is pacing. */
+    bool paced() const;
+
+    /** Cycles from now until both of @p client's buckets first cover
+     *  a grant (0: now; maxTick: never). */
+    Tick grantDelay(unsigned client) const;
+
     struct TimedReq
     {
         MemRequest req;
@@ -163,32 +182,27 @@ class Interconnect : public Clocked, public MemResponder
     std::deque<stats::Scalar> portBytes_;
     std::deque<TimedResp> pendingResponses_;
     unsigned rrNext_ = 0;
-    double throttleTokens_ = 0.0;
+    TokenBucket throttle_; //!< The global bucket (rate from params_).
     stats::Scalar throttledGrants_{"throttledGrants"};
 
     /** @name Per-group pacing state (see setClientGroup) @{ */
-    struct BudgetGroup
-    {
-        double rate = 0.0;   //!< Bytes/cycle budget (0 = unpaced).
-        double tokens = 0.0; //!< Current bucket fill.
-    };
 
-    /** The group a port's grants are charged to (noGroup = none). */
-    const BudgetGroup *portGroup(unsigned client) const
+    /** The bucket a port's grants are charged to (nullptr = none). */
+    const TokenBucket *portGroup(unsigned client) const
     {
         const unsigned g = clientGroup_[client];
         return (g != noGroup && g < groups_.size() &&
-                groups_[g].rate > 0.0)
+                groups_[g].enabled())
             ? &groups_[g]
             : nullptr;
     }
-    BudgetGroup *portGroup(unsigned client)
+    TokenBucket *portGroup(unsigned client)
     {
-        return const_cast<BudgetGroup *>(
+        return const_cast<TokenBucket *>(
             const_cast<const Interconnect *>(this)->portGroup(client));
     }
 
-    std::vector<BudgetGroup> groups_;
+    std::vector<TokenBucket> groups_;
     std::vector<unsigned> clientGroup_; //!< Per client, default noGroup.
     stats::Scalar groupThrottledGrants_{"groupThrottledGrants"};
     /** @} */

@@ -41,16 +41,43 @@ class TlbArray
     std::optional<Addr>
     lookup(Addr va)
     {
-        for (auto &e : slots_) {
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            Entry &e = slots_[i];
             const Addr mask = (Addr(1) << e.pageBits) - 1;
             if ((va & ~mask) == e.vpage) {
                 e.lastUse = ++useCounter_;
                 ++hits_;
+                lastHit_ = unsigned(i);
                 return e.ppage + (va & mask);
             }
         }
         ++misses_;
         return std::nullopt;
+    }
+
+    /** The slot the most recent lookup() hit, for replayHits(). */
+    unsigned lastHitSlot() const { return lastHit_; }
+
+    /**
+     * Replays, in closed form, @p repeats back-to-back repetitions of
+     * @p n lookups that hit @p slots[0..n) in that order: hits and the
+     * LRU use counter advance by n * @p repeats, and every slot keeps
+     * the stamp of its last lookup in the last repetition. Valid only
+     * while no insert() or flush() has moved a slot since the lookups
+     * being replayed.
+     */
+    void
+    replayHits(const unsigned *slots, unsigned n, std::uint64_t repeats)
+    {
+        if (n == 0 || repeats == 0) {
+            return;
+        }
+        const std::uint64_t last_round = useCounter_ + (repeats - 1) * n;
+        for (unsigned i = 0; i < n; ++i) {
+            slots_[slots[i]].lastUse = last_round + i + 1;
+        }
+        useCounter_ += std::uint64_t(n) * repeats;
+        hits_ += std::uint64_t(n) * repeats;
     }
 
     /** Installs a translation, evicting LRU if full. */
@@ -174,6 +201,7 @@ class TlbArray
     unsigned entries_;
     std::vector<Entry> slots_;
     std::uint64_t useCounter_ = 0;
+    unsigned lastHit_ = 0; //!< Host-side memo of lookup(), not saved.
 
     stats::Scalar hits_{"hits"};
     stats::Scalar misses_{"misses"};

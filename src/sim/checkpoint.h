@@ -50,7 +50,7 @@ namespace hwgc::checkpoint
 /** Format magic and version; bump the version on any layout change. */
 inline constexpr char magic[8] = {'H', 'W', 'G', 'C',
                                   'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t formatVersion = 3;
+inline constexpr std::uint32_t formatVersion = 4;
 
 /** Serializes state into the chunked checkpoint image. */
 class Serializer

@@ -126,9 +126,12 @@ class Clocked
 
     /**
      * Wakeup contract of the event kernel: the earliest cycle >= @p now
-     * at which tick() might have any observable effect — state changes,
-     * calls into other components, or statistics updates. Cycles before
-     * that wakeup may be skipped without ticking this component, so an
+     * at which tick() might do something fastForward() cannot replay —
+     * a call into another component, or any change of this
+     * component's own state or statistics beyond what fastForward()
+     * reproduces in closed form for the skipped cycles (a blocked
+     * retry's counters, a token bucket's accrual). Cycles before that
+     * wakeup may be skipped without ticking this component, so an
      * implementation must be *conservative*: returning a cycle that
      * turns out to be a no-op only costs time, but returning one past
      * the first effective tick diverges from the dense kernel.
@@ -177,10 +180,15 @@ class Clocked
      * Notification that the event kernel let cycles [from, to) elapse
      * without ticking this component (either a fast-forwarded gap or
      * a single executed cycle on which this component was not due).
-     * Only components with per-elapsed-cycle accounting (e.g. the
-     * interconnect's cycle counter) need to override this; it must
-     * reproduce exactly what the skipped no-op ticks would have done
-     * and nothing more. An overrider MUST also set hasFastForward_
+     * Only components whose skipped ticks still change their own
+     * state need to override this — the interconnect's cycle counter
+     * and token accrual, stall counters, the TLB stamps of a blocked
+     * retry. It must reproduce, in closed form, exactly what the
+     * skipped ticks would have done to this component and nothing
+     * more: it never calls into another component (nextWakeup() ends
+     * the span before any tick that would), and it must be additive
+     * over adjacent spans, so a span split at a checkpoint boundary
+     * replays identically. An overrider MUST also set hasFastForward_
      * in its constructor — the kernel skips the virtual call for
      * everyone else (the A/B equivalence tests catch a forgotten
      * flag as a stats divergence).

@@ -76,9 +76,13 @@ CycleProfiler::cycleExecuted(Tick now, std::uint64_t active_mask)
 void
 CycleProfiler::fastForwarded(Tick from, Tick to)
 {
-    // Component state is frozen across the gap (nothing ticked), so
-    // one classification at the gap start, weighted by its width, is
-    // exactly what per-cycle classification would have produced.
+    // Nothing ticked across the gap, but skipped components may have
+    // replayed their own accrual into it (a token bucket refilling, a
+    // blocked retry's TLB stamps). None of that changes a class: the
+    // gap ends where one could (the bus wakes when a bucket first
+    // covers a ready head). So one classification, weighted by the
+    // gap's width, is exactly what per-cycle classification would
+    // have produced.
     accrue(from, to - from);
     if (chain_ != nullptr) {
         chain_->fastForwarded(from, to);

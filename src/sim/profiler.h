@@ -13,8 +13,8 @@
  *
  * holds per component by construction: every observed cycle is
  * classified exactly once (fast-forward gaps classify once at the gap
- * start and weight by the gap width, which is exact because component
- * state is frozen across a gap).
+ * start and weight by the gap width, which is exact because every
+ * component's class is constant across a gap — see fastForwarded()).
  *
  * Everything here is observational. Classification reads const state
  * only, the accrued vectors live outside save()/restore() and the

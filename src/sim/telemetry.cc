@@ -737,9 +737,12 @@ SystemTracer::cycleExecuted(Tick now, std::uint64_t active_mask)
 void
 SystemTracer::fastForwarded(Tick from, Tick to)
 {
-    // No component ticks during a gap, so counters and scalar stats
-    // are frozen: one sample/snapshot at the gap entry is exact, and
-    // the due marks just advance past the gap.
+    // No component ticks during a gap, so one sample/snapshot at the
+    // gap entry stands for the whole gap, and the due marks just
+    // advance past it. The components' fastForward() replays have
+    // already run, so a counter a skipped component accrues (the bus's
+    // cycles and starved grants, stall counters, blocked-retry TLB
+    // hits) shows its end-of-gap value there.
     if (!counters_.empty() && nextSample_ < to) {
         sampleCounters(from);
         nextSample_ = to - (to % counterInterval_) + counterInterval_;

@@ -160,7 +160,8 @@ scopedRun(const workload::GraphParams &graph, const HwgcConfig &config,
 void
 expectMidMarkRoundTrip(const HwgcConfig &config,
                        runtime::Layout layout =
-                           runtime::Layout::Bidirectional)
+                           runtime::Layout::Bidirectional,
+                       Tick at = 0)
 {
     const auto graph = testGraph(21);
 
@@ -170,7 +171,10 @@ expectMidMarkRoundTrip(const HwgcConfig &config,
     ASSERT_GT(ref.markCycles, 200u) << "graph too small for a mid-mark "
                                        "checkpoint";
     ASSERT_GT(ref.marked, 0u);
-    const Tick at = ref.markCycles / 2;
+    if (at == 0) {
+        at = ref.markCycles / 2;
+    }
+    ASSERT_LT(at, ref.markCycles) << "checkpoint cycle past the mark";
 
     struct Case
     {
@@ -248,6 +252,36 @@ TEST(Checkpoint, MidMarkRoundTripSpillPressure)
     HwgcConfig config;
     config.markQueueEntries = 32; // Force the spill path.
     expectMidMarkRoundTrip(config);
+}
+
+TEST(Checkpoint, MidMarkRoundTripRefillingBucketBlockedTracer)
+{
+    // The event kernel skips the cycles a refilling token bucket
+    // starves and the tracer's retries into its full port: checkpoint
+    // in the middle of such a span, where the bucket holds less than
+    // a grant and the tracer sleeps on a refused request.
+    HwgcConfig config;
+    config.bus.throttleBytesPerCycle = 1.0;
+    const auto graph = testGraph(21);
+    Tick at = 0;
+    {
+        telemetry::StatsRegistry::global().clearRetired();
+        Rig probe(graph, withKernel(config, KernelMode::Dense));
+        probe.device->startMark();
+        System &sys = probe.device->system();
+        for (Tick c = 2000; c < 200'000 && at == 0; ++c) {
+            ASSERT_EQ(sys.runUntilIdleStop(c), System::StopReason::Stopped);
+            const mem::TokenBucket &bucket =
+                probe.device->bus().throttleBucket();
+            if (bucket.tokens() != 0 &&
+                bucket.tokens() < mem::TokenBucket::steps(lineBytes) &&
+                probe.device->tracer().portBlocked()) {
+                at = c;
+            }
+        }
+    }
+    ASSERT_NE(at, 0u) << "no refilling, tracer-blocked cycle found";
+    expectMidMarkRoundTrip(config, runtime::Layout::Bidirectional, at);
 }
 
 // ---------------------------------------------------------------------

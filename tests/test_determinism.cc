@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -216,6 +217,48 @@ TEST(KernelMatrix, TibLayout)
     expectKernelMatrixAgrees(config);
 }
 
+// The event kernel skips token-starved bus cycles and the tracer's
+// retries into a full port, replaying both in closed form. These
+// points stress the replay where it is least regular.
+
+TEST(KernelMatrix, OffStepThrottleRate)
+{
+    // 0.3 B/cycle is not a multiple of the bucket's 2^-32-byte step,
+    // so the rounded rate's grant cycles never repeat in a short
+    // period.
+    core::HwgcConfig config;
+    config.bus.throttleBytesPerCycle = 0.3;
+    expectKernelMatrixAgrees(config);
+}
+
+TEST(KernelMatrix, TwoGrantsPerCycleUnderThrottle)
+{
+    core::HwgcConfig config;
+    config.bus.grantsPerCycle = 2;
+    config.bus.throttleBytesPerCycle = 2.0;
+    expectKernelMatrixAgrees(config);
+}
+
+TEST(KernelMatrix, SharedCacheUnderThrottle)
+{
+    // The tracer's port is a cache port here: the cache's lookup pop,
+    // not a bus grant, is what wakes the sleeping tracer.
+    core::HwgcConfig config;
+    config.sharedCache = true;
+    config.bus.throttleBytesPerCycle = 1.0;
+    expectKernelMatrixAgrees(config);
+}
+
+TEST(KernelMatrix, TibLayoutUnderThrottle)
+{
+    // A refused TIB slot read follows two TLB probes (slot and offset
+    // word); the replay must stamp both in order.
+    core::HwgcConfig config;
+    config.layout = runtime::Layout::Tib;
+    config.bus.throttleBytesPerCycle = 1.0;
+    expectKernelMatrixAgrees(config);
+}
+
 // ---------------------------------------------------------------------
 // Fleet shape: two devices sharing one DRAM + interconnect, serving
 // multiple tenant heaps through the quantum-gridded service loop.
@@ -232,13 +275,17 @@ struct FleetMatrixResult
     std::string statsJson;
 };
 
+/** @p throttle caps the shared bus and @p pace budgets every tenant
+ *  (bytes/cycle, 0 = off). */
 FleetMatrixResult
-fleetMatrixRun(KernelMode kernel)
+fleetMatrixRun(KernelMode kernel, double throttle = 0.0,
+               double pace = 0.0)
 {
     driver::FleetConfig config;
     config.devices = 2;
     config.gcsPerTenant = 1;
     config.hwgc.kernel = kernel;
+    config.hwgc.bus.throttleBytesPerCycle = throttle;
 
     std::vector<driver::TenantParams> tenants(3);
     for (unsigned t = 0; t < tenants.size(); ++t) {
@@ -250,6 +297,7 @@ fleetMatrixRun(KernelMode kernel)
         tenant.graph.seed = 500 + t;
         tenant.gcPeriodCycles = 150'000;
         tenant.seed = 20 + t;
+        tenant.paceBytesPerCycle = pace;
     }
 
     telemetry::StatsRegistry::global().clearRetired();
@@ -280,6 +328,27 @@ TEST(KernelMatrix, FleetTwoDevicesSharedDram)
     EXPECT_EQ(ref.totalGcs, run.totalGcs);
     EXPECT_EQ(ref.perTenant, run.perTenant);
     expectSameStatsJson(ref.statsJson, run.statsJson);
+}
+
+TEST(KernelMatrix, FleetGlobalThrottleAndGroupPacing)
+{
+    // Both buckets gate every grant: the global one starves a prefix
+    // of a skipped span and the tenant's group bucket the rest.
+    const auto ref = fleetMatrixRun(KernelMode::Dense, 3.0, 1.0);
+    EXPECT_EQ(ref.totalGcs, 3u);
+    const auto run = fleetMatrixRun(KernelMode::Event, 3.0, 1.0);
+    EXPECT_EQ(ref.finalCycle, run.finalCycle);
+    EXPECT_EQ(ref.totalGcs, run.totalGcs);
+    EXPECT_EQ(ref.perTenant, run.perTenant);
+    expectSameStatsJson(ref.statsJson, run.statsJson);
+    for (const char *stat : {"\"throttledGrants\": ",
+                             "\"groupThrottledGrants\": "}) {
+        const std::size_t at = ref.statsJson.find(stat);
+        ASSERT_NE(at, std::string::npos) << stat;
+        EXPECT_NE(ref.statsJson.compare(at + std::strlen(stat), 2, "0,"),
+                  0)
+            << stat << " never bit";
+    }
 }
 
 // ---------------------------------------------------------------------

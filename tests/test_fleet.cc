@@ -250,6 +250,19 @@ TEST(FleetDeathTest, RejectsZeroDevicesAndZeroTenants)
                  "at least one tenant");
 }
 
+TEST(FleetDeathTest, RejectsABadTenantPaceNamingTheField)
+{
+    for (const double pace : {-2.0, 1e-30}) {
+        auto tenants = tinyTenants(2);
+        tenants[1].paceBytesPerCycle = pace;
+        EXPECT_EXIT(driver::FleetLab(tinyConfig(1), tenants),
+                    ::testing::ExitedWithCode(1),
+                    "tenant '" + tenants[1].name +
+                        "': paceBytesPerCycle .* is not a bandwidth")
+            << pace;
+    }
+}
+
 TEST(FleetDeathTest, CompressedRefsCapTheAddressSpace)
 {
     auto config = tinyConfig(2);

@@ -494,6 +494,18 @@ TEST(FuzzFarm, SnapshotForksBitIdentically)
     EXPECT_EQ(o.bytesAfterMutate, b.bytesAfterMutate);
 }
 
+TEST(FuzzConfigSpecDeathTest, RejectsABadBandwidthNamingTheKey)
+{
+    for (const char *spec : {"bw=-1", "bw=nan", "bw=inf", "bw=1e-30"}) {
+        core::HwgcConfig config;
+        std::string err;
+        EXPECT_EXIT(fuzz::applyConfigSpec(config, spec, &err),
+                    ::testing::ExitedWithCode(1),
+                    "bw: '.*' is not a bandwidth")
+            << spec;
+    }
+}
+
 using FuzzFarmDeathTest = ::testing::Test;
 
 TEST(FuzzFarmDeathTest, RejectsTruncatedSnapshot)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mem/ideal_mem.h"
 #include "mem/interconnect.h"
 #include "mem/port.h"
@@ -200,6 +202,24 @@ TEST(BusDeathTest, InvalidTransferPanics)
     req.size = 8;
     req.client = id;
     EXPECT_DEATH(bus.sendRequest(req, 0), "invalid transfer");
+}
+
+TEST(BusDeathTest, RejectsABadThrottleRateNamingTheField)
+{
+    // Each of these used to run unthrottled (negative, NaN) or round
+    // to a zero rate that starves the bus forever (1e-30).
+    PhysMem mem;
+    IdealMem ideal("ideal", IdealMemParams{}, mem);
+    for (const double rate :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), 1e-30}) {
+        InterconnectParams params;
+        params.throttleBytesPerCycle = rate;
+        EXPECT_EXIT(Interconnect("bus", params, ideal),
+                    ::testing::ExitedWithCode(1),
+                    "throttleBytesPerCycle .* is not a bandwidth")
+            << rate;
+    }
 }
 
 TEST(IdealMem, LatencyAndBandwidth)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/ideal_mem.h"
 #include "mem/page_table.h"
 #include "mem/ptw.h"
@@ -122,6 +125,55 @@ TEST(Tlb, ReinsertUpdatesMapping)
     tlb.insert(0x1000, 0x1000);
     tlb.insert(0x1000, 0x9000);
     EXPECT_EQ(tlb.lookup(0x1000).value(), 0x9000u);
+}
+
+/** A TLB's complete saved state: entries, LRU stamps and stats. */
+std::string
+tlbImage(const TlbArray &tlb)
+{
+    checkpoint::Serializer ser;
+    ser.beginChunk("tlb");
+    tlb.save(ser);
+    ser.endChunk();
+    return ser.image();
+}
+
+TEST(Tlb, ReplayHitsMatchesRepeatedLookups)
+{
+    // Probe sequences of one and two lookups (the tracer's blocked
+    // retries), including the same slot twice: after the replay the
+    // LRU order, use counter and hit count equal the looped lookups'.
+    const std::vector<std::vector<Addr>> sequences = {
+        {0x3000}, {0x1000, 0x4000}, {0x2000, 0x2000}, {0x4000, 0x1000}};
+    for (const auto &vas : sequences) {
+        for (const std::uint64_t repeats : {1u, 2u, 7u}) {
+            TlbArray looped("t", 4), replayed("t", 4);
+            for (TlbArray *tlb : {&looped, &replayed}) {
+                for (Addr page = 0x1000; page <= 0x4000; page += 0x1000) {
+                    tlb->insert(page, page + 0x10000);
+                }
+                tlb->lookup(0x2000);
+            }
+            std::vector<unsigned> slots;
+            for (const Addr va : vas) {
+                ASSERT_TRUE(replayed.lookup(va).has_value());
+                slots.push_back(replayed.lastHitSlot());
+            }
+            for (std::uint64_t r = 0; r <= repeats; ++r) {
+                for (const Addr va : vas) {
+                    looped.lookup(va);
+                }
+            }
+            replayed.replayHits(slots.data(), unsigned(slots.size()),
+                                repeats);
+            EXPECT_EQ(tlbImage(looped), tlbImage(replayed))
+                << vas.size() << " probes x " << repeats;
+            // The next eviction picks the same victim.
+            looped.insert(0x9000, 0x9000);
+            replayed.insert(0x9000, 0x9000);
+            EXPECT_EQ(tlbImage(looped), tlbImage(replayed));
+        }
+    }
 }
 
 /** Fixture with a PTW wired through a bus to ideal memory. */
