@@ -42,8 +42,14 @@ main(int argc, char **argv)
         const double seconds =
             double(r.hwMarkCycles + r.hwSweepCycles) / coreClockHz;
         const double gbps = double(r.hw.dramBytes) / seconds / 1e9;
-        const std::uint64_t stall_grants =
-            lab.device().bus().throttledGrants();
+        std::uint64_t mark = 0, sweep = 0, dram_bytes = 0;
+        std::uint64_t stall_grants = 0;
+        for (const auto &pause : lab.results()) {
+            mark += pause.hwMarkCycles;
+            sweep += pause.hwSweepCycles;
+            dram_bytes += pause.hw.dramBytes;
+            stall_grants += pause.hw.throttledGrants;
+        }
         if (cap == 0.0) {
             std::printf("  %-12s", "unlimited");
         } else {
@@ -53,12 +59,6 @@ main(int argc, char **argv)
                     bench::msFromCycles(lab.avgHwMarkCycles()), gbps,
                     (unsigned long long)stall_grants);
 
-        std::uint64_t mark = 0, sweep = 0, dram_bytes = 0;
-        for (const auto &pause : lab.results()) {
-            mark += pause.hwMarkCycles;
-            sweep += pause.hwSweepCycles;
-            dram_bytes += pause.hw.dramBytes;
-        }
         char key[32];
         std::snprintf(key, sizeof key, "cap_%g.", cap);
         const std::string prefix = key;

@@ -64,9 +64,7 @@ postMortem(const std::string &path)
 
     using hwgc::core::MmioRegs;
     MmioRegs regs;
-    des.beginChunk("regs");
-    regs.restore(des);
-    des.endChunk();
+    hwgc::checkpoint::Archive(des).chunk("regs", regs);
     const char *status_name =
         regs.status == MmioRegs::Marking    ? "Marking"
         : regs.status == MmioRegs::Sweeping ? "Sweeping"

@@ -32,6 +32,8 @@ struct SweepJob
     Addr entryVa = 0;   //!< Block-table entry (for the write-back).
     Addr baseVa = 0;    //!< First cell of the block.
     std::uint32_t cellBytes = 0;
+
+    void serialize(checkpoint::Archive &ar) { ar(entryVa, baseVa, cellBytes); }
 };
 
 /** One parallel block sweeper. */
@@ -70,36 +72,32 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     bool busy() const override { return !drained(); }
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
+    void resetStats() override;
 
     /** Re-creates the page-walk completion callback (restore path). */
     mem::Ptw::WalkCallback walkCallback();
 
     void reset();
-    void resetStats();
 
     /** @name Statistics @{ */
     std::uint64_t blocksSwept() const { return blocks_.value(); }
     std::uint64_t cellsScanned() const { return cells_.value(); }
     std::uint64_t cellsFreed() const { return freed_.value(); }
     std::uint64_t lineFetches() const { return lineFetches_.value(); }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers the sweeper's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&blocks_);
-        g.add(&cells_);
-        g.add(&freed_);
-        g.add(&lineFetches_);
-    }
 
   private:
     /** A buffered 64-byte line (the sweeper's two-line buffer). */
     struct LineBuf
     {
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(valid, lineVa, data, lastUse);
+        }
+
         bool valid = false;
         Addr lineVa = 0;
         std::array<Word, mem::maxReqWords> data{};
@@ -168,10 +166,11 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     unsigned writesInFlight_ = 0;
     bool walkPending_ = false;
 
-    stats::Scalar blocks_{"blocksSwept"};
-    stats::Scalar cells_{"cellsScanned"};
-    stats::Scalar freed_{"cellsFreed"};
-    stats::Scalar lineFetches_{"lineFetches"};
+    stats::Group stats_{name()};
+    stats::Scalar blocks_{stats_, "blocksSwept"};
+    stats::Scalar cells_{stats_, "cellsScanned"};
+    stats::Scalar freed_{stats_, "cellsFreed"};
+    stats::Scalar lineFetches_{stats_, "lineFetches"};
 };
 
 } // namespace hwgc::core

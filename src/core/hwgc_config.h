@@ -105,6 +105,39 @@ struct HwgcConfig
      * instead.
      */
     unsigned devices = 1;
+
+    /**
+     * Rejects a configuration no unit can run with: fatal(), naming
+     * the field and its minimum, when a sweeper count, a queue, a
+     * request-slot count or a TLB is too small (zero sweepers or
+     * pending-reference slots deadlock a phase; the rest cannot be
+     * built). The Soc constructor calls it, so every device's
+     * configuration is checked once, where it enters.
+     */
+    void
+    validate() const
+    {
+        struct Minimum
+        {
+            const char *field;
+            unsigned value;
+            unsigned least;
+        };
+        // The mark queue's inQ/outQ move whole 64-byte spill granules.
+        const unsigned granule = lineBytes / (compressRefs ? 4 : 8);
+        for (const Minimum &m :
+             {Minimum{"numSweepers", numSweepers, 1},
+              Minimum{"tracerPendingRefs", tracerPendingRefs, 1},
+              Minimum{"markerSlots", markerSlots, 1},
+              Minimum{"spillQueueEntries", spillQueueEntries, granule},
+              Minimum{"tracerQueueEntries", tracerQueueEntries, 1},
+              Minimum{"unitTlbEntries", unitTlbEntries, 1},
+              Minimum{"sweeperTlbEntries", sweeperTlbEntries, 1}}) {
+            fatal_if(m.value < m.least,
+                     "HwgcConfig: %s is %u, want at least %u", m.field,
+                     m.value, m.least);
+        }
+    }
 };
 
 } // namespace hwgc::core

@@ -15,26 +15,6 @@
 namespace hwgc::core
 {
 
-void
-MmioRegs::save(checkpoint::Serializer &ser) const
-{
-    for (const std::uint64_t word :
-         {pageTableBase, hwgcSpaceBase, rootCount, blockTableBase,
-          blockCount, spillBase, spillBytes, status}) {
-        ser.putU64(word);
-    }
-}
-
-void
-MmioRegs::restore(checkpoint::Deserializer &des)
-{
-    for (std::uint64_t *word :
-         {&pageTableBase, &hwgcSpaceBase, &rootCount, &blockTableBase,
-          &blockCount, &spillBase, &spillBytes, &status}) {
-        *word = des.getU64();
-    }
-}
-
 HwgcDevice::HwgcDevice(mem::PhysMem &mem,
                        const mem::PageTable &page_table,
                        const HwgcConfig &config)
@@ -228,25 +208,26 @@ HwgcDevice::join()
 
     installWalkResolver();
 
-    rootReader_->addStats(stats_.add(statsPrefix_, "rootReader"));
-    marker_->addStats(stats_.add(statsPrefix_, "marker"));
-    marker_->tlb().addStats(stats_.add(statsPrefix_, "marker.tlb"));
-    tracer_->addStats(stats_.add(statsPrefix_, "tracer"));
-    tracer_->tlb().addStats(stats_.add(statsPrefix_, "tracer.tlb"));
-    markQueue_->addStats(stats_.add(statsPrefix_, "markQueue"));
-    traceQueue_->addStats(stats_.add(statsPrefix_, "traceQueue"));
-    reclamation_->addStats(stats_.add(statsPrefix_, "reclamation"));
+    const std::string &p = statsPrefix_;
+    stats_.add(p + ".rootReader", rootReader_->stats());
+    stats_.add(p + ".marker", marker_->stats());
+    stats_.add(p + ".marker.tlb", marker_->tlb().stats());
+    stats_.add(p + ".tracer", tracer_->stats());
+    stats_.add(p + ".tracer.tlb", tracer_->tlb().stats());
+    stats_.add(p + ".markQueue", markQueue_->stats());
+    stats_.add(p + ".traceQueue", traceQueue_->stats());
+    stats_.add(p + ".reclamation", reclamation_->stats());
     for (std::size_t i = 0; i < reclamation_->sweepers().size(); ++i) {
-        reclamation_->sweepers()[i]->addStats(
-            stats_.add(statsPrefix_, "sweeper" + std::to_string(i)));
+        stats_.add(p + ".sweeper" + std::to_string(i),
+                   reclamation_->sweepers()[i]->stats());
     }
-    ptw_->addStats(stats_.add(statsPrefix_, "ptw"));
-    ptw_->l2Tlb().addStats(stats_.add(statsPrefix_, "ptw.l2tlb"));
+    stats_.add(p + ".ptw", ptw_->stats());
+    stats_.add(p + ".ptw.l2tlb", ptw_->l2Tlb().stats());
     if (sharedCache_) {
-        sharedCache_->addStats(stats_.add(statsPrefix_, "unitcache"));
+        stats_.add(p + ".unitcache", sharedCache_->stats());
     }
     if (ptwCache_) {
-        ptwCache_->addStats(stats_.add(statsPrefix_, "ptwcache"));
+        stats_.add(p + ".ptwcache", ptwCache_->stats());
     }
 }
 
@@ -589,22 +570,12 @@ HwgcDevice::resetPhaseState()
 void
 HwgcDevice::resetStats()
 {
-    markQueue_->resetStats();
-    marker_->resetStats();
-    tracer_->resetStats();
+    // A standalone device owns its whole System, bus and memory
+    // included; a fleet device owns its units.
+    for (Clocked *c : ownedSoc_ ? system().components() : units_) {
+        c->resetStats();
+    }
     traceQueue_->resetStats();
-    reclamation_->resetStats();
-    ptw_->resetStats();
-    if (ownedSoc_) {
-        ownedSoc_->bus().resetStats();
-        ownedSoc_->memory().resetStats();
-    }
-    if (sharedCache_) {
-        sharedCache_->resetStats();
-    }
-    if (ptwCache_) {
-        ptwCache_->resetStats();
-    }
 }
 
 std::string
@@ -629,60 +600,43 @@ HwgcDevice::configSignature() const
 }
 
 void
-HwgcDevice::saveCheckpoint(checkpoint::Serializer &ser) const
+HwgcDevice::serialize(checkpoint::Archive &ar)
 {
     panic_if(!ownedSoc_,
              "a shared SoC is checkpointed by its owner, not per device");
     // The configuration fingerprint goes first so a mismatched file
     // fails with "configurations differ" before any state parsing.
-    ser.beginChunk("config");
-    ser.putString(configSignature());
-    ser.endChunk();
-
-    ser.beginChunk("regs");
-    regs_.save(ser);
-    ser.endChunk();
-
-    ownedSoc_->save(ser);
-}
-
-void
-HwgcDevice::restoreCheckpoint(checkpoint::Deserializer &des)
-{
-    panic_if(!ownedSoc_,
-             "a shared SoC is restored by its owner, not per device");
-    des.beginChunk("config");
-    const std::string sig = des.getString();
-    des.endChunk();
-    fatal_if(sig != configSignature(),
-             "checkpoint '%s' was written by a different device "
-             "configuration\n  file: %s\n  this: %s",
-             des.origin().c_str(), sig.c_str(),
-             configSignature().c_str());
-
-    des.beginChunk("regs");
-    regs_.restore(des);
-    des.endChunk();
-
-    ownedSoc_->restore(des);
-
-    fatal_if(!des.atEnd(),
+    std::string sig = configSignature();
+    ar.chunk("config", sig);
+    if (ar.loading()) {
+        fatal_if(sig != configSignature(),
+                 "checkpoint '%s' was written by a different device "
+                 "configuration\n  file: %s\n  this: %s",
+                 ar.origin().c_str(), sig.c_str(),
+                 configSignature().c_str());
+    }
+    ar.chunk("regs", regs_);
+    ownedSoc_->serialize(ar);
+    if (!ar.loading()) {
+        return;
+    }
+    fatal_if(!ar.deserializer().atEnd(),
              "checkpoint '%s': trailing data after the last expected "
              "chunk — the saving and restoring configurations differ",
-             des.origin().c_str());
-
+             ar.origin().c_str());
     DPRINTF(system().now(), "Device",
             "%s: restored checkpoint '%s' at cycle %llu (status %llu)",
-            statsPrefix_.c_str(), des.origin().c_str(),
+            statsPrefix_.c_str(), ar.origin().c_str(),
             (unsigned long long)system().now(),
             (unsigned long long)regs_.status);
 }
 
 bool
-HwgcDevice::writeCheckpoint(const std::string &path) const
+HwgcDevice::writeCheckpoint(const std::string &path)
 {
     checkpoint::Serializer ser;
-    saveCheckpoint(ser);
+    checkpoint::Archive ar(ser);
+    serialize(ar);
     return ser.writeFile(path);
 }
 
@@ -690,7 +644,8 @@ void
 HwgcDevice::restoreCheckpoint(const std::string &path)
 {
     checkpoint::Deserializer des = checkpoint::Deserializer::fromFile(path);
-    restoreCheckpoint(des);
+    checkpoint::Archive ar(des);
+    serialize(ar);
 }
 
 void

@@ -49,10 +49,13 @@ struct MmioRegs
     enum Status : std::uint64_t { Idle = 0, Marking = 1, Sweeping = 2 };
     std::uint64_t status = Idle;
 
-    /** Checkpoint encoding: the eight words above, in order. @{ */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
-    /** @} */
+    /** Checkpoint encoding: the eight words above, in order. */
+    void
+    serialize(checkpoint::Archive &ar)
+    {
+        ar(pageTableBase, hwgcSpaceBase, rootCount, blockTableBase,
+           blockCount, spillBase, spillBytes, status);
+    }
 };
 
 /** Result of one accelerator phase. */
@@ -134,8 +137,8 @@ class HwgcDevice
      */
     void resetPhaseState();
 
-    /** Resets every statistic in the device (and, standalone, in its
-     *  bus and memory). */
+    /** Resets every statistic the device owns: its units' groups and,
+     *  standalone, those of its bus and memory. */
     void resetStats();
 
     /**
@@ -153,16 +156,15 @@ class HwgcDevice
      * @{
      */
 
-    /** Serializes the full device state into @p ser. */
-    void saveCheckpoint(checkpoint::Serializer &ser) const;
+    /** Saves or restores the full device state; a restore into a
+     *  different configuration fatal()s. */
+    void serialize(checkpoint::Archive &ar);
 
-    /** Restores state written by saveCheckpoint(); mismatch fatals. */
-    void restoreCheckpoint(checkpoint::Deserializer &des);
+    /** Saves a checkpoint to @p path; returns false (warn) on I/O
+     *  error. */
+    bool writeCheckpoint(const std::string &path);
 
-    /** saveCheckpoint() to @p path; returns false (warn) on I/O error. */
-    bool writeCheckpoint(const std::string &path) const;
-
-    /** restoreCheckpoint() from @p path; unreadable/corrupt fatals. */
+    /** Restores the checkpoint at @p path; unreadable/corrupt fatals. */
     void restoreCheckpoint(const std::string &path);
 
     /**

@@ -307,62 +307,11 @@ MarkQueue::cycleClass(Tick now) const
     return CycleClass::StallDownstreamFull;
 }
 
-namespace
-{
-
 void
-saveWordDeque(checkpoint::Serializer &ser, const std::deque<Word> &q)
+MarkQueue::serialize(checkpoint::Archive &ar)
 {
-    ser.putU64(q.size());
-    for (const Word w : q) {
-        ser.putU64(w);
-    }
-}
-
-void
-restoreWordDeque(checkpoint::Deserializer &des, std::deque<Word> &q)
-{
-    q.clear();
-    const std::uint64_t count = des.getU64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        q.push_back(des.getU64());
-    }
-}
-
-} // namespace
-
-void
-MarkQueue::save(checkpoint::Serializer &ser) const
-{
-    saveWordDeque(ser, q_);
-    saveWordDeque(ser, outQ_);
-    saveWordDeque(ser, inQ_);
-    ser.putU64(spillHead_);
-    ser.putU64(spillTail_);
-    ser.putBool(writeInFlight_);
-    ser.putBool(readInFlight_);
-    checkpoint::putStat(ser, spillWrites_);
-    checkpoint::putStat(ser, spillReads_);
-    checkpoint::putStat(ser, entriesSpilled_);
-    checkpoint::putStat(ser, maxDepth_);
-    checkpoint::putStat(ser, peakSpill_);
-}
-
-void
-MarkQueue::restore(checkpoint::Deserializer &des)
-{
-    restoreWordDeque(des, q_);
-    restoreWordDeque(des, outQ_);
-    restoreWordDeque(des, inQ_);
-    spillHead_ = des.getU64();
-    spillTail_ = des.getU64();
-    writeInFlight_ = des.getBool();
-    readInFlight_ = des.getBool();
-    checkpoint::getStat(des, spillWrites_);
-    checkpoint::getStat(des, spillReads_);
-    checkpoint::getStat(des, entriesSpilled_);
-    checkpoint::getStat(des, maxDepth_);
-    checkpoint::getStat(des, peakSpill_);
+    ar(q_, outQ_, inQ_, spillHead_, spillTail_, writeInFlight_,
+       readInFlight_, stats_);
 }
 
 void
@@ -379,11 +328,7 @@ MarkQueue::reset()
 void
 MarkQueue::resetStats()
 {
-    spillWrites_.reset();
-    spillReads_.reset();
-    entriesSpilled_.reset();
-    maxDepth_.reset();
-    peakSpill_.reset();
+    stats_.reset();
 }
 
 } // namespace hwgc::core

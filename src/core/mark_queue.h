@@ -90,8 +90,8 @@ class MarkQueue : public Clocked, public mem::MemResponder
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
+    void resetStats() override;
 
     /** Drops all state between GC phases. */
     void reset();
@@ -110,26 +110,14 @@ class MarkQueue : public Clocked, public mem::MemResponder
         spillCapacityEntries_ = spill_bytes / entryBytes();
     }
 
-    void resetStats();
-
     /** @name Statistics @{ */
     std::uint64_t spillWriteRequests() const { return spillWrites_.value(); }
     std::uint64_t spillReadRequests() const { return spillReads_.value(); }
     std::uint64_t entriesSpilled() const { return entriesSpilled_.value(); }
     std::uint64_t maxDepth() const { return maxDepth_.value(); }
     std::uint64_t peakSpillBytes() const { return peakSpill_.value(); }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers the queue's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&spillWrites_);
-        g.add(&spillReads_);
-        g.add(&entriesSpilled_);
-        g.add(&maxDepth_);
-        g.add(&peakSpill_);
-    }
 
   private:
     /** Bytes per packed reference in the queue and spill region. */
@@ -159,11 +147,12 @@ class MarkQueue : public Clocked, public mem::MemResponder
     bool writeInFlight_ = false;
     bool readInFlight_ = false;
 
-    stats::Scalar spillWrites_{"spillWrites"};
-    stats::Scalar spillReads_{"spillReads"};
-    stats::Scalar entriesSpilled_{"entriesSpilled"};
-    stats::Scalar maxDepth_{"maxDepth"};
-    stats::Scalar peakSpill_{"peakSpillBytes"};
+    stats::Group stats_{name()};
+    stats::Scalar spillWrites_{stats_, "spillWrites"};
+    stats::Scalar spillReads_{stats_, "spillReads"};
+    stats::Scalar entriesSpilled_{stats_, "entriesSpilled"};
+    stats::Scalar maxDepth_{stats_, "maxDepth"};
+    stats::Scalar peakSpill_{stats_, "peakSpillBytes"};
 };
 
 } // namespace hwgc::core

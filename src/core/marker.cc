@@ -377,97 +377,33 @@ Marker::fastForward(Tick from, Tick to)
 }
 
 void
-Marker::save(checkpoint::Serializer &ser) const
+Marker::serialize(checkpoint::Archive &ar)
 {
-    ser.putU64(slots_.size());
-    for (const auto &slot : slots_) {
-        ser.putU64(std::uint64_t(slot.state));
-        ser.putU64(slot.ref);
-        ser.putU64(slot.paddr);
-        ser.putU64(slot.newHeader);
-        ser.putBool(slot.needWriteback);
-        ser.putBool(slot.needTracePush);
-        ser.putU64(slot.numRefs);
+    const std::uint64_t num_slots = ar.count(slots_.size());
+    if (ar.loading()) {
+        fatal_if(num_slots != slots_.size(),
+                 "checkpoint '%s': marker has %llu slots but this "
+                 "configuration has %zu — configurations differ",
+                 ar.origin().c_str(), (unsigned long long)num_slots,
+                 slots_.size());
     }
-    ser.putU64(inFlightReads_);
-    ser.putU64(waiters_.size());
-    for (const auto &waiter : waiters_) {
-        ser.putBool(waiter.valid);
-        ser.putBool(waiter.walkRequested);
-        ser.putBool(waiter.ready);
-        ser.putU64(waiter.ref);
-        ser.putU64(waiter.pa);
+    for (Slot &slot : slots_) {
+        ar(slot);
     }
-    ser.putU64(waitersActive_);
-    markBitCache_.save(ser);
-    ser.putBool(profileTargets_);
-    // Unordered-map iteration order is nondeterministic; sort so the
-    // checkpoint image is byte-stable for a given simulator state.
-    std::vector<std::pair<Addr, std::uint64_t>> profile(
-        targetProfile_.begin(), targetProfile_.end());
-    std::sort(profile.begin(), profile.end());
-    ser.putU64(profile.size());
-    for (const auto &[ref, count] : profile) {
-        ser.putU64(ref);
-        ser.putU64(count);
+    ar(inFlightReads_);
+    const std::uint64_t num_waiters = ar.count(waiters_.size());
+    if (ar.loading()) {
+        fatal_if(num_waiters != waiters_.size(),
+                 "checkpoint '%s': marker has %llu walk waiters but "
+                 "this configuration has %zu — configurations differ",
+                 ar.origin().c_str(), (unsigned long long)num_waiters,
+                 waiters_.size());
     }
-    checkpoint::putStat(ser, marksIssued_);
-    checkpoint::putStat(ser, alreadyMarked_);
-    checkpoint::putStat(ser, newlyMarked_);
-    checkpoint::putStat(ser, writebacksElided_);
-    checkpoint::putStat(ser, markCacheHits_);
-    checkpoint::putStat(ser, tlbMissStalls_);
-    tlb_.save(ser);
-}
-
-void
-Marker::restore(checkpoint::Deserializer &des)
-{
-    const std::uint64_t num_slots = des.getU64();
-    fatal_if(num_slots != slots_.size(),
-             "checkpoint '%s': marker has %llu slots but this "
-             "configuration has %zu — configurations differ",
-             des.origin().c_str(), (unsigned long long)num_slots,
-             slots_.size());
-    for (auto &slot : slots_) {
-        slot.state = SlotState(des.getU64());
-        slot.ref = des.getU64();
-        slot.paddr = des.getU64();
-        slot.newHeader = des.getU64();
-        slot.needWriteback = des.getBool();
-        slot.needTracePush = des.getBool();
-        slot.numRefs = std::uint32_t(des.getU64());
+    for (WalkWaiter &waiter : waiters_) {
+        ar(waiter);
     }
-    inFlightReads_ = unsigned(des.getU64());
-    const std::uint64_t num_waiters = des.getU64();
-    fatal_if(num_waiters != waiters_.size(),
-             "checkpoint '%s': marker has %llu walk waiters but this "
-             "configuration has %zu — configurations differ",
-             des.origin().c_str(), (unsigned long long)num_waiters,
-             waiters_.size());
-    for (auto &waiter : waiters_) {
-        waiter.valid = des.getBool();
-        waiter.walkRequested = des.getBool();
-        waiter.ready = des.getBool();
-        waiter.ref = des.getU64();
-        waiter.pa = des.getU64();
-    }
-    waitersActive_ = unsigned(des.getU64());
-    markBitCache_.restore(des);
-    profileTargets_ = des.getBool();
-    targetProfile_.clear();
-    const std::uint64_t profile_size = des.getU64();
-    for (std::uint64_t i = 0; i < profile_size; ++i) {
-        const Addr ref = des.getU64();
-        targetProfile_[ref] = des.getU64();
-    }
-    checkpoint::getStat(des, marksIssued_);
-    checkpoint::getStat(des, alreadyMarked_);
-    checkpoint::getStat(des, newlyMarked_);
-    checkpoint::getStat(des, writebacksElided_);
-    checkpoint::getStat(des, markCacheHits_);
-    checkpoint::getStat(des, tlbMissStalls_);
-    tlb_.restore(des);
+    ar(waitersActive_, markBitCache_, profileTargets_, targetProfile_,
+       stats_, tlb_);
 }
 
 void
@@ -482,13 +418,8 @@ Marker::reset()
 void
 Marker::resetStats()
 {
-    marksIssued_.reset();
-    alreadyMarked_.reset();
-    newlyMarked_.reset();
-    writebacksElided_.reset();
-    markCacheHits_.reset();
-    tlbMissStalls_.reset();
-    tlb_.resetStats();
+    stats_.reset();
+    tlb_.stats().reset();
 }
 
 } // namespace hwgc::core

@@ -76,32 +76,20 @@ class MarkBitCache
     void clear() { slots_.clear(); }
 
     void
-    save(checkpoint::Serializer &ser) const
+    serialize(checkpoint::Archive &ar)
     {
-        ser.putU64(useCounter_);
-        ser.putU64(slots_.size());
-        for (const auto &e : slots_) {
-            ser.putU64(e.first);
-            ser.putU64(e.second);
+        ar(useCounter_);
+        const std::uint64_t count = ar.count(slots_.size());
+        if (ar.loading()) {
+            fatal_if(count > entries_,
+                     "checkpoint '%s': mark-bit cache holds %llu entries "
+                     "but has capacity %u — configurations differ",
+                     ar.origin().c_str(), (unsigned long long)count,
+                     entries_);
+            slots_.resize(std::size_t(count));
         }
-    }
-
-    void
-    restore(checkpoint::Deserializer &des)
-    {
-        useCounter_ = des.getU64();
-        const std::uint64_t count = des.getU64();
-        fatal_if(count > entries_,
-                 "checkpoint '%s': mark-bit cache holds %llu entries "
-                 "but has capacity %u — configurations differ",
-                 des.origin().c_str(), (unsigned long long)count,
-                 entries_);
-        slots_.clear();
-        slots_.reserve(std::size_t(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const Addr ref = des.getU64();
-            const std::uint64_t use = des.getU64();
-            slots_.emplace_back(ref, use);
+        for (auto &slot : slots_) {
+            ar(slot);
         }
     }
 
@@ -131,8 +119,8 @@ class Marker : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
+    void resetStats() override;
 
     /**
      * Re-creates the page-walk completion callback for walk-waiter
@@ -145,8 +133,6 @@ class Marker : public Clocked, public mem::MemResponder
 
     /** Drops TLB/cache state between phases. */
     void reset();
-
-    void resetStats();
 
     /**
      * Enables per-object access profiling (Fig 21a). Expensive;
@@ -170,19 +156,8 @@ class Marker : public Clocked, public mem::MemResponder
     {
         return targetProfile_;
     }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers the marker's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&marksIssued_);
-        g.add(&alreadyMarked_);
-        g.add(&newlyMarked_);
-        g.add(&writebacksElided_);
-        g.add(&markCacheHits_);
-        g.add(&tlbMissStalls_);
-    }
 
   private:
     enum class SlotState : std::uint8_t
@@ -194,6 +169,13 @@ class Marker : public Clocked, public mem::MemResponder
 
     struct Slot
     {
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(state, ref, paddr, newHeader, needWriteback,
+               needTracePush, numRefs);
+        }
+
         SlotState state = SlotState::Free;
         Addr ref = 0;   //!< Virtual address (for the tracer).
         Addr paddr = 0; //!< Translated status-word address.
@@ -226,6 +208,12 @@ class Marker : public Clocked, public mem::MemResponder
     /** A dequeued reference parked while its page walk completes. */
     struct WalkWaiter
     {
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(valid, walkRequested, ready, ref, pa);
+        }
+
         bool valid = false;
         bool walkRequested = false;
         bool ready = false;
@@ -242,12 +230,13 @@ class Marker : public Clocked, public mem::MemResponder
     bool profileTargets_ = false;
     std::unordered_map<Addr, std::uint64_t> targetProfile_;
 
-    stats::Scalar marksIssued_{"marksIssued"};
-    stats::Scalar alreadyMarked_{"alreadyMarked"};
-    stats::Scalar newlyMarked_{"newlyMarked"};
-    stats::Scalar writebacksElided_{"writebacksElided"};
-    stats::Scalar markCacheHits_{"markCacheHits"};
-    stats::Scalar tlbMissStalls_{"tlbMissStalls"};
+    stats::Group stats_{name()};
+    stats::Scalar marksIssued_{stats_, "marksIssued"};
+    stats::Scalar alreadyMarked_{stats_, "alreadyMarked"};
+    stats::Scalar newlyMarked_{stats_, "newlyMarked"};
+    stats::Scalar writebacksElided_{stats_, "writebacksElided"};
+    stats::Scalar markCacheHits_{stats_, "markCacheHits"};
+    stats::Scalar tlbMissStalls_{stats_, "tlbMissStalls"};
 };
 
 } // namespace hwgc::core

@@ -192,35 +192,10 @@ ReclamationUnit::walkCallback()
 }
 
 void
-ReclamationUnit::save(checkpoint::Serializer &ser) const
+ReclamationUnit::serialize(checkpoint::Archive &ar)
 {
-    ser.putU64(tableVa_);
-    ser.putU64(nextBlock_);
-    ser.putU64(blockCount_);
-    ser.putBool(entryReadPending_);
-    ser.putBool(entryReady_);
-    ser.putU64(pendingJob_.entryVa);
-    ser.putU64(pendingJob_.baseVa);
-    ser.putU64(pendingJob_.cellBytes);
-    ser.putBool(walkPending_);
-    checkpoint::putStat(ser, dispatched_);
-    readerTlb_.save(ser);
-}
-
-void
-ReclamationUnit::restore(checkpoint::Deserializer &des)
-{
-    tableVa_ = des.getU64();
-    nextBlock_ = des.getU64();
-    blockCount_ = des.getU64();
-    entryReadPending_ = des.getBool();
-    entryReady_ = des.getBool();
-    pendingJob_.entryVa = des.getU64();
-    pendingJob_.baseVa = des.getU64();
-    pendingJob_.cellBytes = unsigned(des.getU64());
-    walkPending_ = des.getBool();
-    checkpoint::getStat(des, dispatched_);
-    readerTlb_.restore(des);
+    ar(tableVa_, nextBlock_, blockCount_, entryReadPending_, entryReady_,
+       pendingJob_, walkPending_, stats_, readerTlb_);
 }
 
 std::uint64_t
@@ -256,11 +231,8 @@ ReclamationUnit::reset()
 void
 ReclamationUnit::resetStats()
 {
-    dispatched_.reset();
-    readerTlb_.resetStats();
-    for (auto &sweeper : sweepers_) {
-        sweeper->resetStats();
-    }
+    stats_.reset();
+    readerTlb_.stats().reset();
 }
 
 } // namespace hwgc::core

@@ -46,8 +46,7 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
     bool busy() const override { return !done(); }
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
 
     /** Re-creates the page-walk completion callback (restore path). */
     mem::Ptw::WalkCallback walkCallback();
@@ -59,16 +58,17 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
     }
 
     void reset();
-    void resetStats();
+
+    /** Resets the dispatcher's statistics; each sweeper, registered
+     *  with the System on its own, resets its own. */
+    void resetStats() override;
 
     /** @name Statistics @{ */
     std::uint64_t blocksDispatched() const { return dispatched_.value(); }
     std::uint64_t cellsFreed() const;
     std::uint64_t cellsScanned() const;
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers the dispatcher's statistics into @p g (telemetry). */
-    void addStats(stats::Group &g) const { g.add(&dispatched_); }
 
   private:
     HwgcConfig config_;
@@ -86,7 +86,8 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
     SweepJob pendingJob_;
     bool walkPending_ = false;
 
-    stats::Scalar dispatched_{"blocksDispatched"};
+    stats::Group stats_{name()};
+    stats::Scalar dispatched_{stats_, "blocksDispatched"};
 };
 
 } // namespace hwgc::core

@@ -167,38 +167,17 @@ RootReader::walkCallback()
 }
 
 void
-RootReader::save(checkpoint::Serializer &ser) const
+RootReader::serialize(checkpoint::Archive &ar)
 {
-    ser.putU64(base_);
-    ser.putU64(cursor_);
-    ser.putU64(end_);
-    ser.putU64(inFlight_);
-    ser.putU64(pending_.size());
-    for (const Addr ref : pending_) {
-        ser.putU64(ref);
-    }
-    ser.putBool(walkPending_);
-    ser.putU64(doneAt_);
-    checkpoint::putStat(ser, rootsRead_);
-    tlb_.save(ser);
+    ar(base_, cursor_, end_, inFlight_, pending_, walkPending_, doneAt_,
+       stats_, tlb_);
 }
 
 void
-RootReader::restore(checkpoint::Deserializer &des)
+RootReader::resetStats()
 {
-    base_ = des.getU64();
-    cursor_ = des.getU64();
-    end_ = des.getU64();
-    inFlight_ = unsigned(des.getU64());
-    pending_.clear();
-    const std::uint64_t num_pending = des.getU64();
-    for (std::uint64_t i = 0; i < num_pending; ++i) {
-        pending_.push_back(des.getU64());
-    }
-    walkPending_ = des.getBool();
-    doneAt_ = des.getU64();
-    checkpoint::getStat(des, rootsRead_);
-    tlb_.restore(des);
+    stats_.reset();
+    tlb_.stats().reset();
 }
 
 void

@@ -50,8 +50,8 @@ class RootReader : public Clocked, public mem::MemResponder
     bool busy() const override { return !done(); }
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
+    void resetStats() override;
 
     /** Re-creates the page-walk completion callback (restore path). */
     mem::Ptw::WalkCallback walkCallback();
@@ -67,8 +67,7 @@ class RootReader : public Clocked, public mem::MemResponder
      */
     Tick doneAt() const { return doneAt_; }
 
-    /** Registers the reader's statistics into @p g (telemetry). */
-    void addStats(stats::Group &g) const { g.add(&rootsRead_); }
+    const stats::Group &stats() const { return stats_; }
 
   private:
     /** Records the first completion cycle (observational only). */
@@ -96,7 +95,8 @@ class RootReader : public Clocked, public mem::MemResponder
     bool walkPending_ = false;
     Tick doneAt_ = 0;
 
-    stats::Scalar rootsRead_{"rootsRead"};
+    stats::Group stats_{name()};
+    stats::Scalar rootsRead_{stats_, "rootsRead"};
 };
 
 } // namespace hwgc::core

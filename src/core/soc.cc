@@ -35,6 +35,7 @@ Soc::Soc(mem::PhysMem &mem, const HwgcConfig &config, Scope scope)
       bus_(std::make_unique<mem::Interconnect>("bus", config.bus,
                                                *memory_))
 {
+    config_.validate();
     system_.setMode(config.kernel.value_or(
         telemetry::options().kernel.value_or(KernelMode::Event)));
     statsPrefix_ = telemetry::StatsRegistry::global().uniquePrefix(
@@ -77,59 +78,30 @@ Soc::seal()
             system_.declareWakeupInputs(&device->tracer(), {bus_.get()});
         }
     }
-    bus_->addStats(stats_.add(statsPrefix_, "bus"));
-    memory_->addStats(stats_.add(statsPrefix_, "memory"));
+    stats_.add(statsPrefix_ + ".bus", bus_->stats());
+    stats_.add(statsPrefix_ + ".memory", memory_->stats());
 }
 
 void
-Soc::save(checkpoint::Serializer &ser) const
+Soc::serialize(checkpoint::Archive &ar)
 {
-    ser.beginChunk("kernel");
-    system_.save(ser);
-    ser.endChunk();
+    ar.chunk("kernel", system_);
 
     // One chunk per Clocked component, named by instance name, in
     // registration (= evaluation) order.
-    for (const Clocked *c : system_.components()) {
-        ser.beginChunk(c->name());
-        c->save(ser);
-        ser.endChunk();
+    for (Clocked *c : system_.components()) {
+        ar.chunk(c->name(), *c);
     }
 
     // Trace queues are passive (not Clocked) but carry phase state.
     for (HwgcDevice *device : devices_) {
-        ser.beginChunk(device->namePrefix() + "traceQueue");
-        device->traceQueue().save(ser);
-        ser.endChunk();
+        ar.chunk(device->namePrefix() + "traceQueue",
+                 device->traceQueue());
     }
 
-    ser.beginChunk("physmem");
-    checkpoint::putPhysMem(ser, mem_);
-    ser.endChunk();
-}
-
-void
-Soc::restore(checkpoint::Deserializer &des)
-{
-    des.beginChunk("kernel");
-    system_.restore(des);
-    des.endChunk();
-
-    for (Clocked *c : system_.components()) {
-        des.beginChunk(c->name());
-        c->restore(des);
-        des.endChunk();
-    }
-
-    for (HwgcDevice *device : devices_) {
-        des.beginChunk(device->namePrefix() + "traceQueue");
-        device->traceQueue().restore(des);
-        des.endChunk();
-    }
-
-    des.beginChunk("physmem");
-    checkpoint::getPhysMem(des, mem_);
-    des.endChunk();
+    ar.beginChunk("physmem");
+    checkpoint::physMem(ar, mem_);
+    ar.endChunk();
 }
 
 } // namespace hwgc::core

@@ -47,7 +47,8 @@ class Soc
      * components are "hwgc<i>.marker", ..., its stats
      * "system.hwgc<i>", and the bus and memory stats "system.fleetN".
      * The kernel is config.kernel when set, else the --kernel= /
-     * HWGC_KERNEL option, else event (DESIGN.md §6).
+     * HWGC_KERNEL option, else event (DESIGN.md §6). An unusable
+     * @p config is fatal (HwgcConfig::validate()).
      */
     Soc(mem::PhysMem &mem, const HwgcConfig &config);
 
@@ -73,17 +74,13 @@ class Soc
     /** @} */
 
     /**
-     * @name Checkpointing the SoC part (DESIGN.md §9)
-     *
-     * The kernel chunk, one chunk per component in registration
+     * Saves or restores the SoC part of a checkpoint (DESIGN.md §9):
+     * the kernel chunk, one chunk per component in registration
      * order, each joined device's trace queue, and the functional
-     * memory image. The owner writes its own chunks (configuration,
-     * registers, driver state) in front.
-     * @{
+     * memory image. The owner archives its own chunks
+     * (configuration, registers, driver state) in front.
      */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
-    /** @} */
+    void serialize(checkpoint::Archive &ar);
 
   private:
     friend class HwgcDevice;

@@ -25,6 +25,8 @@ struct TraceEntry
 {
     Addr ref = 0;               //!< Status-word VA.
     std::uint32_t numRefs = 0;  //!< Outbound reference count.
+
+    void serialize(checkpoint::Archive &ar) { ar(ref, numRefs); }
 };
 
 /** Bounded FIFO between marker (producer) and tracer (consumer). */
@@ -63,45 +65,32 @@ class TraceQueue
     void clear() { q_.clear(); }
 
     std::uint64_t maxDepth() const { return maxDepth_.value(); }
-    void resetStats() { maxDepth_.reset(); }
-
-    /** Registers the queue's statistics into @p g (telemetry). */
-    void addStats(stats::Group &g) const { g.add(&maxDepth_); }
+    void resetStats() { stats_.reset(); }
+    const stats::Group &stats() const { return stats_; }
 
     void
-    save(checkpoint::Serializer &ser) const
+    serialize(checkpoint::Archive &ar)
     {
-        ser.putU64(q_.size());
-        for (const auto &e : q_) {
-            ser.putU64(e.ref);
-            ser.putU64(e.numRefs);
+        const std::uint64_t count = ar.count(q_.size());
+        if (ar.loading()) {
+            fatal_if(count > capacity_,
+                     "checkpoint '%s': trace queue holds %llu entries but "
+                     "has capacity %u — configurations differ",
+                     ar.origin().c_str(), (unsigned long long)count,
+                     capacity_);
+            q_.resize(std::size_t(count));
         }
-        checkpoint::putStat(ser, maxDepth_);
-    }
-
-    void
-    restore(checkpoint::Deserializer &des)
-    {
-        const std::uint64_t count = des.getU64();
-        fatal_if(count > capacity_,
-                 "checkpoint '%s': trace queue holds %llu entries but "
-                 "has capacity %u — configurations differ",
-                 des.origin().c_str(), (unsigned long long)count,
-                 capacity_);
-        q_.clear();
-        for (std::uint64_t i = 0; i < count; ++i) {
-            TraceEntry e;
-            e.ref = des.getU64();
-            e.numRefs = std::uint32_t(des.getU64());
-            q_.push_back(e);
+        for (TraceEntry &e : q_) {
+            ar(e);
         }
-        checkpoint::getStat(des, maxDepth_);
+        ar(stats_);
     }
 
   private:
     unsigned capacity_;
     std::deque<TraceEntry> q_;
-    stats::Scalar maxDepth_{"maxDepth"};
+    stats::Group stats_{"traceQueue"};
+    stats::Scalar maxDepth_{stats_, "maxDepth"};
 };
 
 } // namespace hwgc::core

@@ -66,14 +66,13 @@ class Tracer : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
+    void resetStats() override;
 
     /** Re-creates the page-walk completion callback (restore path). */
     mem::Ptw::WalkCallback walkCallback();
 
     void reset();
-    void resetStats();
 
     /** @name Statistics @{ */
     std::uint64_t requestsIssued() const { return requests_.value(); }
@@ -85,21 +84,8 @@ class Tracer : public Clocked, public mem::MemResponder
     std::uint64_t throttledCycles() const { return throttled_.value(); }
     std::uint64_t tibExtraReads() const { return tibReads_.value(); }
     const mem::TlbArray &tlb() const { return tlb_; }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers the tracer's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&requests_);
-        g.add(&bytesRequested_);
-        g.add(&refsEnqueued_);
-        g.add(&nullsDropped_);
-        g.add(&objects_);
-        g.add(&pageCrossings_);
-        g.add(&throttled_);
-        g.add(&tibReads_);
-    }
 
     /**
      * Computes the next transfer size for a cursor at @p addr with
@@ -121,6 +107,14 @@ class Tracer : public Clocked, public mem::MemResponder
     /** The object currently being walked. */
     struct Active
     {
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(ref, cursor, end, numRefs, slotsIssued, nextOffsetGroup,
+               needTibPtr, awaitTibPtr, needTibMeta, awaitTibMeta,
+               tibAddr);
+        }
+
         Addr ref = 0;       //!< Status-word VA.
         Addr cursor = 0;    //!< Next reference-slot VA to request.
         Addr end = 0;       //!< One past the last slot (== ref).
@@ -189,14 +183,15 @@ class Tracer : public Clocked, public mem::MemResponder
     unsigned numProbes_ = 0;
     /** @} */
 
-    stats::Scalar requests_{"requests"};
-    stats::Scalar bytesRequested_{"bytesRequested"};
-    stats::Scalar refsEnqueued_{"refsEnqueued"};
-    stats::Scalar nullsDropped_{"nullRefsDropped"};
-    stats::Scalar objects_{"objectsTraced"};
-    stats::Scalar pageCrossings_{"pageCrossings"};
-    stats::Scalar throttled_{"throttledCycles"};
-    stats::Scalar tibReads_{"tibExtraReads"};
+    stats::Group stats_{name()};
+    stats::Scalar requests_{stats_, "requests"};
+    stats::Scalar bytesRequested_{stats_, "bytesRequested"};
+    stats::Scalar refsEnqueued_{stats_, "refsEnqueued"};
+    stats::Scalar nullsDropped_{stats_, "nullRefsDropped"};
+    stats::Scalar objects_{stats_, "objectsTraced"};
+    stats::Scalar pageCrossings_{stats_, "pageCrossings"};
+    stats::Scalar throttled_{stats_, "throttledCycles"};
+    stats::Scalar tibReads_{stats_, "tibExtraReads"};
 };
 
 } // namespace hwgc::core

@@ -6,10 +6,6 @@
 #include "core_model.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
-
-#include "sim/checkpoint.h"
 
 namespace hwgc::cpu
 {
@@ -21,7 +17,7 @@ CoreModel::CoreModel(std::string name, const CoreParams &params,
     : params_(params), mem_(mem), pageTable_(page_table),
       l2_(name + ".l2", params.l2, nullptr, &memory),
       l1d_(name + ".l1d", params.l1d, &l2_, nullptr),
-      dtlb_(name + ".dtlb", params.dtlbEntries)
+      dtlb_(name + ".dtlb", params.dtlbEntries), stats_(name)
 {
 }
 
@@ -106,57 +102,12 @@ CoreModel::flushMicroarchState()
 }
 
 void
-CoreModel::save(checkpoint::Serializer &ser) const
-{
-    l2_.save(ser);
-    l1d_.save(ser);
-    dtlb_.save(ser);
-    ser.putU64(cycles_);
-    // Unordered-map iteration order is nondeterministic; sort so the
-    // image is byte-stable across runs.
-    std::vector<std::pair<unsigned, std::uint8_t>> sites(
-        predictor_.begin(), predictor_.end());
-    std::sort(sites.begin(), sites.end());
-    ser.putU64(sites.size());
-    for (const auto &[site, counter] : sites) {
-        ser.putU64(site);
-        ser.putU64(counter);
-    }
-    checkpoint::putStat(ser, instrs_);
-    checkpoint::putStat(ser, mispredicts_);
-    checkpoint::putStat(ser, loads_);
-    checkpoint::putStat(ser, stores_);
-}
-
-void
-CoreModel::restore(checkpoint::Deserializer &des)
-{
-    l2_.restore(des);
-    l1d_.restore(des);
-    dtlb_.restore(des);
-    cycles_ = des.getU64();
-    predictor_.clear();
-    const std::uint64_t num_sites = des.getU64();
-    for (std::uint64_t i = 0; i < num_sites; ++i) {
-        const unsigned site = unsigned(des.getU64());
-        predictor_[site] = std::uint8_t(des.getU64());
-    }
-    checkpoint::getStat(des, instrs_);
-    checkpoint::getStat(des, mispredicts_);
-    checkpoint::getStat(des, loads_);
-    checkpoint::getStat(des, stores_);
-}
-
-void
 CoreModel::resetStats()
 {
-    instrs_.reset();
-    mispredicts_.reset();
-    loads_.reset();
-    stores_.reset();
-    l1d_.resetStats();
-    l2_.resetStats();
-    dtlb_.resetStats();
+    stats_.reset();
+    l1d_.stats().reset();
+    l2_.stats().reset();
+    dtlb_.stats().reset();
 }
 
 } // namespace hwgc::cpu

@@ -84,11 +84,7 @@ class CoreModel
     /** Drops cache/TLB/predictor state (cold start between phases). */
     void flushMicroarchState();
 
-    /** @name Checkpointing (caches, TLB, predictor, counters) @{ */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
-    /** @} */
-
+    /** Resets the core's statistics and those of its caches and TLB. */
     void resetStats();
 
     /** @name Statistics @{ */
@@ -97,17 +93,8 @@ class CoreModel
     const mem::AtomicCache &l1d() const { return l1d_; }
     const mem::AtomicCache &l2() const { return l2_; }
     const mem::TlbArray &dtlb() const { return dtlb_; }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers the core's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&instrs_);
-        g.add(&mispredicts_);
-        g.add(&loads_);
-        g.add(&stores_);
-    }
 
   private:
     /** Translates @p va, charging TLB hit or a walk through the L2. */
@@ -123,10 +110,11 @@ class CoreModel
     Tick cycles_ = 0;
     std::unordered_map<unsigned, std::uint8_t> predictor_;
 
-    stats::Scalar instrs_{"instructions"};
-    stats::Scalar mispredicts_{"branchMispredicts"};
-    stats::Scalar loads_{"loads"};
-    stats::Scalar stores_{"stores"};
+    stats::Group stats_;
+    stats::Scalar instrs_{stats_, "instructions"};
+    stats::Scalar mispredicts_{stats_, "branchMispredicts"};
+    stats::Scalar loads_{stats_, "loads"};
+    stats::Scalar stores_{stats_, "stores"};
 };
 
 } // namespace hwgc::cpu

@@ -400,149 +400,81 @@ FleetLab::configSignature() const
 }
 
 void
-FleetLab::saveCheckpoint(checkpoint::Serializer &ser) const
+FleetLab::serialize(checkpoint::Archive &ar)
 {
-    ser.beginChunk("fleetcfg");
-    ser.putString(configSignature());
-    ser.endChunk();
-
-    ser.beginChunk("driver");
-    ser.putU64(pending_.size());
-    for (const GcRequest &req : pending_) {
-        ser.putU64(req.tenant);
-        ser.putU64(req.triggerAt);
-        ser.putU64(req.deadline);
-    }
-    for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        const Tenant &ten = tenants_[t];
-        checkpoint::putRng(ser, ten.rng);
-        ser.putU64(ten.nextTriggerAt);
-        ser.putU64(ten.gcsDone);
-        ser.putBool(ten.queued);
-        ser.putU64(ten.pauseCycles.size());
-        for (const auto &w : ten.pauseCycles) {
-            ser.putU64(w.first);
-            ser.putU64(w.second);
-        }
-        ser.putU64(stats_[t].stwCycles);
-        ser.putU64(stats_[t].queueCycles);
-    }
-    for (const Device &dev : devices_) {
-        ser.putU64(dev.tenant);
-        ser.putU64(dev.phase);
-        ser.putU64(dev.triggerAt);
-        ser.putU64(dev.dispatchAt);
-        ser.putU64(dev.sweepStartAt);
-        dev.device->regs().save(ser);
-    }
-    ser.endChunk();
-
-    for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        ser.beginChunk("heap" + std::to_string(t));
-        tenants_[t].heap->save(ser);
-        ser.endChunk();
-        ser.beginChunk("builder" + std::to_string(t));
-        tenants_[t].builder->save(ser);
-        ser.endChunk();
+    std::string sig = configSignature();
+    ar.chunk("fleetcfg", sig);
+    if (ar.loading()) {
+        fatal_if(sig != configSignature(),
+                 "fleet checkpoint '%s' was written by a different "
+                 "configuration\n  file: %s\n  this: %s",
+                 ar.origin().c_str(), sig.c_str(),
+                 configSignature().c_str());
     }
 
-    soc_.save(ser);
-}
-
-void
-FleetLab::restoreCheckpoint(checkpoint::Deserializer &des)
-{
-    des.beginChunk("fleetcfg");
-    const std::string sig = des.getString();
-    des.endChunk();
-    fatal_if(sig != configSignature(),
-             "fleet checkpoint '%s' was written by a different "
-             "configuration\n  file: %s\n  this: %s",
-             des.origin().c_str(), sig.c_str(),
-             configSignature().c_str());
-
-    des.beginChunk("driver");
-    pending_.clear();
-    const std::uint64_t num_pending = des.getU64();
-    for (std::uint64_t i = 0; i < num_pending; ++i) {
-        GcRequest req;
-        req.tenant = unsigned(des.getU64());
-        req.triggerAt = des.getU64();
-        req.deadline = des.getU64();
-        pending_.push_back(req);
-    }
+    ar.beginChunk("driver");
+    ar(pending_);
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         Tenant &ten = tenants_[t];
-        checkpoint::getRng(des, ten.rng);
-        ten.nextTriggerAt = des.getU64();
-        ten.gcsDone = unsigned(des.getU64());
-        ten.queued = des.getBool();
-        ten.running = false;
-        ten.pauseCycles.clear();
-        const std::uint64_t num_pauses = des.getU64();
-        for (std::uint64_t i = 0; i < num_pauses; ++i) {
-            const Tick start = des.getU64();
-            const Tick end = des.getU64();
-            ten.pauseCycles.emplace_back(start, end);
+        ar(ten.rng, ten.nextTriggerAt, ten.gcsDone, ten.queued,
+           ten.pauseCycles, stats_[t].stwCycles, stats_[t].queueCycles);
+        if (ar.loading()) {
+            ten.running = false;
+            stats_[t].gcs = ten.gcsDone;
         }
-        stats_[t].gcs = ten.gcsDone;
-        stats_[t].stwCycles = des.getU64();
-        stats_[t].queueCycles = des.getU64();
     }
-    std::vector<core::MmioRegs> saved_regs(devices_.size());
+    std::vector<core::MmioRegs> regs;
     for (Device &dev : devices_) {
-        dev.tenant = unsigned(des.getU64());
-        dev.phase = unsigned(des.getU64());
-        dev.triggerAt = des.getU64();
-        dev.dispatchAt = des.getU64();
-        dev.sweepStartAt = des.getU64();
-        saved_regs[std::size_t(&dev - devices_.data())].restore(des);
+        regs.push_back(dev.device->regs());
+        ar(dev.tenant, dev.phase, dev.triggerAt, dev.dispatchAt,
+           dev.sweepStartAt, regs.back());
     }
-    des.endChunk();
+    ar.endChunk();
 
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
-        des.beginChunk("heap" + std::to_string(t));
-        tenants_[t].heap->restore(des);
-        des.endChunk();
-        des.beginChunk("builder" + std::to_string(t));
-        tenants_[t].builder->restore(des);
-        des.endChunk();
+        ar.chunk("heap" + std::to_string(t), *tenants_[t].heap);
+        ar.chunk("builder" + std::to_string(t), *tenants_[t].builder);
     }
 
-    // Retarget every serving device at its tenant's heap *before*
-    // restoring component state: the PTW page-table pointer and the
-    // mark queue's spill region are configure()-time wiring, not
-    // serialized state, and both retarget calls insist on empty
-    // queues (true on a freshly constructed fleet, not after the
-    // SoC chunks load a mid-phase image).
-    for (Device &dev : devices_) {
-        if (dev.tenant != noTenant) {
-            dev.device->configure(*tenants_[dev.tenant].heap);
-            tenants_[dev.tenant].running = true;
+    if (ar.loading()) {
+        // Retarget every serving device at its tenant's heap *before*
+        // restoring component state: the PTW page-table pointer and
+        // the mark queue's spill region are configure()-time wiring,
+        // not serialized state, and both retarget calls insist on
+        // empty queues (true on a freshly constructed fleet, not after
+        // the SoC chunks load a mid-phase image).
+        for (Device &dev : devices_) {
+            if (dev.tenant != noTenant) {
+                dev.device->configure(*tenants_[dev.tenant].heap);
+                tenants_[dev.tenant].running = true;
+            }
         }
     }
 
-    soc_.restore(des);
-
-    fatal_if(!des.atEnd(),
+    soc_.serialize(ar);
+    if (!ar.loading()) {
+        return;
+    }
+    fatal_if(!ar.deserializer().atEnd(),
              "fleet checkpoint '%s': trailing data after the last "
              "expected chunk — the saving and restoring "
              "configurations differ",
-             des.origin().c_str());
+             ar.origin().c_str());
 
     // The interim configure() above recomputed registers from
     // pre-restore heap state; the saved values are authoritative.
     for (std::size_t d = 0; d < devices_.size(); ++d) {
-        devices_[d].device->regs() = saved_regs[d];
+        devices_[d].device->regs() = regs[d];
     }
     measured_ = false;
 }
 
 bool
-FleetLab::writeCheckpoint(const std::string &path) const
+FleetLab::writeCheckpoint(const std::string &path)
 {
     checkpoint::Serializer ser;
-    saveCheckpoint(ser);
+    checkpoint::Archive ar(ser);
+    serialize(ar);
     return ser.writeFile(path);
 }
 
@@ -551,7 +483,8 @@ FleetLab::restoreCheckpoint(const std::string &path)
 {
     checkpoint::Deserializer des =
         checkpoint::Deserializer::fromFile(path);
-    restoreCheckpoint(des);
+    checkpoint::Archive ar(des);
+    serialize(ar);
 }
 
 } // namespace hwgc::driver

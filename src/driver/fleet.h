@@ -169,9 +169,8 @@ class FleetLab
      * any kernel. Only legal between runUntilCycle() slices.
      * @{
      */
-    void saveCheckpoint(checkpoint::Serializer &ser) const;
-    void restoreCheckpoint(checkpoint::Deserializer &des);
-    bool writeCheckpoint(const std::string &path) const;
+    void serialize(checkpoint::Archive &ar);
+    bool writeCheckpoint(const std::string &path);
     void restoreCheckpoint(const std::string &path);
     /** @} */
 

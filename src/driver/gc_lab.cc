@@ -33,11 +33,11 @@ GcLab::GcLab(const workload::BenchmarkProfile &profile,
     // Register the CPU baseline's stats beside the device's.
     const std::string prefix =
         telemetry::StatsRegistry::global().uniquePrefix("system.cpu");
-    core_->addStats(cpuStats_.add(prefix, "core"));
-    core_->l1d().addStats(cpuStats_.add(prefix, "core.l1d"));
-    core_->l2().addStats(cpuStats_.add(prefix, "core.l2"));
-    core_->dtlb().addStats(cpuStats_.add(prefix, "core.dtlb"));
-    cpuMemory_->addStats(cpuStats_.add(prefix, "memory"));
+    cpuStats_.add(prefix + ".core", core_->stats());
+    cpuStats_.add(prefix + ".core.l1d", core_->l1d().stats());
+    cpuStats_.add(prefix + ".core.l2", core_->l2().stats());
+    cpuStats_.add(prefix + ".core.dtlb", core_->dtlb().stats());
+    cpuStats_.add(prefix + ".memory", cpuMemory_->stats());
 }
 
 PauseResult
@@ -109,6 +109,7 @@ GcLab::runOnePause()
         hw.markCacheHits = device_->marker().markCacheHits();
         hw.busBusyCycles = device_->bus().busBusyCycles();
         hw.busCycles = device_->bus().observedCycles();
+        hw.throttledGrants = device_->bus().throttledGrants();
         if (device_->dram() != nullptr) {
             hw.dramBytes = device_->dram()->bytesRead().value() +
                 device_->dram()->bytesWritten().value();

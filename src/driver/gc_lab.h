@@ -52,6 +52,7 @@ struct HwCounters
     std::uint64_t markCacheHits = 0;
     std::uint64_t busBusyCycles = 0;
     std::uint64_t busCycles = 0;
+    std::uint64_t throttledGrants = 0; //!< Grants the bus throttle starved.
     std::uint64_t dramBytes = 0;
     std::uint64_t dramReads = 0;
     std::uint64_t dramWrites = 0;

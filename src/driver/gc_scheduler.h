@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.h"
 #include "sim/types.h"
 
 namespace hwgc::driver
@@ -44,6 +45,12 @@ struct GcRequest
     unsigned tenant = 0;
     Tick triggerAt = 0; //!< Cycle the heap filled and the world stopped.
     Tick deadline = 0;  //!< triggerAt + the tenant's SLO budget.
+
+    void
+    serialize(checkpoint::Archive &ar)
+    {
+        ar(tenant, triggerAt, deadline);
+    }
 };
 
 /** Picks which pending request a freed device should serve next. */

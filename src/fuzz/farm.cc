@@ -5,6 +5,8 @@
 
 #include "farm.h"
 
+#include <tuple>
+
 #include "sim/logging.h"
 
 namespace hwgc::fuzz
@@ -15,42 +17,52 @@ namespace
 
 constexpr std::uint64_t farmVersion = 1;
 
+/**
+ * The snapshot's chunks, in file order, in both directions. @p parts
+ * runs between the graphparams and heap chunks and returns the
+ * (memory, heap, builder) to archive: loading builds the universe
+ * there from the sizes and params just read.
+ */
+template <typename Parts>
+void
+serializeFarm(checkpoint::Archive &ar, FarmMeta &meta,
+              workload::GraphParams &params, std::uint64_t mem_bytes,
+              Parts &&parts)
+{
+    ar.beginChunk("farm");
+    std::uint64_t version = farmVersion;
+    ar(version);
+    if (ar.loading()) {
+        fatal_if(version != farmVersion,
+                 "farm snapshot '%s': unsupported version %llu",
+                 ar.origin().c_str(),
+                 static_cast<unsigned long long>(version));
+    }
+    ar(meta.seed, meta.warmPauses, meta.liveObjects, meta.bytesAllocated,
+       mem_bytes);
+    ar.endChunk();
+    ar.chunk("graphparams", params);
+
+    auto [mem, heap, builder] = parts(mem_bytes);
+    ar.chunk("heap", heap);
+    ar.chunk("builder", builder);
+    ar.beginChunk("physmem");
+    checkpoint::physMem(ar, mem);
+    ar.endChunk();
+}
+
 } // namespace
 
 void
-saveFarmSnapshot(const std::string &path, const FarmMeta &meta,
-                 const workload::GraphParams &params,
-                 const runtime::Heap &heap,
-                 const workload::GraphBuilder &builder,
-                 const mem::PhysMem &mem)
+saveFarmSnapshot(const std::string &path, FarmMeta meta,
+                 workload::GraphParams params, runtime::Heap &heap,
+                 workload::GraphBuilder &builder, mem::PhysMem &mem)
 {
     checkpoint::Serializer ser;
-
-    ser.beginChunk("farm");
-    ser.putU64(farmVersion);
-    ser.putU64(meta.seed);
-    ser.putU64(meta.warmPauses);
-    ser.putU64(meta.liveObjects);
-    ser.putU64(meta.bytesAllocated);
-    ser.putU64(mem.size());
-    ser.endChunk();
-
-    ser.beginChunk("graphparams");
-    workload::putGraphParams(ser, params);
-    ser.endChunk();
-
-    ser.beginChunk("heap");
-    heap.save(ser);
-    ser.endChunk();
-
-    ser.beginChunk("builder");
-    builder.save(ser);
-    ser.endChunk();
-
-    ser.beginChunk("physmem");
-    checkpoint::putPhysMem(ser, mem);
-    ser.endChunk();
-
+    checkpoint::Archive ar(ser);
+    serializeFarm(ar, meta, params, mem.size(), [&](std::uint64_t) {
+        return std::tie(mem, heap, builder);
+    });
     ser.writeFile(path);
 }
 
@@ -58,46 +70,20 @@ FarmUniverse
 loadFarmSnapshot(const std::string &path)
 {
     checkpoint::Deserializer des = checkpoint::Deserializer::fromFile(path);
+    checkpoint::Archive ar(des);
     FarmUniverse u;
-
-    des.beginChunk("farm");
-    const std::uint64_t version = des.getU64();
-    fatal_if(version != farmVersion,
-             "farm snapshot '%s': unsupported version %llu", path.c_str(),
-             static_cast<unsigned long long>(version));
-    u.meta.seed = des.getU64();
-    u.meta.warmPauses = des.getU64();
-    u.meta.liveObjects = des.getU64();
-    u.meta.bytesAllocated = des.getU64();
-    const std::uint64_t memBytes = des.getU64();
-    des.endChunk();
-
-    des.beginChunk("graphparams");
-    u.params = workload::getGraphParams(des);
-    des.endChunk();
-
     // Construct the universe before touching the image: the Heap
     // constructor maps the metadata regions and formats memory, all of
     // which the physmem chunk (restored last) overwrites with the
     // snapshotted bytes — including the page-table entries the
     // restored pagesAllocated count refers to.
-    u.mem = std::make_unique<mem::PhysMem>(memBytes);
-    u.heap = std::make_unique<runtime::Heap>(*u.mem);
-    u.builder =
-        std::make_unique<workload::GraphBuilder>(*u.heap, u.params);
-
-    des.beginChunk("heap");
-    u.heap->restore(des);
-    des.endChunk();
-
-    des.beginChunk("builder");
-    u.builder->restore(des);
-    des.endChunk();
-
-    des.beginChunk("physmem");
-    checkpoint::getPhysMem(des, *u.mem);
-    des.endChunk();
-
+    serializeFarm(ar, u.meta, u.params, 0, [&u](std::uint64_t mem_bytes) {
+        u.mem = std::make_unique<mem::PhysMem>(mem_bytes);
+        u.heap = std::make_unique<runtime::Heap>(*u.mem);
+        u.builder =
+            std::make_unique<workload::GraphBuilder>(*u.heap, u.params);
+        return std::tie(*u.mem, *u.heap, *u.builder);
+    });
     return u;
 }
 

@@ -17,8 +17,8 @@
  *
  *   chunk "farm"        version, seed, warm pauses, live count, ...
  *   chunk "graphparams" full GraphParams (reconstructs the builder)
- *   chunk "heap"        Heap::save (runtime view)
- *   chunk "builder"     GraphBuilder::save (RNG + candidate lists)
+ *   chunk "heap"        Heap::serialize (runtime view)
+ *   chunk "builder"     GraphBuilder::serialize (RNG + candidate lists)
  *   chunk "physmem"     functional memory image
  */
 
@@ -52,12 +52,10 @@ struct FarmUniverse
     std::unique_ptr<workload::GraphBuilder> builder;
 };
 
-/** Serializes a warm heap; fatal() on I/O failure. */
-void saveFarmSnapshot(const std::string &path, const FarmMeta &meta,
-                      const workload::GraphParams &params,
-                      const runtime::Heap &heap,
-                      const workload::GraphBuilder &builder,
-                      const mem::PhysMem &mem);
+/** Serializes a warm heap to @p path. */
+void saveFarmSnapshot(const std::string &path, FarmMeta meta,
+                      workload::GraphParams params, runtime::Heap &heap,
+                      workload::GraphBuilder &builder, mem::PhysMem &mem);
 
 /**
  * Reconstructs the warm heap from @p path into a fresh universe. The

@@ -76,30 +76,4 @@ AtomicCache::flush()
     tags_.flush();
 }
 
-void
-AtomicCache::save(checkpoint::Serializer &ser) const
-{
-    tags_.save(ser);
-    checkpoint::putStat(ser, hits_);
-    checkpoint::putStat(ser, misses_);
-    checkpoint::putStat(ser, writebacks_);
-}
-
-void
-AtomicCache::restore(checkpoint::Deserializer &des)
-{
-    tags_.restore(des);
-    checkpoint::getStat(des, hits_);
-    checkpoint::getStat(des, misses_);
-    checkpoint::getStat(des, writebacks_);
-}
-
-void
-AtomicCache::resetStats()
-{
-    hits_.reset();
-    misses_.reset();
-    writebacks_.reset();
-}
-
 } // namespace hwgc::mem

@@ -55,28 +55,14 @@ class AtomicCache
     /** Invalidates all lines (e.g. between benchmark iterations). */
     void flush();
 
-    /** @name Checkpointing (tag state + counters) @{ */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
-    /** @} */
-
-    void resetStats();
-
     /** @name Statistics @{ */
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t writebacks() const { return writebacks_.value(); }
     const std::string &name() const { return name_; }
+    stats::Group &stats() { return stats_; }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers this cache's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&hits_);
-        g.add(&misses_);
-        g.add(&writebacks_);
-    }
 
   private:
     /** Handles one line's worth of the access. */
@@ -91,9 +77,10 @@ class AtomicCache
     AtomicCache *next_;
     MemDevice *memory_;
 
-    stats::Scalar hits_{"hits"};
-    stats::Scalar misses_{"misses"};
-    stats::Scalar writebacks_{"writebacks"};
+    stats::Group stats_{name_};
+    stats::Scalar hits_{stats_, "hits"};
+    stats::Scalar misses_{stats_, "misses"};
+    stats::Scalar writebacks_{stats_, "writebacks"};
 };
 
 } // namespace hwgc::mem

@@ -128,35 +128,21 @@ class CacheTags
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
 
-    /** Serializes the full tag array (geometry-checked on restore). */
+    /** Archives the full tag array (geometry-checked on loading). */
     void
-    save(checkpoint::Serializer &ser) const
+    serialize(checkpoint::Archive &ar)
     {
-        ser.putU64(useCounter_);
-        ser.putU64(ways_.size());
-        for (const auto &w : ways_) {
-            ser.putBool(w.valid);
-            ser.putBool(w.dirty);
-            ser.putU64(w.lineAddr);
-            ser.putU64(w.lastUse);
+        ar(useCounter_);
+        const std::uint64_t count = ar.count(ways_.size());
+        if (ar.loading()) {
+            fatal_if(count != ways_.size(),
+                     "checkpoint '%s': cache tag array has %llu ways "
+                     "but this configuration has %zu — sizes differ",
+                     ar.origin().c_str(), (unsigned long long)count,
+                     ways_.size());
         }
-    }
-
-    void
-    restore(checkpoint::Deserializer &des)
-    {
-        useCounter_ = des.getU64();
-        const std::uint64_t count = des.getU64();
-        fatal_if(count != ways_.size(),
-                 "checkpoint '%s': cache tag array has %llu ways but "
-                 "this configuration has %zu — sizes differ",
-                 des.origin().c_str(), (unsigned long long)count,
-                 ways_.size());
-        for (auto &w : ways_) {
-            w.valid = des.getBool();
-            w.dirty = des.getBool();
-            w.lineAddr = des.getU64();
-            w.lastUse = des.getU64();
+        for (Way &w : ways_) {
+            ar(w.valid, w.dirty, w.lineAddr, w.lastUse);
         }
     }
 

@@ -13,7 +13,7 @@ namespace hwgc::mem
 Dram::Dram(std::string name, const DramParams &params, PhysMem &mem)
     : MemDevice(std::move(name)), params_(params), mem_(mem),
       banks_(params.banks),
-      bandwidth_("bandwidth", params.bandwidthBucket)
+      bandwidth_(stats_, "bandwidth", params.bandwidthBucket)
 {
     panic_if(params_.banks == 0, "DRAM needs at least one bank");
     panic_if(params_.busBytesPerCycle <= 0.0, "bad bus bandwidth");
@@ -255,103 +255,21 @@ Dram::accessAtomic(const MemRequest &req, Tick now,
 }
 
 void
-Dram::save(checkpoint::Serializer &ser) const
+Dram::serialize(checkpoint::Archive &ar)
 {
-    ser.putU64(banks_.size());
-    for (const auto &bank : banks_) {
-        ser.putBool(bank.rowOpen);
-        ser.putU64(bank.openRow);
-        ser.putU64(bank.readyAt);
-        ser.putU64(bank.activatedAt);
+    const std::uint64_t num_banks = ar.count(banks_.size());
+    if (ar.loading()) {
+        fatal_if(num_banks != banks_.size(),
+                 "checkpoint '%s': DRAM has %llu banks but this "
+                 "configuration has %zu — configurations differ",
+                 ar.origin().c_str(), (unsigned long long)num_banks,
+                 banks_.size());
     }
-    ser.putU64(busFreeAt_);
-    ser.putU64(queue_.size());
-    for (const auto &p : queue_) {
-        saveRequest(ser, p.req);
-        ser.putU64(p.arrived);
-        ser.putBool(p.issued);
+    for (Bank &bank : banks_) {
+        ar(bank);
     }
-    ser.putU64(readsInFlight_);
-    ser.putU64(writesInFlight_);
-    // Drain a copy of the completion heap in deterministic (sorted)
-    // order; re-pushing on restore rebuilds an equivalent heap.
-    auto completions = completions_;
-    ser.putU64(completions.size());
-    while (!completions.empty()) {
-        const Completion c = completions.top();
-        completions.pop();
-        ser.putU64(c.at);
-        saveRequest(ser, c.req);
-    }
-    checkpoint::putStat(ser, numReads_);
-    checkpoint::putStat(ser, numWrites_);
-    checkpoint::putStat(ser, bytesRead_);
-    checkpoint::putStat(ser, bytesWritten_);
-    checkpoint::putStat(ser, rowHits_);
-    checkpoint::putStat(ser, rowMisses_);
-    checkpoint::putStat(ser, numActivates_);
-    checkpoint::putStat(ser, bandwidth_);
-    checkpoint::putStat(ser, latency_);
-}
-
-void
-Dram::restore(checkpoint::Deserializer &des)
-{
-    const std::uint64_t num_banks = des.getU64();
-    fatal_if(num_banks != banks_.size(),
-             "checkpoint '%s': DRAM has %llu banks but this "
-             "configuration has %zu — configurations differ",
-             des.origin().c_str(), (unsigned long long)num_banks,
-             banks_.size());
-    for (auto &bank : banks_) {
-        bank.rowOpen = des.getBool();
-        bank.openRow = des.getU64();
-        bank.readyAt = des.getU64();
-        bank.activatedAt = des.getU64();
-    }
-    busFreeAt_ = des.getU64();
-    queue_.clear();
-    const std::uint64_t num_queued = des.getU64();
-    for (std::uint64_t i = 0; i < num_queued; ++i) {
-        Pending p;
-        p.req = restoreRequest(des);
-        p.arrived = des.getU64();
-        p.issued = des.getBool();
-        queue_.push_back(p);
-    }
-    readsInFlight_ = unsigned(des.getU64());
-    writesInFlight_ = unsigned(des.getU64());
-    completions_ = {};
-    const std::uint64_t num_completions = des.getU64();
-    for (std::uint64_t i = 0; i < num_completions; ++i) {
-        Completion c;
-        c.at = des.getU64();
-        c.req = restoreRequest(des);
-        completions_.push(c);
-    }
-    checkpoint::getStat(des, numReads_);
-    checkpoint::getStat(des, numWrites_);
-    checkpoint::getStat(des, bytesRead_);
-    checkpoint::getStat(des, bytesWritten_);
-    checkpoint::getStat(des, rowHits_);
-    checkpoint::getStat(des, rowMisses_);
-    checkpoint::getStat(des, numActivates_);
-    checkpoint::getStat(des, bandwidth_);
-    checkpoint::getStat(des, latency_);
-}
-
-void
-Dram::resetStats()
-{
-    numReads_.reset();
-    numWrites_.reset();
-    bytesRead_.reset();
-    bytesWritten_.reset();
-    rowHits_.reset();
-    rowMisses_.reset();
-    numActivates_.reset();
-    bandwidth_.reset();
-    latency_.reset();
+    ar(busFreeAt_, queue_, readsInFlight_, writesInFlight_, completions_,
+       stats_);
 }
 
 Dram::DebugState

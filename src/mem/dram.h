@@ -70,7 +70,6 @@ class Dram : public MemDevice
     void sendRequest(const MemRequest &req, Tick now) override;
     Tick accessAtomic(const MemRequest &req, Tick now,
                       std::array<Word, maxReqWords> &rdata) override;
-    void resetStats() override;
     void resetTimingState() override { resetBankState(); }
 
     // Clocked interface.
@@ -78,8 +77,7 @@ class Dram : public MemDevice
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
 
     /** Resets bank/row-buffer state (between experiment phases). */
     void resetBankState();
@@ -110,23 +108,15 @@ class Dram : public MemDevice
     const stats::Histogram &latency() const { return latency_; }
     /** @} */
 
-    void
-    addStats(stats::Group &g) override
-    {
-        g.add(&numReads_);
-        g.add(&numWrites_);
-        g.add(&bytesRead_);
-        g.add(&bytesWritten_);
-        g.add(&rowHits_);
-        g.add(&rowMisses_);
-        g.add(&numActivates_);
-        g.add(&bandwidth_);
-        g.add(&latency_);
-    }
-
   private:
     struct Bank
     {
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(rowOpen, openRow, readyAt, activatedAt);
+        }
+
         bool rowOpen = false;
         std::uint64_t openRow = 0;
         Tick readyAt = 0;       //!< Earliest next column command.
@@ -135,6 +125,8 @@ class Dram : public MemDevice
 
     struct Pending
     {
+        void serialize(checkpoint::Archive &ar) { ar(req, arrived, issued); }
+
         MemRequest req;
         Tick arrived = 0;       //!< When eligible for scheduling.
         bool issued = false;
@@ -142,9 +134,10 @@ class Dram : public MemDevice
 
     struct Completion
     {
-        Tick at;
+        Tick at = 0;
         MemRequest req;
         bool operator>(const Completion &o) const { return at > o.at; }
+        void serialize(checkpoint::Archive &ar) { ar(at, req); }
     };
 
     unsigned bankIndex(Addr addr) const;
@@ -173,15 +166,15 @@ class Dram : public MemDevice
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> completions_;
 
-    stats::Scalar numReads_{"numReads"};
-    stats::Scalar numWrites_{"numWrites"};
-    stats::Scalar bytesRead_{"bytesRead"};
-    stats::Scalar bytesWritten_{"bytesWritten"};
-    stats::Scalar rowHits_{"rowHits"};
-    stats::Scalar rowMisses_{"rowMisses"};
-    stats::Scalar numActivates_{"numActivates"};
+    stats::Scalar numReads_{stats_, "numReads"};
+    stats::Scalar numWrites_{stats_, "numWrites"};
+    stats::Scalar bytesRead_{stats_, "bytesRead"};
+    stats::Scalar bytesWritten_{stats_, "bytesWritten"};
+    stats::Scalar rowHits_{stats_, "rowHits"};
+    stats::Scalar rowMisses_{stats_, "rowMisses"};
+    stats::Scalar numActivates_{stats_, "numActivates"};
     stats::TimeSeries bandwidth_;
-    stats::Histogram latency_{"accessLatency"};
+    stats::Histogram latency_{stats_, "accessLatency"};
 };
 
 } // namespace hwgc::mem

@@ -16,7 +16,7 @@ namespace hwgc::mem
 IdealMem::IdealMem(std::string name, const IdealMemParams &params,
                    PhysMem &mem)
     : MemDevice(std::move(name)), params_(params), mem_(mem),
-      bandwidth_("bandwidth", params.bandwidthBucket)
+      bandwidth_(stats_, "bandwidth", params.bandwidthBucket)
 {
 }
 
@@ -85,49 +85,9 @@ IdealMem::accessAtomic(const MemRequest &req, Tick now,
 }
 
 void
-IdealMem::save(checkpoint::Serializer &ser) const
+IdealMem::serialize(checkpoint::Archive &ar)
 {
-    ser.putU64(busFreeAt_);
-    ser.putU64(inFlight_);
-    // Drain a copy of the priority queue so completions serialize in
-    // deterministic (time-sorted) order, not heap order.
-    auto completions = completions_;
-    ser.putU64(completions.size());
-    while (!completions.empty()) {
-        const Completion &c = completions.top();
-        ser.putU64(c.at);
-        saveRequest(ser, c.req);
-        completions.pop();
-    }
-    checkpoint::putStat(ser, numRequests_);
-    checkpoint::putStat(ser, bytesMoved_);
-    checkpoint::putStat(ser, bandwidth_);
-}
-
-void
-IdealMem::restore(checkpoint::Deserializer &des)
-{
-    busFreeAt_ = des.getU64();
-    inFlight_ = unsigned(des.getU64());
-    completions_ = {};
-    const std::uint64_t num_completions = des.getU64();
-    for (std::uint64_t i = 0; i < num_completions; ++i) {
-        Completion c;
-        c.at = des.getU64();
-        c.req = restoreRequest(des);
-        completions_.push(c);
-    }
-    checkpoint::getStat(des, numRequests_);
-    checkpoint::getStat(des, bytesMoved_);
-    checkpoint::getStat(des, bandwidth_);
-}
-
-void
-IdealMem::resetStats()
-{
-    numRequests_.reset();
-    bytesMoved_.reset();
-    bandwidth_.reset();
+    ar(busFreeAt_, inFlight_, completions_, stats_);
 }
 
 } // namespace hwgc::mem

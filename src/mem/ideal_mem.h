@@ -49,13 +49,11 @@ class IdealMem : public MemDevice
     void sendRequest(const MemRequest &req, Tick now) override;
     Tick accessAtomic(const MemRequest &req, Tick now,
                       std::array<Word, maxReqWords> &rdata) override;
-    void resetStats() override;
     void resetTimingState() override { busFreeAt_ = 0; }
 
     void tick(Tick now) override;
     bool busy() const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
 
     Tick
     nextWakeup(Tick) const override
@@ -80,20 +78,13 @@ class IdealMem : public MemDevice
     const stats::TimeSeries &bandwidth() const { return bandwidth_; }
     /** @} */
 
-    void
-    addStats(stats::Group &g) override
-    {
-        g.add(&numRequests_);
-        g.add(&bytesMoved_);
-        g.add(&bandwidth_);
-    }
-
   private:
     struct Completion
     {
-        Tick at;
+        Tick at = 0;
         MemRequest req;
         bool operator>(const Completion &o) const { return at > o.at; }
+        void serialize(checkpoint::Archive &ar) { ar(at, req); }
     };
 
     Tick serviceAccess(const MemRequest &req, Tick now);
@@ -105,8 +96,8 @@ class IdealMem : public MemDevice
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> completions_;
 
-    stats::Scalar numRequests_{"numRequests"};
-    stats::Scalar bytesMoved_{"bytesMoved"};
+    stats::Scalar numRequests_{stats_, "numRequests"};
+    stats::Scalar bytesMoved_{stats_, "bytesMoved"};
     stats::TimeSeries bandwidth_;
 };
 

@@ -32,8 +32,8 @@ Interconnect::registerClient(MemResponder *responder, std::string label)
     port.responder = responder;
     port.label = std::move(label);
     ports_.push_back(std::move(port));
-    portRequests_.emplace_back("requests::" + ports_.back().label);
-    portBytes_.emplace_back("bytes::" + ports_.back().label);
+    portRequests_.emplace_back(stats_, "requests::" + ports_.back().label);
+    portBytes_.emplace_back(stats_, "bytes::" + ports_.back().label);
     clientGroup_.push_back(noGroup);
     return unsigned(ports_.size() - 1);
 }
@@ -330,92 +330,34 @@ Interconnect::fastForward(Tick from, Tick to)
 }
 
 void
-Interconnect::save(checkpoint::Serializer &ser) const
+Interconnect::serialize(checkpoint::Archive &ar)
 {
-    ser.putU64(ports_.size());
-    for (const auto &port : ports_) {
-        ser.putU64(port.requests.size());
-        for (const auto &tr : port.requests) {
-            saveRequest(ser, tr.req);
-            ser.putU64(tr.readyAt);
-        }
+    const std::uint64_t num_ports = ar.count(ports_.size());
+    if (ar.loading()) {
+        fatal_if(num_ports != ports_.size(),
+                 "checkpoint '%s': bus '%s' has %llu clients but this "
+                 "configuration has %zu — topologies differ",
+                 ar.origin().c_str(), name().c_str(),
+                 (unsigned long long)num_ports, ports_.size());
     }
-    ser.putU64(pendingResponses_.size());
-    for (const auto &tr : pendingResponses_) {
-        saveResponse(ser, tr.resp);
-        ser.putU64(tr.readyAt);
+    for (Port &port : ports_) {
+        ar(port.requests);
     }
-    ser.putU64(rrNext_);
-    ser.putU64(throttle_.tokens());
+    ar(pendingResponses_, rrNext_);
+    // The global bucket's rate is configuration (params_); only its
+    // tokens are state.
+    std::uint64_t tokens = throttle_.tokens();
+    ar(tokens);
+    if (ar.loading()) {
+        throttle_.restore(throttle_.rate(), tokens);
+    }
     // Group budgets are architectural state (the fleet driver programs
     // them per dispatch), so the full mapping travels with the image.
-    ser.putU64(groups_.size());
-    for (const TokenBucket &grp : groups_) {
-        ser.putU64(grp.rate());
-        ser.putU64(grp.tokens());
-    }
-    for (const unsigned g : clientGroup_) {
-        ser.putU64(g);
-    }
-    for (const auto &s : portRequests_) {
-        checkpoint::putStat(ser, s);
-    }
-    for (const auto &s : portBytes_) {
-        checkpoint::putStat(ser, s);
-    }
-    checkpoint::putStat(ser, throttledGrants_);
-    checkpoint::putStat(ser, groupThrottledGrants_);
-    checkpoint::putStat(ser, busBusy_);
-    checkpoint::putStat(ser, cycles_);
-}
-
-void
-Interconnect::restore(checkpoint::Deserializer &des)
-{
-    const std::uint64_t num_ports = des.getU64();
-    fatal_if(num_ports != ports_.size(),
-             "checkpoint '%s': bus '%s' has %llu clients but this "
-             "configuration has %zu — topologies differ",
-             des.origin().c_str(), name().c_str(),
-             (unsigned long long)num_ports, ports_.size());
-    for (auto &port : ports_) {
-        port.requests.clear();
-        const std::uint64_t depth = des.getU64();
-        for (std::uint64_t i = 0; i < depth; ++i) {
-            TimedReq tr;
-            tr.req = restoreRequest(des);
-            tr.readyAt = des.getU64();
-            port.requests.push_back(tr);
-        }
-    }
-    pendingResponses_.clear();
-    const std::uint64_t num_resp = des.getU64();
-    for (std::uint64_t i = 0; i < num_resp; ++i) {
-        TimedResp tr;
-        tr.resp = restoreResponse(des);
-        tr.readyAt = des.getU64();
-        pendingResponses_.push_back(tr);
-    }
-    rrNext_ = unsigned(des.getU64());
-    throttle_.restore(throttle_.rate(), des.getU64());
-    groups_.assign(std::size_t(des.getU64()), TokenBucket{});
-    for (TokenBucket &grp : groups_) {
-        const std::uint64_t rate = des.getU64();
-        grp.restore(rate, des.getU64());
-    }
+    ar(groups_);
     for (unsigned &g : clientGroup_) {
-        g = unsigned(des.getU64());
+        ar(g);
     }
-    for (auto &s : portRequests_) {
-        checkpoint::getStat(des, s);
-    }
-    for (auto &s : portBytes_) {
-        checkpoint::getStat(des, s);
-    }
-    checkpoint::getStat(des, throttledGrants_);
-    checkpoint::getStat(des, groupThrottledGrants_);
-    checkpoint::getStat(des, busBusy_);
-    checkpoint::getStat(des, cycles_);
+    ar(stats_);
 }
 
 bool
@@ -430,34 +372,6 @@ Interconnect::busy() const
         }
     }
     return false;
-}
-
-void
-Interconnect::resetStats()
-{
-    for (auto &s : portRequests_) {
-        s.reset();
-    }
-    for (auto &s : portBytes_) {
-        s.reset();
-    }
-    busBusy_.reset();
-    cycles_.reset();
-}
-
-void
-Interconnect::addStats(stats::Group &g) const
-{
-    g.add(&busBusy_);
-    g.add(&cycles_);
-    g.add(&throttledGrants_);
-    g.add(&groupThrottledGrants_);
-    for (const auto &s : portRequests_) {
-        g.add(&s);
-    }
-    for (const auto &s : portBytes_) {
-        g.add(&s);
-    }
 }
 
 std::uint64_t

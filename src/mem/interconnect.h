@@ -115,10 +115,8 @@ class Interconnect : public Clocked, public MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
-
-    void resetStats();
+    void serialize(checkpoint::Archive &ar) override;
+    void resetStats() override { stats_.reset(); }
 
     /** @name Statistics @{ */
     std::uint64_t clientRequests(unsigned client) const;
@@ -133,10 +131,9 @@ class Interconnect : public Clocked, public MemResponder
     }
     /** The global throttle's bucket (disabled when unthrottled). */
     const TokenBucket &throttleBucket() const { return throttle_; }
+    /** The bus statistics, per-client counters included. */
+    const stats::Group &stats() const { return stats_; }
     /** @} */
-
-    /** Registers the bus statistics (incl. per-client counters). */
-    void addStats(stats::Group &g) const;
 
   private:
     /** The bucket cost of any grant: a transfer is at most one line,
@@ -154,13 +151,17 @@ class Interconnect : public Clocked, public MemResponder
     struct TimedReq
     {
         MemRequest req;
-        Tick readyAt;
+        Tick readyAt = 0;
+
+        void serialize(checkpoint::Archive &ar) { ar(req, readyAt); }
     };
 
     struct TimedResp
     {
         MemResponse resp;
-        Tick readyAt;
+        Tick readyAt = 0;
+
+        void serialize(checkpoint::Archive &ar) { ar(resp, readyAt); }
     };
 
     struct Port
@@ -175,15 +176,13 @@ class Interconnect : public Clocked, public MemResponder
     MemDevice &downstream_;
     std::vector<Port> ports_;
 
-    /** Per-client request/byte counters; a deque keeps the Scalars'
-     *  addresses stable while clients keep registering, so telemetry
-     *  groups may hold pointers into it. */
+    /** Per-client request/byte counters, declared into stats_ as
+     *  clients register; a deque keeps their addresses stable. */
     std::deque<stats::Scalar> portRequests_;
     std::deque<stats::Scalar> portBytes_;
     std::deque<TimedResp> pendingResponses_;
     unsigned rrNext_ = 0;
     TokenBucket throttle_; //!< The global bucket (rate from params_).
-    stats::Scalar throttledGrants_{"throttledGrants"};
 
     /** @name Per-group pacing state (see setClientGroup) @{ */
 
@@ -204,11 +203,14 @@ class Interconnect : public Clocked, public MemResponder
 
     std::vector<TokenBucket> groups_;
     std::vector<unsigned> clientGroup_; //!< Per client, default noGroup.
-    stats::Scalar groupThrottledGrants_{"groupThrottledGrants"};
     /** @} */
 
-    stats::Scalar busBusy_{"busBusyCycles"};
-    stats::Scalar cycles_{"cycles"};
+    /** Last, behind the state every cycle touches. */
+    stats::Group stats_{name()};
+    stats::Scalar busBusy_{stats_, "busBusyCycles"};
+    stats::Scalar cycles_{stats_, "cycles"};
+    stats::Scalar throttledGrants_{stats_, "throttledGrants"};
+    stats::Scalar groupThrottledGrants_{stats_, "groupThrottledGrants"};
 };
 
 } // namespace hwgc::mem

@@ -47,10 +47,10 @@ class MemDevice : public Clocked
                               std::array<Word, maxReqWords> &rdata) = 0;
 
     /** Resets statistics between experiment phases. */
-    virtual void resetStats() = 0;
+    void resetStats() override { stats_.reset(); }
 
-    /** Registers this device's statistics into @p g (telemetry). */
-    virtual void addStats(stats::Group &g) { (void)g; }
+    /** The device's statistics (exported by the SoC or the lab). */
+    const stats::Group &stats() const { return stats_; }
 
     /**
      * Resets internal timing state (bank/row buffers, bus occupancy
@@ -62,6 +62,7 @@ class MemDevice : public Clocked
 
   protected:
     MemResponder *responder_ = nullptr;
+    stats::Group stats_{name()};
 };
 
 } // namespace hwgc::mem

@@ -114,8 +114,8 @@ class Ptw : public Clocked, public MemResponder
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
+    void resetStats() override;
 
     /** The shared second-level TLB (flush between phases). */
     TlbArray &l2Tlb() { return l2Tlb_; }
@@ -127,34 +127,34 @@ class Ptw : public Clocked, public MemResponder
      */
     void setPageTable(const PageTable &page_table);
 
-    void resetStats();
-
     /** @name Statistics @{ */
     std::uint64_t walksStarted() const { return walks_.value(); }
     std::uint64_t l2TlbHits() const { return l2Hits_.value(); }
     std::uint64_t pteFetches() const { return pteFetches_.value(); }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
 
-    /** Registers the walker's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&walks_);
-        g.add(&l2Hits_);
-        g.add(&pteFetches_);
-    }
-
   private:
+    /** Archived without cb: loading re-creates it from the token. */
     struct WalkRequest
     {
+        void serialize(checkpoint::Archive &ar) { ar(va, arriveAt, token); }
+
         Addr va = 0;
         Tick arriveAt = 0;  //!< Issue cycle + 1 (the issue latch).
         WalkCallback cb;
         std::uint64_t token = 0;  //!< Requester-defined (restore identity).
     };
 
+    /** Archived without cb, like WalkRequest. */
     struct PendingCallback
     {
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(readyAt, valid, va, pa, pageBits, port, token);
+        }
+
         Tick readyAt = 0;
         bool valid = false;
         Addr va = 0;
@@ -202,9 +202,10 @@ class Ptw : public Clocked, public MemResponder
 
     CallbackResolver resolver_;
 
-    stats::Scalar walks_{"walks"};
-    stats::Scalar l2Hits_{"l2TlbHits"};
-    stats::Scalar pteFetches_{"pteFetches"};
+    stats::Group stats_{name()};
+    stats::Scalar walks_{stats_, "walks"};
+    stats::Scalar l2Hits_{stats_, "l2TlbHits"};
+    stats::Scalar pteFetches_{stats_, "pteFetches"};
 };
 
 } // namespace hwgc::mem

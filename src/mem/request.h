@@ -68,6 +68,12 @@ struct MemRequest
 
     unsigned words() const { return size / wordBytes; }
     bool isWrite() const { return op == Op::Write; }
+
+    void
+    serialize(checkpoint::Archive &ar)
+    {
+        ar(paddr, size, op, client, tag, timingOnly, wdata);
+    }
 };
 
 /** A response message; `rdata` is valid for Read and FetchOr. */
@@ -76,63 +82,9 @@ struct MemResponse
     MemRequest req;
     std::array<Word, maxReqWords> rdata{};
     Tick completed = 0;
+
+    void serialize(checkpoint::Archive &ar) { ar(req, rdata, completed); }
 };
-
-/** @name Checkpoint serialization of request/response messages @{ */
-
-inline void
-saveRequest(checkpoint::Serializer &ser, const MemRequest &req)
-{
-    ser.putU64(req.paddr);
-    ser.putU64(req.size);
-    ser.putU64(std::uint64_t(req.op));
-    ser.putU64(req.client);
-    ser.putU64(req.tag);
-    ser.putBool(req.timingOnly);
-    for (const Word w : req.wdata) {
-        ser.putU64(w);
-    }
-}
-
-inline MemRequest
-restoreRequest(checkpoint::Deserializer &des)
-{
-    MemRequest req;
-    req.paddr = des.getU64();
-    req.size = unsigned(des.getU64());
-    req.op = Op(des.getU64());
-    req.client = unsigned(des.getU64());
-    req.tag = des.getU64();
-    req.timingOnly = des.getBool();
-    for (auto &w : req.wdata) {
-        w = des.getU64();
-    }
-    return req;
-}
-
-inline void
-saveResponse(checkpoint::Serializer &ser, const MemResponse &resp)
-{
-    saveRequest(ser, resp.req);
-    for (const Word w : resp.rdata) {
-        ser.putU64(w);
-    }
-    ser.putU64(resp.completed);
-}
-
-inline MemResponse
-restoreResponse(checkpoint::Deserializer &des)
-{
-    MemResponse resp;
-    resp.req = restoreRequest(des);
-    for (auto &w : resp.rdata) {
-        w = des.getU64();
-    }
-    resp.completed = des.getU64();
-    return resp;
-}
-
-/** @} */
 
 /** Receiver interface for responses coming back from the memory side. */
 class MemResponder

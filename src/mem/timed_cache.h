@@ -76,10 +76,10 @@ class TimedCache : public Clocked, public MemResponder
     bool busy() const override;
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
-    void save(checkpoint::Serializer &ser) const override;
-    void restore(checkpoint::Deserializer &des) override;
+    void serialize(checkpoint::Archive &ar) override;
 
-    void resetStats();
+    /** Resets the statistics and the per-port request counts. */
+    void resetStats() override;
 
     /** @name Statistics @{ */
     std::uint64_t portRequests(unsigned port) const;
@@ -88,6 +88,7 @@ class TimedCache : public Clocked, public MemResponder
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t writebacks() const { return writebacks_.value(); }
+    const stats::Group &stats() const { return stats_; }
     /** @} */
 
     /** Occupied MSHRs right now (telemetry counter track). */
@@ -101,15 +102,6 @@ class TimedCache : public Clocked, public MemResponder
         return n;
     }
 
-    /** Registers the cache's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&hits_);
-        g.add(&misses_);
-        g.add(&writebacks_);
-    }
-
   private:
     struct UpstreamPort;
 
@@ -118,13 +110,21 @@ class TimedCache : public Clocked, public MemResponder
         bool valid = false;
         Addr lineAddr = 0;
         std::vector<std::pair<unsigned, MemRequest>> targets;
+
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(valid, lineAddr, targets);
+        }
     };
 
     struct DueResponse
     {
         MemResponse resp;
-        unsigned port;
-        Tick readyAt;
+        unsigned port = 0;
+        Tick readyAt = 0;
+
+        void serialize(checkpoint::Archive &ar) { ar(resp, port, readyAt); }
     };
 
     /** Functionally executes and schedules the upstream response. */
@@ -144,9 +144,10 @@ class TimedCache : public Clocked, public MemResponder
     unsigned rrNext_ = 0;
     unsigned outstandingWritebacks_ = 0;
 
-    stats::Scalar hits_{"hits"};
-    stats::Scalar misses_{"misses"};
-    stats::Scalar writebacks_{"writebacks"};
+    stats::Group stats_{name()};
+    stats::Scalar hits_{stats_, "hits"};
+    stats::Scalar misses_{stats_, "misses"};
+    stats::Scalar writebacks_{stats_, "writebacks"};
 };
 
 } // namespace hwgc::mem

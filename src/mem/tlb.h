@@ -31,7 +31,7 @@ class TlbArray
      * @param entries Capacity (32 for unit TLBs, 128 for shared L2).
      */
     TlbArray(std::string name, unsigned entries)
-        : name_(std::move(name)), entries_(entries)
+        : stats_(name), name_(std::move(name)), entries_(entries)
     {
         panic_if(entries_ == 0, "TLB needs at least one entry");
     }
@@ -131,61 +131,30 @@ class TlbArray
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
-    /** Registers this TLB's statistics into @p g (telemetry). */
-    void
-    addStats(stats::Group &g) const
-    {
-        g.add(&hits_);
-        g.add(&misses_);
-    }
-
-    void
-    resetStats()
-    {
-        hits_.reset();
-        misses_.reset();
-    }
-
     const std::string &name() const { return name_; }
 
-    /** Serializes the translation array and hit/miss statistics. */
-    void
-    save(checkpoint::Serializer &ser) const
-    {
-        ser.putU64(useCounter_);
-        ser.putU64(slots_.size());
-        for (const auto &e : slots_) {
-            ser.putU64(e.vpage);
-            ser.putU64(e.ppage);
-            ser.putU64(e.pageBits);
-            ser.putU64(e.lastUse);
-        }
-        checkpoint::putStat(ser, hits_);
-        checkpoint::putStat(ser, misses_);
-    }
+    /** The hit/miss counters (exported by the owner, if at all). */
+    stats::Group &stats() { return stats_; }
+    const stats::Group &stats() const { return stats_; }
 
+    /** Archives the translation array and the hit/miss counters. */
     void
-    restore(checkpoint::Deserializer &des)
+    serialize(checkpoint::Archive &ar)
     {
-        useCounter_ = des.getU64();
-        const std::uint64_t count = des.getU64();
-        fatal_if(count > entries_,
-                 "checkpoint '%s': TLB '%s' holds %llu entries but has "
-                 "capacity %u — configurations differ",
-                 des.origin().c_str(), name_.c_str(),
-                 (unsigned long long)count, entries_);
-        slots_.clear();
-        slots_.reserve(std::size_t(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-            Entry e;
-            e.vpage = des.getU64();
-            e.ppage = des.getU64();
-            e.pageBits = unsigned(des.getU64());
-            e.lastUse = des.getU64();
-            slots_.push_back(e);
+        ar(useCounter_);
+        const std::uint64_t count = ar.count(slots_.size());
+        if (ar.loading()) {
+            fatal_if(count > entries_,
+                     "checkpoint '%s': TLB '%s' holds %llu entries but "
+                     "has capacity %u — configurations differ",
+                     ar.origin().c_str(), name_.c_str(),
+                     (unsigned long long)count, entries_);
+            slots_.assign(std::size_t(count), Entry{});
         }
-        checkpoint::getStat(des, hits_);
-        checkpoint::getStat(des, misses_);
+        for (Entry &e : slots_) {
+            ar(e.vpage, e.ppage, e.pageBits, e.lastUse);
+        }
+        ar(stats_);
     }
 
   private:
@@ -197,14 +166,15 @@ class TlbArray
         std::uint64_t lastUse = 0;
     };
 
+    /** First, so the lookup state and its counters stay adjacent. */
+    stats::Group stats_;
     std::string name_;
     unsigned entries_;
     std::vector<Entry> slots_;
     std::uint64_t useCounter_ = 0;
     unsigned lastHit_ = 0; //!< Host-side memo of lookup(), not saved.
-
-    stats::Scalar hits_{"hits"};
-    stats::Scalar misses_{"misses"};
+    stats::Scalar hits_{stats_, "hits"};
+    stats::Scalar misses_{stats_, "misses"};
 };
 
 } // namespace hwgc::mem

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "sim/checkpoint.h"
 #include "sim/types.h"
 
 namespace hwgc::mem
@@ -135,13 +136,16 @@ class TokenBucket
         return accrualsUntil(cost) - 1 - first;
     }
 
-    /** Restores state written as rate() and tokens(). */
+    /** Sets the rate and the tokens held. */
     void
     restore(std::uint64_t rate, std::uint64_t tokens)
     {
         rate_ = rate;
         tokens_ = tokens;
     }
+
+    /** Archives the rate and the tokens held. */
+    void serialize(checkpoint::Archive &ar) { ar(rate_, tokens_); }
 
   private:
     std::uint64_t rate_ = 0;   //!< Steps added per cycle (0 = unpaced).

@@ -304,120 +304,45 @@ Heap::countMarked() const
 }
 
 void
-Heap::save(checkpoint::Serializer &ser) const
+Heap::serialize(checkpoint::Archive &ar)
 {
     // Parameter fingerprint first: a snapshot taken under different
     // heap geometry must fail loudly before any state parsing.
-    ser.putU64(params_.markSweepReserve);
-    ser.putU64(params_.losReserve);
-    ser.putU64(params_.immortalReserve);
-    ser.putU64(std::uint64_t(params_.layout));
-    ser.putBool(params_.useSuperpages);
-    ser.putU64(params_.addrBase);
-
-    ser.putU64(pageTable_.pagesAllocated());
-
-    ser.putU64(blocks_.size());
-    for (const BlockInfo &block : blocks_) {
-        ser.putU64(block.base);
-        ser.putU64(block.cellBytes);
-        ser.putU64(block.sizeClass);
+    HeapParams file = params_;
+    ar(file.markSweepReserve, file.losReserve, file.immortalReserve,
+       file.layout, file.useSuperpages, file.addrBase);
+    if (ar.loading()) {
+        fatal_if(file.markSweepReserve != params_.markSweepReserve ||
+                 file.losReserve != params_.losReserve ||
+                 file.immortalReserve != params_.immortalReserve ||
+                 file.layout != params_.layout ||
+                 file.useSuperpages != params_.useSuperpages ||
+                 file.addrBase != params_.addrBase,
+                 "heap snapshot '%s' was taken under different HeapParams",
+                 ar.origin().c_str());
     }
-    for (const ClassState &state : classes_) {
-        ser.putU64(state.blockIdx.size());
-        for (const std::size_t idx : state.blockIdx) {
-            ser.putU64(idx);
-        }
-        ser.putU64(state.cursor);
-    }
-    ser.putU64(msBump_);
-    ser.putU64(losBump_);
-    ser.putU64(immortalBump_);
 
-    ser.putU64(roots_.size());
-    for (const ObjRef root : roots_) {
-        ser.putU64(root);
-    }
-    ser.putU64(publishedRoots_);
-
-    ser.putU64(objects_.size());
-    for (const ObjInfo &obj : objects_) {
-        ser.putU64(obj.ref);
-        ser.putU64(obj.cell);
-        ser.putU64(obj.numRefs);
-        ser.putU64(obj.payloadWords);
-        ser.putU64(std::uint64_t(obj.space));
-    }
-    ser.putU64(bytesAllocated_);
-    ser.putBool(allocateBlack_);
-}
-
-void
-Heap::restore(checkpoint::Deserializer &des)
-{
-    fatal_if(des.getU64() != params_.markSweepReserve ||
-             des.getU64() != params_.losReserve ||
-             des.getU64() != params_.immortalReserve ||
-             des.getU64() != std::uint64_t(params_.layout) ||
-             des.getBool() != params_.useSuperpages ||
-             des.getU64() != params_.addrBase,
-             "heap snapshot '%s' was taken under different HeapParams",
-             des.origin().c_str());
-
-    // The tables themselves arrive with the PhysMem image; only the
+    // The tables themselves travel with the PhysMem image; only the
     // bump allocator's count is runtime-side state.
-    pageTable_.restorePagesAllocated(unsigned(des.getU64()));
-
-    blocks_.clear();
-    const std::uint64_t num_blocks = des.getU64();
-    blocks_.reserve(num_blocks);
-    for (std::uint64_t i = 0; i < num_blocks; ++i) {
-        BlockInfo block;
-        block.base = des.getU64();
-        block.cellBytes = std::uint32_t(des.getU64());
-        block.sizeClass = unsigned(des.getU64());
-        blocks_.push_back(block);
+    unsigned pages = pageTable_.pagesAllocated();
+    ar(pages);
+    if (ar.loading()) {
+        pageTable_.restorePagesAllocated(pages);
     }
-    for (ClassState &state : classes_) {
-        state.blockIdx.clear();
-        const std::uint64_t n = des.getU64();
-        state.blockIdx.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint64_t idx = des.getU64();
-            fatal_if(idx >= blocks_.size(),
-                     "heap snapshot '%s': class block index %llu out "
-                     "of range", des.origin().c_str(),
-                     (unsigned long long)idx);
-            state.blockIdx.push_back(std::size_t(idx));
+
+    ar(blocks_, classes_);
+    if (ar.loading()) {
+        for (const ClassState &state : classes_) {
+            for (const std::size_t idx : state.blockIdx) {
+                fatal_if(idx >= blocks_.size(),
+                         "heap snapshot '%s': class block index %llu out "
+                         "of range", ar.origin().c_str(),
+                         (unsigned long long)idx);
+            }
         }
-        state.cursor = std::size_t(des.getU64());
     }
-    msBump_ = des.getU64();
-    losBump_ = des.getU64();
-    immortalBump_ = des.getU64();
-
-    roots_.clear();
-    const std::uint64_t num_roots = des.getU64();
-    roots_.reserve(num_roots);
-    for (std::uint64_t i = 0; i < num_roots; ++i) {
-        roots_.push_back(des.getU64());
-    }
-    publishedRoots_ = des.getU64();
-
-    objects_.clear();
-    const std::uint64_t num_objects = des.getU64();
-    objects_.reserve(num_objects);
-    for (std::uint64_t i = 0; i < num_objects; ++i) {
-        ObjInfo obj;
-        obj.ref = des.getU64();
-        obj.cell = des.getU64();
-        obj.numRefs = std::uint32_t(des.getU64());
-        obj.payloadWords = std::uint32_t(des.getU64());
-        obj.space = Space(des.getU64());
-        objects_.push_back(obj);
-    }
-    bytesAllocated_ = des.getU64();
-    allocateBlack_ = des.getBool();
+    ar(msBump_, losBump_, immortalBump_, roots_, publishedRoots_,
+       objects_, bytesAllocated_, allocateBlack_);
 }
 
 std::uint64_t

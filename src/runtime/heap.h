@@ -149,6 +149,12 @@ class Heap
         Addr base = 0;
         std::uint32_t cellBytes = 0;
         unsigned sizeClass = 0;
+
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(base, cellBytes, sizeClass);
+        }
     };
 
     const std::vector<BlockInfo> &blocks() const { return blocks_; }
@@ -169,6 +175,12 @@ class Heap
         std::uint32_t numRefs = 0;
         std::uint32_t payloadWords = 0;
         Space space = Space::MarkSweep;
+
+        void
+        serialize(checkpoint::Archive &ar)
+        {
+            ar(ref, cell, numRefs, payloadWords, space);
+        }
     };
 
     /** All objects currently known live to the runtime. */
@@ -227,13 +239,12 @@ class Heap
      * table). Together with the PhysMem image it reconstructs a warm
      * heap into a *freshly built* simulation of any configuration,
      * which is what lets the what-if farm fork one snapshot across a
-     * config grid. The caller restores the PhysMem image separately;
-     * restore() must run on a Heap constructed with identical
+     * config grid. The caller archives the PhysMem image separately;
+     * loading must run on a Heap constructed with identical
      * HeapParams (fingerprint-checked).
      * @{
      */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
+    void serialize(checkpoint::Archive &ar);
     /** @} */
 
   private:
@@ -242,6 +253,8 @@ class Heap
     {
         std::vector<std::size_t> blockIdx; //!< Blocks of this class.
         std::size_t cursor = 0; //!< Next block to look for free cells.
+
+        void serialize(checkpoint::Archive &ar) { ar(blockIdx, cursor); }
     };
 
     /** Carves and formats a fresh block for size class @p cls. */

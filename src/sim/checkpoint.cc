@@ -1,7 +1,7 @@
 /**
  * @file
- * Out-of-line checkpoint pieces: the Clocked save/restore defaults
- * (which panic — every checkpointed component must override them) and
+ * Out-of-line checkpoint pieces: the Clocked serialize() default
+ * (which panics — every checkpointed component must override it) and
  * the System kernel-state serialization.
  */
 
@@ -15,59 +15,34 @@ namespace hwgc
 {
 
 void
-Clocked::save(checkpoint::Serializer &ser) const
+Clocked::serialize(checkpoint::Archive &ar)
 {
-    (void)ser;
+    (void)ar;
     panic("component '%s' does not support checkpointing",
           name_.c_str());
 }
 
 void
-Clocked::restore(checkpoint::Deserializer &des)
+System::serialize(checkpoint::Archive &ar)
 {
-    (void)des;
-    panic("component '%s' does not support checkpointing",
-          name_.c_str());
-}
-
-void
-System::save(checkpoint::Serializer &ser) const
-{
-    ser.putU64(now_);
-    ser.putU64(executedCycles_);
-    ser.putU64(dueMask_);
-    // Drain a copy of the scheduled-wakeup queue into (cycle, index)
-    // order; a priority queue over the same pairs rebuilds an
-    // equivalent heap on restore.
-    auto copy = scheduled_;
+    ar(now_, executedCycles_, dueMask_);
+    // The scheduled wakeups travel as (cycle, index) pairs in queue
+    // order; pushing them back rebuilds an equivalent heap.
     std::vector<ScheduledTick> pending;
-    while (!copy.empty()) {
+    for (auto copy = scheduled_; !copy.empty(); copy.pop()) {
         pending.push_back(copy.top());
-        copy.pop();
     }
-    ser.putU64(pending.size());
-    for (const auto &[at, index] : pending) {
-        ser.putU64(at);
-        ser.putU64(index);
+    ar(pending);
+    if (!ar.loading()) {
+        return;
     }
-}
-
-void
-System::restore(checkpoint::Deserializer &des)
-{
-    now_ = des.getU64();
-    executedCycles_ = des.getU64();
-    dueMask_ = des.getU64();
     scheduled_ = {};
-    const std::uint64_t pending = des.getU64();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        const Tick at = des.getU64();
-        const std::size_t index = des.getU64();
-        fatal_if(index >= components_.size(),
+    for (const ScheduledTick &tick : pending) {
+        fatal_if(tick.second >= components_.size(),
                  "checkpoint '%s': scheduled wakeup for component %zu "
-                 "but only %zu are registered", des.origin().c_str(),
-                 index, components_.size());
-        scheduled_.push({at, index});
+                 "but only %zu are registered", ar.origin().c_str(),
+                 tick.second, components_.size());
+        scheduled_.push(tick);
     }
     // Every cached wakeup is stale; the run entry points also set
     // this, but restoring directly into a paused System must not

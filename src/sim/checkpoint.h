@@ -32,10 +32,17 @@
 #define HWGC_SIM_CHECKPOINT_H
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <optional>
+#include <queue>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -50,7 +57,7 @@ namespace hwgc::checkpoint
 /** Format magic and version; bump the version on any layout change. */
 inline constexpr char magic[8] = {'H', 'W', 'G', 'C',
                                   'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t formatVersion = 4;
+inline constexpr std::uint32_t formatVersion = 5;
 
 /** Serializes state into the chunked checkpoint image. */
 class Serializer
@@ -307,43 +314,6 @@ class Deserializer
 
     bool atEnd() const { return pos_ >= buf_.size(); }
 
-    /**
-     * Name of the next chunk without consuming it, or "" at end of
-     * file. Lets readers of multi-consumer images (the farm snapshot)
-     * branch on what was saved instead of hard-coding one topology.
-     */
-    std::string
-    peekChunkName()
-    {
-        fatal_if(chunkEnd_ != npos,
-                 "checkpoint '%s': peekChunkName() inside a chunk",
-                 origin_.c_str());
-        if (atEnd()) {
-            return "";
-        }
-        const std::size_t saved = pos_;
-        std::string name = chunkName();
-        pos_ = saved;
-        return name;
-    }
-
-    /** Skips the next chunk wholesale (bounds still validated). */
-    void
-    skipChunk()
-    {
-        fatal_if(chunkEnd_ != npos,
-                 "checkpoint '%s': skipChunk() inside a chunk",
-                 origin_.c_str());
-        fatal_if(atEnd(), "checkpoint '%s': skipChunk() at end of file",
-                 origin_.c_str());
-        const std::string name = chunkName();
-        const std::uint64_t len = rawU64();
-        fatal_if(len > buf_.size() - pos_,
-                 "checkpoint '%s': chunk '%s' truncated",
-                 origin_.c_str(), name.c_str());
-        pos_ += len;
-    }
-
     const std::string &origin() const { return origin_; }
 
     /** Directory entry for post-mortem inspection (heap_inspector). */
@@ -435,169 +405,378 @@ class Deserializer
     std::size_t chunkEnd_ = npos;
 };
 
-/** @name Statistics serialization helpers @{ */
-
-inline void
-putStat(Serializer &ser, const stats::Scalar &s)
+/**
+ * One direction of the checkpoint stream: an Archive wraps either a
+ * Serializer (saving) or a Deserializer (loading), so each
+ * checkpointed type writes its state once, in one
+ * `serialize(Archive &)` that both directions run:
+ *
+ *     void serialize(checkpoint::Archive &ar) { ar(head_, tail_, q_); }
+ *
+ * The encoding is the Serializer's: integers, enums and bools are one
+ * u64 word each, doubles are bit-cast, strings and byte blobs are
+ * length-prefixed, and containers are an element count followed by
+ * their elements (std::array and std::pair carry no count). A
+ * statistics group is one item: its statistics in declaration order.
+ * Work that belongs to one direction only — a "configurations
+ * differ" count check, re-creating a callback, clearing a host-side
+ * memo — sits inside `if (ar.loading())`; sorting an unordered
+ * container or draining a priority queue for a byte-stable image
+ * happens inside the container helpers below.
+ */
+class Archive
 {
-    ser.putU64(s.value());
-}
+  public:
+    explicit Archive(Serializer &ser) : ser_(&ser) {}
+    explicit Archive(Deserializer &des) : des_(&des) {}
 
-inline void
-getStat(Deserializer &des, stats::Scalar &s)
-{
-    s.set(des.getU64());
-}
+    /** True when restoring state, false when saving it. */
+    bool loading() const { return des_ != nullptr; }
 
-inline void
-putStat(Serializer &ser, const stats::Vector &v)
-{
-    ser.putU64(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        ser.putU64(v.value(i));
+    /** The image being read (loading only). */
+    Deserializer &
+    deserializer()
+    {
+        panic_if(des_ == nullptr, "checkpoint: saving has no reader");
+        return *des_;
     }
-}
 
-inline void
-getStat(Deserializer &des, stats::Vector &v)
-{
-    const std::uint64_t n = des.getU64();
-    fatal_if(n != v.size(), "checkpoint '%s': stats::Vector '%s' has "
-             "%zu entries, file has %llu", des.origin().c_str(),
-             v.name().c_str(), v.size(), (unsigned long long)n);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        v.setValue(i, des.getU64());
+    /** The image's name for messages ("<save>" while saving). */
+    const std::string &
+    origin() const
+    {
+        static const std::string saving = "<save>";
+        return des_ != nullptr ? des_->origin() : saving;
     }
-}
 
-inline void
-putStat(Serializer &ser, const stats::Histogram &h)
-{
-    ser.putU64(h.count());
-    ser.putU64(h.sum());
-    ser.putU64(h.minValue());
-    ser.putU64(h.maxValue());
-    ser.putU64(h.buckets().size());
-    for (const std::uint64_t b : h.buckets()) {
-        ser.putU64(b);
+    /** Opens (saving) or expects (loading) the chunk @p name. */
+    void
+    beginChunk(const std::string &name)
+    {
+        if (des_ != nullptr) {
+            des_->beginChunk(name);
+        } else {
+            ser_->beginChunk(name);
+        }
     }
-}
 
-inline void
-getStat(Deserializer &des, stats::Histogram &h)
-{
-    const std::uint64_t count = des.getU64();
-    const std::uint64_t sum = des.getU64();
-    const std::uint64_t min = des.getU64();
-    const std::uint64_t max = des.getU64();
-    const std::uint64_t n = des.getU64();
-    fatal_if(n != h.buckets().size(),
-             "checkpoint '%s': stats::Histogram '%s' has %zu buckets, "
-             "file has %llu", des.origin().c_str(), h.name().c_str(),
-             h.buckets().size(), (unsigned long long)n);
-    std::vector<std::uint64_t> buckets(n);
-    for (auto &b : buckets) {
-        b = des.getU64();
+    void
+    endChunk()
+    {
+        if (des_ != nullptr) {
+            des_->endChunk();
+        } else {
+            ser_->endChunk();
+        }
     }
-    h.restore(count, sum, min, max, buckets);
-}
 
-inline void
-putStat(Serializer &ser, const stats::TimeSeries &t)
-{
-    ser.putU64(t.buckets().size());
-    for (const std::uint64_t b : t.buckets()) {
-        ser.putU64(b);
+    /** Archives @p items as the whole of chunk @p name. */
+    template <typename... Ts>
+    void
+    chunk(const std::string &name, Ts &...items)
+    {
+        beginChunk(name);
+        (*this)(items...);
+        endChunk();
     }
-}
 
-inline void
-getStat(Deserializer &des, stats::TimeSeries &t)
-{
-    std::vector<std::uint64_t> buckets(des.getU64());
-    for (auto &b : buckets) {
-        b = des.getU64();
+    /** Archives each of @p items in order. */
+    template <typename... Ts>
+    Archive &
+    operator()(Ts &...items)
+    {
+        (item(items), ...);
+        return *this;
     }
-    t.setBuckets(std::move(buckets));
-}
 
-/** @} */
-
-/** @name RNG stream serialization @{ */
-
-inline void
-putRng(Serializer &ser, const Rng &rng)
-{
-    for (unsigned i = 0; i < 4; ++i) {
-        ser.putU64(rng.stateWord(i));
+    /**
+     * A length or count word: writes @p n when saving; returns the
+     * stored value when loading (callers validate it, then size their
+     * container from it).
+     */
+    std::uint64_t
+    count(std::uint64_t n)
+    {
+        word(n);
+        return n;
     }
-}
 
-inline void
-getRng(Deserializer &des, Rng &rng)
-{
-    for (unsigned i = 0; i < 4; ++i) {
-        rng.setStateWord(i, des.getU64());
+    /** A length-prefixed byte blob of exactly @p len bytes. */
+    void
+    bytes(void *data, std::size_t len)
+    {
+        if (des_ != nullptr) {
+            des_->getBytes(data, len);
+        } else {
+            ser_->putBytes(data, len);
+        }
     }
-}
 
-/** @} */
+  private:
+    template <typename T>
+    static constexpr bool hasSerialize =
+        requires(T &t, Archive &ar) { t.serialize(ar); };
+
+    void
+    word(std::uint64_t &w)
+    {
+        if (des_ != nullptr) {
+            w = des_->getU64();
+        } else {
+            ser_->putU64(w);
+        }
+    }
+
+    template <typename T>
+    void
+    item(T &v)
+    {
+        if constexpr (hasSerialize<T>) {
+            v.serialize(*this);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            std::uint64_t w = v ? 1 : 0;
+            word(w);
+            v = w != 0;
+        } else if constexpr (std::is_enum_v<T>) {
+            using U = std::underlying_type_t<T>;
+            std::uint64_t w = std::uint64_t(U(v));
+            word(w);
+            v = T(U(w));
+        } else if constexpr (std::is_integral_v<T>) {
+            std::uint64_t w = std::uint64_t(v);
+            word(w);
+            v = T(w);
+        } else if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t w;
+            std::memcpy(&w, &v, sizeof(w));
+            word(w);
+            std::memcpy(&v, &w, sizeof(v));
+        } else {
+            container(v);
+        }
+    }
+
+    void
+    container(std::string &s)
+    {
+        if (des_ != nullptr) {
+            s = des_->getString();
+        } else {
+            ser_->putString(s);
+        }
+    }
+
+    template <typename A, typename B>
+    void
+    container(std::pair<A, B> &p)
+    {
+        (*this)(p.first, p.second);
+    }
+
+    template <typename T, std::size_t N>
+    void
+    container(std::array<T, N> &a)
+    {
+        for (T &v : a) {
+            item(v);
+        }
+    }
+
+    /**
+     * Growable sequences: a count, then the elements. Loading appends
+     * one element per read, so a corrupt count fails at the chunk
+     * end instead of allocating it up front.
+     */
+    template <typename Seq>
+    void
+    sequence(Seq &seq)
+    {
+        const std::uint64_t n = count(seq.size());
+        if (des_ == nullptr) {
+            for (auto &v : seq) {
+                item(v);
+            }
+            return;
+        }
+        seq.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            item(seq.emplace_back());
+        }
+    }
+
+    template <typename T>
+    void
+    container(std::vector<T> &v)
+    {
+        sequence(v);
+    }
+
+    template <typename T>
+    void
+    container(std::deque<T> &d)
+    {
+        sequence(d);
+    }
+
+    /** A present flag, then the value if present. */
+    template <typename T>
+    void
+    container(std::optional<T> &opt)
+    {
+        bool present = opt.has_value();
+        item(present);
+        if (des_ != nullptr) {
+            opt.reset();
+            if (present) {
+                opt.emplace();
+            }
+        }
+        if (present) {
+            item(*opt);
+        }
+    }
+
+    /** Sorted (key, value) pairs, so the image is byte-stable. */
+    template <typename K, typename V>
+    void
+    container(std::unordered_map<K, V> &map)
+    {
+        std::vector<std::pair<K, V>> pairs(map.begin(), map.end());
+        std::sort(pairs.begin(), pairs.end());
+        item(pairs);
+        if (des_ != nullptr) {
+            map.clear();
+            map.insert(pairs.begin(), pairs.end());
+        }
+    }
+
+    /** The queue drained in priority order; loading pushes back. */
+    template <typename T, typename C, typename Cmp>
+    void
+    container(std::priority_queue<T, C, Cmp> &queue)
+    {
+        std::vector<T> items;
+        for (auto copy = queue; !copy.empty(); copy.pop()) {
+            items.push_back(copy.top());
+        }
+        item(items);
+        if (des_ != nullptr) {
+            queue = {};
+            for (T &v : items) {
+                queue.push(std::move(v));
+            }
+        }
+    }
+
+    void
+    container(Rng &rng)
+    {
+        for (unsigned i = 0; i < 4; ++i) {
+            std::uint64_t w = rng.stateWord(i);
+            word(w);
+            rng.setStateWord(i, w);
+        }
+    }
+
+    void
+    container(stats::Scalar &s)
+    {
+        std::uint64_t w = s.value();
+        word(w);
+        s.set(w);
+    }
+
+    void
+    container(stats::Vector &v)
+    {
+        const std::uint64_t n = count(v.size());
+        fatal_if(n != v.size(), "checkpoint '%s': stats::Vector '%s' has "
+                 "%zu entries, file has %llu", origin().c_str(),
+                 v.name().c_str(), v.size(), (unsigned long long)n);
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            std::uint64_t w = v.value(i);
+            word(w);
+            v.setValue(i, w);
+        }
+    }
+
+    void
+    container(stats::Histogram &h)
+    {
+        std::uint64_t samples = h.count();
+        std::uint64_t sum = h.sum();
+        std::uint64_t min = h.minValue();
+        std::uint64_t max = h.maxValue();
+        (*this)(samples, sum, min, max);
+        const std::uint64_t n = count(h.buckets().size());
+        fatal_if(n != h.buckets().size(),
+                 "checkpoint '%s': stats::Histogram '%s' has %zu buckets, "
+                 "file has %llu", origin().c_str(), h.name().c_str(),
+                 h.buckets().size(), (unsigned long long)n);
+        std::vector<std::uint64_t> buckets = h.buckets();
+        for (std::uint64_t &b : buckets) {
+            word(b);
+        }
+        h.restore(samples, sum, min, max, buckets);
+    }
+
+    void
+    container(stats::TimeSeries &t)
+    {
+        std::vector<std::uint64_t> buckets = t.buckets();
+        item(buckets);
+        t.setBuckets(std::move(buckets));
+    }
+
+    void
+    container(stats::Group &group)
+    {
+        group.forEach([this](auto &stat) { container(stat); });
+    }
+
+    Serializer *ser_ = nullptr;
+    Deserializer *des_ = nullptr;
+};
 
 /**
- * @name Functional-memory image serialization
- *
- * Shared by the device checkpoint and the farm snapshot: pages are
- * written sorted so the file is byte-stable (PhysMem iterates an
- * unordered map). Templated on the memory type to keep sim/ free of a
- * mem/ dependency; any type with size(), snapshot() and
- * restore(Snapshot) works.
- * @{
+ * The functional-memory image, shared by the device checkpoint and
+ * the farm snapshot: the memory size (which must match on loading),
+ * then every page, sorted by number so the image is byte-stable
+ * (PhysMem iterates an unordered map). Templated on the memory type
+ * to keep sim/ free of a mem/ dependency; any type with size(),
+ * snapshot() and restore(Snapshot) works.
  */
-
 template <typename PhysMemT>
 void
-putPhysMem(Serializer &ser, const PhysMemT &mem)
+physMem(Archive &ar, PhysMemT &mem)
 {
-    const auto snap = mem.snapshot();
-    std::vector<std::uint64_t> page_nums;
-    page_nums.reserve(snap.pages.size());
-    for (const auto &[num, data] : snap.pages) {
-        page_nums.push_back(num);
-    }
-    std::sort(page_nums.begin(), page_nums.end());
-    ser.putU64(mem.size());
-    ser.putU64(page_nums.size());
-    for (const std::uint64_t num : page_nums) {
-        const auto &data = snap.pages.at(num);
-        ser.putU64(num);
-        ser.putU64(data.size());
-        ser.putBytes(data.data(), data.size());
-    }
-}
-
-template <typename PhysMemT>
-void
-getPhysMem(Deserializer &des, PhysMemT &mem)
-{
-    const std::uint64_t mem_size = des.getU64();
+    const std::uint64_t mem_size = ar.count(mem.size());
     fatal_if(mem_size != mem.size(),
              "checkpoint '%s': physical memory is %llu bytes but this "
              "configuration has %llu — configurations differ",
-             des.origin().c_str(), (unsigned long long)mem_size,
+             ar.origin().c_str(), (unsigned long long)mem_size,
              (unsigned long long)mem.size());
     typename PhysMemT::Snapshot snap;
-    const std::uint64_t num_pages = des.getU64();
-    for (std::uint64_t i = 0; i < num_pages; ++i) {
-        const std::uint64_t num = des.getU64();
-        const std::uint64_t bytes = des.getU64();
-        std::vector<std::uint8_t> data(bytes);
-        des.getBytes(data.data(), data.size());
-        snap.pages.emplace(num, std::move(data));
+    std::vector<std::uint64_t> page_nums;
+    if (!ar.loading()) {
+        snap = mem.snapshot();
+        for (const auto &[num, data] : snap.pages) {
+            page_nums.push_back(num);
+        }
+        std::sort(page_nums.begin(), page_nums.end());
     }
-    mem.restore(snap);
+    const std::uint64_t num_pages = ar.count(page_nums.size());
+    for (std::uint64_t i = 0; i < num_pages; ++i) {
+        std::uint64_t num = ar.loading() ? 0 : page_nums[i];
+        ar(num);
+        auto &data = snap.pages[num];
+        data.resize(std::size_t(ar.count(data.size())));
+        ar.bytes(data.data(), data.size());
+    }
+    if (ar.loading()) {
+        mem.restore(snap);
+    }
 }
-
-/** @} */
 
 /**
  * Collision-safe crash-artifact base: "<out>.crash.<pid>[.<tag>]".

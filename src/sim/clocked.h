@@ -42,8 +42,7 @@ class System;
 
 namespace checkpoint
 {
-class Serializer;
-class Deserializer;
+class Archive;
 } // namespace checkpoint
 
 /** Kernel selection for System (see file header). */
@@ -203,17 +202,25 @@ class Clocked
     bool hasFastForward() const { return hasFastForward_; }
 
     /**
-     * Serializes this component's complete architectural state —
-     * registers, queues, in-flight bookkeeping and statistics — into
-     * an already-open checkpoint chunk. Only legal at an inter-cycle
-     * boundary (never mid-tick). The default implementation panics:
-     * every component registered with a checkpointed System must
-     * override both save() and restore() (defined in checkpoint.cc).
+     * Saves or restores this component's complete architectural
+     * state — registers, queues, in-flight bookkeeping and its
+     * statistics group — within an already-open checkpoint chunk:
+     * one function for both directions (see checkpoint::Archive), so
+     * what is written and what is read cannot drift apart. Only legal
+     * at an inter-cycle boundary (never mid-tick); restoring into a
+     * different configuration fatal()s. The default panics: every
+     * component registered with a checkpointed System must override
+     * it (defined in checkpoint.cc).
      */
-    virtual void save(checkpoint::Serializer &ser) const;
+    virtual void serialize(checkpoint::Archive &ar);
 
-    /** Restores state written by save(); layout mismatches fatal(). */
-    virtual void restore(checkpoint::Deserializer &des);
+    /**
+     * Zeroes every statistic this component owns (its stats group and
+     * those of the structures inside it), between GC pauses or
+     * experiment phases. Components without statistics keep the
+     * default, which does nothing.
+     */
+    virtual void resetStats() {}
 
     const std::string &name() const { return name_; }
 
@@ -460,19 +467,16 @@ class System
     }
 
     /**
-     * Serializes the kernel state (clock, executed-cycle count, the
-     * scheduled-wakeup queue, the due mask) into an open chunk. The
-     * wakeup caches are deliberately *not* serialized: nextWakeup()
-     * is a pure function of component state and every run entry point
-     * marks all caches stale, so restore() rebuilds them exactly.
-     * The kernel mode is a host-execution knob, not architectural
-     * state — a checkpoint saved under one kernel restores under the
-     * other. Defined in checkpoint.cc.
+     * Saves or restores the kernel state (clock, executed-cycle
+     * count, the due mask, the scheduled-wakeup queue) within an open
+     * chunk. The wakeup caches are deliberately *not* archived:
+     * nextWakeup() is a pure function of component state, and
+     * loading marks every cache stale, so they rebuild exactly. The
+     * kernel mode is a host-execution knob, not architectural state
+     * — a checkpoint saved under one kernel restores under the other.
+     * Defined in checkpoint.cc.
      */
-    void save(checkpoint::Serializer &ser) const;
-
-    /** Restores kernel state written by save(). */
-    void restore(checkpoint::Deserializer &des);
+    void serialize(checkpoint::Archive &ar);
 
   private:
     Tick

@@ -27,27 +27,14 @@ classLabels()
 CycleProfiler::CycleProfiler(System &system, std::string stats_prefix)
     : system_(system), prefix_(std::move(stats_prefix))
 {
-    auto &registry = StatsRegistry::global();
     const auto labels = classLabels();
-    // reserve() up front: the registry and each group hold pointers
-    // into the elements, so the vector must never reallocate.
+    // reserve() up front: each group holds a pointer to its element's
+    // total, so the vector must never reallocate.
     comps_.reserve(system_.components().size());
     for (const Clocked *c : system_.components()) {
-        comps_.emplace_back();
-        auto &pc = comps_.back();
-        pc.clocked = c;
-        pc.total = stats::Vector("total", labels);
-        pc.group.add(&pc.total);
-        pc.registryPath =
-            registry.add(prefix_ + ".profile." + c->name(), &pc.group);
-    }
-}
-
-CycleProfiler::~CycleProfiler()
-{
-    auto &registry = StatsRegistry::global();
-    for (const auto &pc : comps_) {
-        registry.remove(pc.registryPath);
+        comps_.emplace_back(c, labels);
+        groups_.add(prefix_ + ".profile." + c->name(),
+                    *comps_.back().group);
     }
 }
 
@@ -103,8 +90,7 @@ CycleProfiler::beginPhase(const std::string &name)
         const auto labels = classLabels();
         for (auto &pc : comps_) {
             pc.phase.push_back(
-                std::make_unique<stats::Vector>(name, labels));
-            pc.group.add(pc.phase.back().get());
+                std::make_unique<stats::Vector>(*pc.group, name, labels));
         }
     }
     currentPhase_ = idx;

@@ -17,8 +17,8 @@
  * component's class is constant across a gap — see fastForwarded()).
  *
  * Everything here is observational. Classification reads const state
- * only, the accrued vectors live outside save()/restore() and the
- * config signature, and the profiler chains to any previously
+ * only, the accrued vectors live outside checkpoints, stats resets and
+ * the config signature, and the profiler chains to any previously
  * attached observer — so profiling on/off is bit-identical in cycles,
  * checkpoints and core statistics (tests/test_profiler.cc enforces
  * this).
@@ -35,6 +35,7 @@
 #include "sim/clocked.h"
 #include "sim/cycle_class.h"
 #include "sim/stats.h"
+#include "sim/telemetry.h"
 
 namespace hwgc::telemetry
 {
@@ -51,7 +52,6 @@ class CycleProfiler : public KernelObserver
      * prefix names the Perfetto counter tracks.
      */
     CycleProfiler(System &system, std::string stats_prefix);
-    ~CycleProfiler() override;
 
     CycleProfiler(const CycleProfiler &) = delete;
     CycleProfiler &operator=(const CycleProfiler &) = delete;
@@ -121,13 +121,18 @@ class CycleProfiler : public KernelObserver
   private:
     struct PerComponent
     {
+        PerComponent(const Clocked *c,
+                     const std::vector<std::string> &labels)
+            : clocked(c), group(std::make_unique<stats::Group>("profile")),
+              total(*group, "total", labels)
+        {}
+
         const Clocked *clocked;
-        stats::Group group{"profile"};
+        std::unique_ptr<stats::Group> group; //!< Registered: never moves.
         stats::Vector total;
         /** One vector per entry of phaseNames_, same order. Owned
          *  behind unique_ptr: the group keeps raw pointers. */
         std::vector<std::unique_ptr<stats::Vector>> phase;
-        std::string registryPath;
     };
 
     /** Classifies every component once and accrues @p weight. */
@@ -145,6 +150,7 @@ class CycleProfiler : public KernelObserver
     int currentPhase_ = -1; //!< Index into phaseNames_, -1 = none.
     std::uint64_t observed_ = 0;
     KernelObserver *chain_ = nullptr;
+    StatsGroups groups_; //!< The components' "profile" groups.
 };
 
 } // namespace hwgc::telemetry

@@ -2,7 +2,7 @@
  * @file
  * A small gem5-flavoured statistics framework.
  *
- * Components own statistics objects registered in named groups; the
+ * Components declare their statistics into groups they own; the
  * benches pull values out programmatically and the examples dump
  * human-readable listings. Everything is plain counters — statistics
  * never affect simulated behaviour.
@@ -15,6 +15,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/logging.h"
@@ -23,12 +24,16 @@
 namespace hwgc::stats
 {
 
+class Group;
+
 /** A named 64-bit counter / gauge. */
 class Scalar
 {
   public:
     Scalar() = default;
     explicit Scalar(std::string name) : name_(std::move(name)) {}
+    /** Declares the counter into its owner's @p group. */
+    Scalar(Group &group, std::string name);
 
     Scalar &operator++() { ++value_; return *this; }
     Scalar &operator+=(std::uint64_t v) { value_ += v; return *this; }
@@ -52,6 +57,8 @@ class Vector
         : name_(std::move(name)), labels_(std::move(labels)),
           values_(labels_.size(), 0)
     {}
+    Vector(Group &group, std::string name,
+           std::vector<std::string> labels);
 
     void
     add(std::size_t idx, std::uint64_t v = 1)
@@ -102,6 +109,7 @@ class Histogram
     explicit Histogram(std::string name, unsigned log2_buckets = 32)
         : name_(std::move(name)), buckets_(log2_buckets, 0)
     {}
+    Histogram(Group &group, std::string name, unsigned log2_buckets = 32);
 
     /** Records one sample. */
     void
@@ -174,6 +182,7 @@ class TimeSeries
     {
         panic_if(width_ == 0, "TimeSeries bucket width must be > 0");
     }
+    TimeSeries(Group &group, std::string name, Tick bucket_width);
 
     /** Adds @p v to the bucket containing @p when. */
     void
@@ -205,46 +214,110 @@ class TimeSeries
 };
 
 /**
- * A registry of statistics owned by one component; purely a dumping
- * convenience. Pointers must outlive the group. Groups register into
- * the process-wide telemetry::StatsRegistry under dotted paths so the
- * JSON exporter can reach every component (see sim/telemetry.h).
+ * The statistics one component owns. A statistic is declared once,
+ * into its owner's group (`stats::Scalar requests_{stats_,
+ * "requests"}`), and the group is then the only list of them: the
+ * telemetry registry exports it (sim/telemetry.h), reset() zeroes it
+ * and checkpoints archive it as one item, in declaration order
+ * (sim/checkpoint.h). The group keeps pointers, so a statistic must
+ * not move once declared; groups are neither copied nor moved.
  */
 class Group
 {
   public:
     explicit Group(std::string name) : name_(std::move(name)) {}
 
-    void add(const Scalar *s) { scalars_.push_back(s); }
-    void add(const Vector *v) { vectors_.push_back(v); }
-    void add(const Histogram *h) { histograms_.push_back(h); }
-    void add(const TimeSeries *t) { timeSeries_.push_back(t); }
+    Group(const Group &) = delete;
+    Group &operator=(const Group &) = delete;
+
+    /** Appends a statistic (its constructor does this for owners). */
+    void add(Scalar *s) { scalars_.push_back(s); order_.push_back(s); }
+    void add(Vector *v) { vectors_.push_back(v); order_.push_back(v); }
+    void
+    add(Histogram *h)
+    {
+        histograms_.push_back(h);
+        order_.push_back(h);
+    }
+    void
+    add(TimeSeries *t)
+    {
+        timeSeries_.push_back(t);
+        order_.push_back(t);
+    }
+
+    /** Zeroes every statistic in the group. */
+    void
+    reset()
+    {
+        forEach([](auto &stat) { stat.reset(); });
+    }
+
+    /** Calls @p fn on every statistic, in declaration order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        for (const Stat &stat : order_) {
+            std::visit([&fn](auto *s) { fn(*s); }, stat);
+        }
+    }
 
     /** Writes a human-readable listing of all registered stats. */
     void dump(std::ostream &os) const;
 
     const std::string &name() const { return name_; }
 
-    /** @name Introspection (telemetry exporters) @{ */
-    const std::vector<const Scalar *> &scalars() const { return scalars_; }
-    const std::vector<const Vector *> &vectors() const { return vectors_; }
-    const std::vector<const Histogram *> &histograms() const
+    /** @name Introspection by kind (telemetry exporters) @{ */
+    const std::vector<Scalar *> &scalars() const { return scalars_; }
+    const std::vector<Vector *> &vectors() const { return vectors_; }
+    const std::vector<Histogram *> &histograms() const
     {
         return histograms_;
     }
-    const std::vector<const TimeSeries *> &timeSeries() const
+    const std::vector<TimeSeries *> &timeSeries() const
     {
         return timeSeries_;
     }
     /** @} */
 
   private:
+    using Stat = std::variant<Scalar *, Vector *, Histogram *, TimeSeries *>;
+
     std::string name_;
-    std::vector<const Scalar *> scalars_;
-    std::vector<const Vector *> vectors_;
-    std::vector<const Histogram *> histograms_;
-    std::vector<const TimeSeries *> timeSeries_;
+    std::vector<Scalar *> scalars_;
+    std::vector<Vector *> vectors_;
+    std::vector<Histogram *> histograms_;
+    std::vector<TimeSeries *> timeSeries_;
+    std::vector<Stat> order_; //!< Every statistic, in declaration order.
 };
+
+inline Scalar::Scalar(Group &group, std::string name)
+    : name_(std::move(name))
+{
+    group.add(this);
+}
+
+inline Vector::Vector(Group &group, std::string name,
+                      std::vector<std::string> labels)
+    : Vector(std::move(name), std::move(labels))
+{
+    group.add(this);
+}
+
+inline Histogram::Histogram(Group &group, std::string name,
+                            unsigned log2_buckets)
+    : Histogram(std::move(name), log2_buckets)
+{
+    group.add(this);
+}
+
+inline TimeSeries::TimeSeries(Group &group, std::string name,
+                              Tick bucket_width)
+    : TimeSeries(std::move(name), bucket_width)
+{
+    group.add(this);
+}
 
 } // namespace hwgc::stats
 

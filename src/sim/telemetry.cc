@@ -514,13 +514,10 @@ StatsGroups::~StatsGroups()
     }
 }
 
-stats::Group &
-StatsGroups::add(const std::string &prefix, const std::string &sub)
+void
+StatsGroups::add(const std::string &path, const stats::Group &group)
 {
-    groups_.push_back(std::make_unique<stats::Group>(sub));
-    paths_.push_back(StatsRegistry::global().add(prefix + "." + sub,
-                                                 groups_.back().get()));
-    return *groups_.back();
+    paths_.push_back(StatsRegistry::global().add(path, &group));
 }
 
 // ---------------------------------------------------------------------

@@ -276,11 +276,11 @@ class StatsRegistry
 };
 
 /**
- * The stats groups one owner (a device, a SoC, a lab) registers in
- * the global registry: add() registers a fresh group at
- * "<prefix>.<sub>", and destruction retires every group it added.
- * Declare it after the components whose statistics the groups point
- * at, so the retirement still reads live values.
+ * The component-owned stats groups one owner (a device, a SoC, a lab,
+ * a profiler) exports: add() registers a group in the global registry,
+ * and destruction retires every group it added. Declare it after the
+ * components that own the groups, so the retirement still reads live
+ * values.
  */
 class StatsGroups
 {
@@ -291,11 +291,10 @@ class StatsGroups
     StatsGroups(const StatsGroups &) = delete;
     StatsGroups &operator=(const StatsGroups &) = delete;
 
-    /** Registers group @p sub under @p prefix and returns it. */
-    stats::Group &add(const std::string &prefix, const std::string &sub);
+    /** Registers @p group at @p path ("system.hwgc0.marker"). */
+    void add(const std::string &path, const stats::Group &group);
 
   private:
-    std::vector<std::unique_ptr<stats::Group>> groups_;
     std::vector<std::string> paths_;
 };
 

@@ -70,12 +70,18 @@ struct GraphParams
     std::uint64_t sparsePadObjects = 0;
 
     std::uint64_t seed = 1;
-};
 
-/** @name GraphParams serialization (farm snapshots) @{ */
-void putGraphParams(checkpoint::Serializer &ser, const GraphParams &p);
-GraphParams getGraphParams(checkpoint::Deserializer &des);
-/** @} */
+    /** Archives every field, in declaration order (farm snapshots). */
+    void
+    serialize(checkpoint::Archive &ar)
+    {
+        ar(liveObjects, garbageObjects, numRoots, avgRefs, maxRefs,
+           minRefs, avgPayloadWords, maxPayloadWords, arrayFraction,
+           avgArrayLen, maxArrayLen, largeFraction, shareProb, cycleProb,
+           localityBias, localityWindow, hotObjects, hotRefFraction,
+           sparsePadObjects, seed);
+    }
+};
 
 /** Builds and churns a heap graph matching a GraphParams shape. */
 class GraphBuilder
@@ -102,18 +108,14 @@ class GraphBuilder
     std::uint64_t objectsBuilt() const { return built_; }
 
     /**
-     * @name Builder-state serialization (farm snapshots)
-     *
-     * Captures the RNG stream and the live/hot candidate lists so a
-     * restored builder continues mutate() bit-identically to the one
-     * that was snapshotted. restore() must run on a builder
-     * constructed with the same GraphParams (seed-checked) over a
-     * heap whose state was restored from the same snapshot.
-     * @{
+     * Saves or restores the builder state (farm snapshots): the RNG
+     * stream and the live/hot candidate lists, so a restored builder
+     * continues mutate() bit-identically to the one that was
+     * snapshotted. Loading must run on a builder constructed with the
+     * same GraphParams (seed-checked) over a heap whose state was
+     * restored from the same snapshot.
      */
-    void save(checkpoint::Serializer &ser) const;
-    void restore(checkpoint::Deserializer &des);
-    /** @} */
+    void serialize(checkpoint::Archive &ar);
 
   private:
     /** Allocates one object with shape drawn from the parameters. */

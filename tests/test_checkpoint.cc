@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -98,6 +99,31 @@ expectSameStatsJson(const std::string &ref, const std::string &run)
     ADD_FAILURE() << "stats JSON diverged at byte " << i << "\n  ref: ..."
                   << ref.substr(begin, 200) << "\n  run: ..."
                   << run.substr(begin, 200);
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/**
+ * Restore-then-save must reproduce the image byte for byte: every
+ * serialize() writes back exactly what it read. @p save writes the
+ * restored owner's image to the given path.
+ */
+template <typename Save>
+void
+expectResaveIdentical(const std::string &path, Save &&save)
+{
+    const std::string resaved = path + ".resaved";
+    ASSERT_TRUE(save(resaved));
+    EXPECT_TRUE(slurp(path) == slurp(resaved))
+        << "restoring '" << path << "' and saving again changed the image";
+    std::remove(resaved.c_str());
 }
 
 /** Everything a finished run must reproduce after a restore. */
@@ -220,6 +246,9 @@ expectMidMarkRoundTrip(const HwgcConfig &config,
                     EXPECT_EQ(reader.device->system().now(), at);
                     EXPECT_EQ(reader.device->regs().status,
                               core::MmioRegs::Marking);
+                    expectResaveIdentical(path, [&](const std::string &p) {
+                        return reader.device->writeCheckpoint(p);
+                    });
                 });
             EXPECT_EQ(ref.now, run.now);
             EXPECT_EQ(ref.freed, run.freed);
@@ -282,6 +311,16 @@ TEST(Checkpoint, MidMarkRoundTripRefillingBucketBlockedTracer)
     }
     ASSERT_NE(at, 0u) << "no refilling, tracer-blocked cycle found";
     expectMidMarkRoundTrip(config, runtime::Layout::Bidirectional, at);
+}
+
+TEST(Checkpoint, MidMarkRoundTripTibLayoutUnderThrottle)
+{
+    // A throttled TIB-layout mark: the tracer's dependent TIB loads
+    // and refused slot reads are in flight at the checkpoint.
+    HwgcConfig config;
+    config.layout = runtime::Layout::Tib;
+    config.bus.throttleBytesPerCycle = 1.0;
+    expectMidMarkRoundTrip(config, runtime::Layout::Tib);
 }
 
 // ---------------------------------------------------------------------
@@ -432,6 +471,9 @@ TEST(Checkpoint, FleetMidServiceRoundTrip)
         driver::FleetLab restored(config, tenants);
         restored.restoreCheckpoint(path);
         EXPECT_EQ(restored.now(), ckpt_at);
+        expectResaveIdentical(path, [&](const std::string &p) {
+            return restored.writeCheckpoint(p);
+        });
         restored.run();
         expectSameFleetFinal(ref, fleetFinal(restored));
     }
@@ -461,15 +503,6 @@ TEST(Checkpoint, ListChunksShowsTopology)
     EXPECT_EQ(names.back(), "physmem");
     EXPECT_NE(std::find(names.begin(), names.end(), "traceQueue"),
               names.end());
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 void

@@ -225,5 +225,41 @@ TEST(EdgeCasesDeathTest, MarkingAFreeCellIsFatal)
     EXPECT_DEATH(device.runMark(), "non-live header");
 }
 
+TEST(HwgcConfigDeathTest, RejectsUnusableUnitsNamingTheField)
+{
+    // One below each field's minimum is fatal where the configuration
+    // enters (the Soc every device builds or joins), naming the field
+    // and the minimum, instead of panicking inside a component
+    // constructor or running a phase into its cycle budget. The
+    // minimum itself is accepted.
+    struct Case
+    {
+        const char *field;
+        unsigned core::HwgcConfig::*member;
+        unsigned least;
+    };
+    using C = core::HwgcConfig;
+    for (const Case &c :
+         {Case{"numSweepers", &C::numSweepers, 1},
+          Case{"tracerPendingRefs", &C::tracerPendingRefs, 1},
+          Case{"markerSlots", &C::markerSlots, 1},
+          Case{"spillQueueEntries", &C::spillQueueEntries, 8},
+          Case{"tracerQueueEntries", &C::tracerQueueEntries, 1},
+          Case{"unitTlbEntries", &C::unitTlbEntries, 1},
+          Case{"sweeperTlbEntries", &C::sweeperTlbEntries, 1}}) {
+        MiniRig rig;
+        C config;
+        config.*c.member = c.least - 1;
+        EXPECT_EXIT(
+            core::HwgcDevice(rig.mem, rig.heap.pageTable(), config),
+            testing::ExitedWithCode(1),
+            std::string(c.field) + " is " + std::to_string(c.least - 1) +
+                ", want at least " + std::to_string(c.least))
+            << c.field;
+        config.*c.member = c.least;
+        core::HwgcDevice accepted(rig.mem, rig.heap.pageTable(), config);
+    }
+}
+
 } // namespace
 } // namespace hwgc

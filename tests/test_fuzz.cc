@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -461,6 +462,17 @@ TEST(FuzzFarm, SnapshotForksBitIdentically)
     EXPECT_EQ(forkA.heap->liveObjects(), heap.liveObjects());
     EXPECT_EQ(forkA.heap->bytesAllocated(), heap.bytesAllocated());
     EXPECT_EQ(forkA.builder->objectsBuilt(), builder.objectsBuilt());
+
+    // Loading then saving again reproduces the snapshot byte for byte.
+    const std::string resaved = path + ".resaved";
+    fuzz::saveFarmSnapshot(resaved, forkA.meta, forkA.params, *forkA.heap,
+                           *forkA.builder, *forkA.mem);
+    const auto bytes = [](const std::string &file) {
+        std::ifstream in(file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    EXPECT_TRUE(bytes(path) == bytes(resaved));
+    std::remove(resaved.c_str());
 
     fuzz::FarmUniverse forkB = fuzz::loadFarmSnapshot(path);
 

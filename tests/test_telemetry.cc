@@ -74,6 +74,65 @@ TEST(StatsRegistry, DeviceRegistersItsComponentTree)
     telemetry::StatsRegistry::global().clearRetired();
 }
 
+TEST(StatsRegistry, DeviceResetZeroesEveryExportedStatistic)
+{
+    // Reset is uniform: after a collect under the global throttle and
+    // a group budget, resetStats() leaves every scalar, vector,
+    // histogram and time series of every group a standalone device
+    // exports at zero, the root reader's and both bus throttle
+    // counters included.
+    mem::PhysMem phys_mem;
+    runtime::Heap heap(phys_mem);
+    workload::GraphBuilder builder(heap, workload::smokeProfile().graph);
+    builder.build();
+    heap.publishRoots();
+    core::HwgcConfig config;
+    config.bus.throttleBytesPerCycle = 2.0;
+    core::HwgcDevice device(phys_mem, heap.pageTable(), config);
+    mem::Interconnect &bus = device.bus();
+    for (unsigned c = 0; c < bus.numClients(); c += 2) {
+        bus.setClientGroup(c, 0);
+    }
+    bus.setGroupThrottle(0, 1.0);
+    device.configure(heap);
+    device.collect();
+    ASSERT_GT(device.rootReader().rootsRead(), 0u);
+    ASSERT_GT(bus.throttledGrants(), 0u);
+    ASSERT_GT(bus.groupThrottledGrants(), 0u);
+
+    device.resetStats();
+    const std::string prefix = device.statsPrefix() + ".";
+    unsigned groups = 0;
+    for (const auto &[path, group] :
+         telemetry::StatsRegistry::global().groups()) {
+        if (path.rfind(prefix, 0) != 0) {
+            continue;
+        }
+        ++groups;
+        for (const stats::Scalar *s : group->scalars()) {
+            EXPECT_EQ(s->value(), 0u) << path << "." << s->name();
+        }
+        for (const stats::Vector *v : group->vectors()) {
+            EXPECT_EQ(v->total(), 0u) << path << "." << v->name();
+        }
+        for (const stats::Histogram *h : group->histograms()) {
+            EXPECT_EQ(h->count() + h->sum() + h->minValue() +
+                          h->maxValue(),
+                      0u)
+                << path << "." << h->name();
+            for (const std::uint64_t b : h->buckets()) {
+                EXPECT_EQ(b, 0u) << path << "." << h->name();
+            }
+        }
+        for (const stats::TimeSeries *t : group->timeSeries()) {
+            for (const std::uint64_t b : t->buckets()) {
+                EXPECT_EQ(b, 0u) << path << "." << t->name();
+            }
+        }
+    }
+    EXPECT_GT(groups, 10u);
+}
+
 // ---------------------------------------------------------------------
 // Perturbation A/B: telemetry on vs off, both kernels.
 // ---------------------------------------------------------------------

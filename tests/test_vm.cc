@@ -129,12 +129,10 @@ TEST(Tlb, ReinsertUpdatesMapping)
 
 /** A TLB's complete saved state: entries, LRU stamps and stats. */
 std::string
-tlbImage(const TlbArray &tlb)
+tlbImage(TlbArray &tlb)
 {
     checkpoint::Serializer ser;
-    ser.beginChunk("tlb");
-    tlb.save(ser);
-    ser.endChunk();
+    checkpoint::Archive(ser).chunk("tlb", tlb);
     return ser.image();
 }
 
