@@ -84,18 +84,9 @@ postMortem(const std::string &path)
     des.beginChunk("kernel");
     const std::uint64_t now = des.getU64();
     const std::uint64_t executed = des.getU64();
-    const std::uint64_t due_mask = des.getU64();
-    const std::uint64_t pending = des.getU64();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        des.getU64(); // Scheduled-wakeup cycle.
-        des.getU64(); // Component index.
-    }
     des.endChunk();
-    std::printf("kernel: cycle=%llu executed=%llu dueMask=%#llx "
-                "scheduledWakeups=%llu\n",
-                (unsigned long long)now, (unsigned long long)executed,
-                (unsigned long long)due_mask,
-                (unsigned long long)pending);
+    std::printf("kernel: cycle=%llu executed=%llu\n",
+                (unsigned long long)now, (unsigned long long)executed);
     std::printf("\nresume with --checkpoint-in=%s on an identically "
                 "configured run.\n", path.c_str());
     return 0;

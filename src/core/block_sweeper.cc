@@ -27,11 +27,10 @@ using runtime::StatusWord;
 
 BlockSweeper::BlockSweeper(std::string name, const HwgcConfig &config,
                            mem::MemPort *port, mem::Ptw &ptw)
-    : Clocked(std::move(name)), config_(config), port_(port), ptw_(ptw),
-      tlb_(this->name() + ".tlb", config.sweeperTlbEntries)
+    : Clocked(std::move(name)), config_(config), port_(port),
+      translator_(ptw, this->name(), config.sweeperTlbEntries)
 {
     panic_if(port_ == nullptr, "sweeper needs a memory port");
-    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 bool
@@ -76,33 +75,6 @@ BlockSweeper::activate()
     }
 }
 
-std::optional<Addr>
-BlockSweeper::translate(Addr va, Tick now)
-{
-    if (walkPending_) {
-        return std::nullopt; // Blocked on the PTW; don't re-probe.
-    }
-    if (const auto pa = tlb_.lookup(va)) {
-        return *pa;
-    }
-    if (ptw_.canRequest(ptwPort_)) {
-        walkPending_ = true;
-        ptw_.requestWalk(ptwPort_, va, now, walkCallback());
-    }
-    return std::nullopt;
-}
-
-mem::Ptw::WalkCallback
-BlockSweeper::walkCallback()
-{
-    return [this](bool valid, Addr wva, Addr wpa, unsigned page_bits) {
-        fatal_if(!valid, "sweeper touched unmapped VA %#llx",
-                 (unsigned long long)wva);
-        tlb_.insert(wva, wpa, page_bits);
-        walkPending_ = false;
-    };
-}
-
 std::optional<Word>
 BlockSweeper::readWord(Addr va, Tick now)
 {
@@ -116,7 +88,7 @@ BlockSweeper::readWord(Addr va, Tick now)
     if (lineFillPending_) {
         return std::nullopt; // One outstanding fill at a time.
     }
-    const auto pa = translate(line_va, now);
+    const auto pa = translator_.translate(line_va, now);
     if (!pa) {
         return std::nullopt;
     }
@@ -137,7 +109,7 @@ BlockSweeper::readWord(Addr va, Tick now)
 bool
 BlockSweeper::writeWord(Addr va, Word value, Tick now)
 {
-    const auto pa = translate(va, now);
+    const auto pa = translator_.translate(va, now);
     if (!pa) {
         return false;
     }
@@ -197,7 +169,7 @@ BlockSweeper::finishBlock(Tick now)
 
     // Head + summary as one aligned 16-byte store (entry words 2..3).
     const Addr dest = job_.entryVa + 2 * wordBytes;
-    const auto pa = translate(dest, now);
+    const auto pa = translator_.translate(dest, now);
     if (!pa) {
         return;
     }
@@ -302,7 +274,7 @@ BlockSweeper::nextWakeup(Tick now) const
         }
         return maxTick; // Write acks arrive via onResponse.
     }
-    if (walkPending_ || lineFillPending_) {
+    if (translator_.walkPending() || lineFillPending_) {
         // The state machine is strictly sequential: it is blocked on
         // this walk/fill and every tick until it resolves is a no-op
         // (modulo line-buffer LRU touches, which cannot change the
@@ -327,7 +299,7 @@ BlockSweeper::cycleClass(Tick now) const
                    ? CycleClass::StallUpstreamEmpty
                    : CycleClass::Idle;
     }
-    if (walkPending_) {
+    if (translator_.walkPending()) {
         return CycleClass::StallPtw;
     }
     if (lineFillPending_) {
@@ -347,15 +319,15 @@ BlockSweeper::serialize(checkpoint::Archive &ar)
     ar(active_, job_, inboxValid_, inboxAt_, inboxJob_, cellIndex_,
        numCells_, step_, curNumRefs_, freeHead_, prevFree_, freeCells_,
        hasLive_, pendingLink_, pendingLinkTarget_, lines_, useCounter_,
-       lineFillPending_, lineFillVa_, writesInFlight_, walkPending_,
-       stats_, tlb_);
+       lineFillPending_, lineFillVa_, writesInFlight_, stats_,
+       translator_);
 }
 
 void
 BlockSweeper::reset()
 {
     panic_if(busy(), "sweeper reset while active");
-    tlb_.flush();
+    translator_.flush();
     for (auto &line : lines_) {
         line.valid = false;
     }
@@ -365,7 +337,7 @@ void
 BlockSweeper::resetStats()
 {
     stats_.reset();
-    tlb_.stats().reset();
+    translator_.resetStats();
 }
 
 } // namespace hwgc::core

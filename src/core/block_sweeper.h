@@ -19,8 +19,7 @@
 #include <optional>
 
 #include "core/hwgc_config.h"
-#include "mem/ptw.h"
-#include "mem/tlb.h"
+#include "mem/translator.h"
 #include "sim/stats.h"
 
 namespace hwgc::core
@@ -75,9 +74,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     void serialize(checkpoint::Archive &ar) override;
     void resetStats() override;
 
-    /** Re-creates the page-walk completion callback (restore path). */
-    mem::Ptw::WalkCallback walkCallback();
-
     void reset();
 
     /** @name Statistics @{ */
@@ -117,16 +113,12 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     /** Finishes the block: final link, free head, summary. */
     void finishBlock(Tick now);
 
-    std::optional<Addr> translate(Addr va, Tick now);
-
     /** Moves the latched inbox job into the state machine. */
     void activate();
 
     HwgcConfig config_;
     mem::MemPort *port_;
-    mem::Ptw &ptw_;
-    unsigned ptwPort_ = 0; //!< Our requester port on the shared PTW.
-    mem::TlbArray tlb_;
+    mem::Translator translator_;
     const Clocked *upstream_ = nullptr; //!< Job source (profiling).
 
     // Job state.
@@ -164,7 +156,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     bool lineFillPending_ = false;
     Addr lineFillVa_ = 0;
     unsigned writesInFlight_ = 0;
-    bool walkPending_ = false;
 
     stats::Group stats_{name()};
     stats::Scalar blocks_{stats_, "blocksSwept"};

@@ -157,13 +157,13 @@ HwgcDevice::join()
     // canPush). What remains to declare are the coarse
     // cross-reads — state a component's nextWakeup() inspects that
     // another component's *tick* mutates without calling into it:
-    //  - marker and tracer wait on PTW walk callbacks and launch
+    //  - marker and tracer wait on PTW walk completions and launch
     //    slots (ptw.canRequest), and on mark-queue state the queue's
     //    own spill tick shuffles (canDequeue, throttle).
     //  - tracer polls the trace queue and markQueue.throttle, which
     //    the marker's tick feeds and drains.
-    //  - rootReader and the sweepers wait on PTW walk callbacks.
-    //  - reclamation polls sweeper->idle() and PTW walk callbacks.
+    //  - rootReader and the sweepers wait on PTW walk completions.
+    //  - reclamation polls sweeper->idle() and PTW walk completions.
     // markQueue, ptw and the caches read only their own state, so
     // their entry-point pokes alone keep them fresh. Soc::seal()
     // declares the bus and memory edges.
@@ -206,8 +206,6 @@ HwgcDevice::join()
         sys.declareWakeupInputs(ptwCache_.get(), {});
     }
 
-    installWalkResolver();
-
     const std::string &p = statsPrefix_;
     stats_.add(p + ".rootReader", rootReader_->stats());
     stats_.add(p + ".marker", marker_->stats());
@@ -229,37 +227,6 @@ HwgcDevice::join()
     if (ptwCache_) {
         stats_.add(p + ".ptwcache", ptwCache_->stats());
     }
-}
-
-void
-HwgcDevice::installWalkResolver()
-{
-    // Walk-completion callbacks are opaque closures and cannot live in
-    // a checkpoint; each in-flight walk instead records its (owner
-    // name, token) identity and this factory re-creates the closure on
-    // restore (see mem::Ptw::CallbackResolver).
-    ptw_->setCallbackResolver(
-        [this](const std::string &owner,
-               std::uint64_t token) -> mem::Ptw::WalkCallback {
-            if (owner == marker_->name()) {
-                return marker_->walkCallback(token);
-            }
-            if (owner == tracer_->name()) {
-                return tracer_->walkCallback();
-            }
-            if (owner == rootReader_->name()) {
-                return rootReader_->walkCallback();
-            }
-            if (owner == reclamation_->name()) {
-                return reclamation_->walkCallback();
-            }
-            for (auto &sweeper : reclamation_->sweepers()) {
-                if (owner == sweeper->name()) {
-                    return sweeper->walkCallback();
-                }
-            }
-            return nullptr; // Ptw::resolveCallback() fatals.
-        });
 }
 
 void
@@ -445,6 +412,12 @@ HwgcDevice::finishMark()
 HwPhaseResult
 HwgcDevice::runMark()
 {
+    // A device restored mid-sweep finished its mark before the image
+    // was written: there is no mark left to run, and runSweep()
+    // resumes the sweep.
+    if (regs_.status == MmioRegs::Sweeping) {
+        return {};
+    }
     const bool resuming = regs_.status == MmioRegs::Marking;
     const Tick start = system().now();
     DPRINTF(start, "Device", "%s: mark phase %s, %llu roots",
@@ -578,6 +551,22 @@ HwgcDevice::resetStats()
     traceQueue_->resetStats();
 }
 
+namespace
+{
+
+/** Appends ",<name>=v1/v2/..." (doubles round-trip: 17 digits). */
+template <typename... Ts>
+void
+signatureField(std::ostringstream &os, const char *name,
+               const Ts &...values)
+{
+    os << ',' << name << '=';
+    const char *sep = "";
+    ((os << sep << values, sep = "/"), ...);
+}
+
+} // namespace
+
 std::string
 HwgcDevice::configSignature() const
 {
@@ -596,7 +585,30 @@ HwgcDevice::configSignature() const
         config_.tracerTagSlots, config_.numSweepers,
         config_.sweeperTlbEntries, int(config_.sharedCache),
         int(config_.memModel));
-    return buf;
+    std::ostringstream os;
+    os.precision(17);
+    os << buf;
+    for (const auto &[name, p] :
+         {std::pair{"ucache", config_.sharedCacheParams},
+          std::pair{"pcache", config_.ptwCacheParams}}) {
+        signatureField(os, name, p.sizeBytes, p.assoc, p.hitLatency,
+                       p.mshrs, p.portQueueDepth, p.writebackDepth);
+    }
+    const mem::PtwParams &w = config_.ptw;
+    signatureField(os, "ptw", w.l2TlbEntries, w.l2TlbLatency, w.queueDepth);
+    const mem::DramParams &d = config_.dram;
+    signatureField(os, "dram", d.banks, d.rowBytes, d.tCAS, d.tRCD, d.tRP,
+                   d.tRAS, d.maxReads, d.maxWrites, d.busBytesPerCycle,
+                   d.frontendLatency, int(d.scheduler),
+                   int(d.pagePolicy), d.bandwidthBucket);
+    const mem::IdealMemParams &i = config_.ideal;
+    signatureField(os, "ideal", i.latency, i.busBytesPerCycle,
+                   i.maxInFlight, i.bandwidthBucket, i.perRequestOverhead);
+    const mem::InterconnectParams &b = config_.bus;
+    signatureField(os, "bus", b.clientQueueDepth, b.grantsPerCycle,
+                   b.requestLatency, b.responseLatency,
+                   b.throttleBytesPerCycle);
+    return os.str();
 }
 
 void

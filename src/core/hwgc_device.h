@@ -99,7 +99,11 @@ class HwgcDevice
     /** Raw register access (the driver path of Fig 10). */
     MmioRegs &regs() { return regs_; }
 
-    /** Runs the mark phase to completion; returns its cycle count. */
+    /**
+     * Runs the mark phase to completion; returns its cycle count. On
+     * a device restored mid-sweep the mark is already over: returns a
+     * zero result without marking.
+     */
     HwPhaseResult runMark();
 
     /** Runs the sweep phase to completion. */
@@ -201,9 +205,11 @@ class HwgcDevice
 
     /**
      * Architectural configuration fingerprint embedded in every
-     * checkpoint. Deliberately excludes the kernel mode: it changes
-     * host execution only, so a checkpoint saved under one kernel
-     * restores under the other.
+     * checkpoint: every HwgcConfig field that shapes simulation, the
+     * bus, memory, PTW and cache parameters included. Deliberately
+     * excludes the kernel mode — it changes host execution only, so a
+     * checkpoint saved under one kernel restores under the other —
+     * and `devices`, which a device ignores.
      */
     std::string configSignature() const;
 
@@ -240,9 +246,6 @@ class HwgcDevice
 
     /** Attaches the tracer and profiler observers (standalone). */
     void attachObservers();
-
-    /** Installs the PTW's (owner, token) -> walk-callback factory. */
-    void installWalkResolver();
 
     /** Writes the armed checkpoint after a completed phase. */
     void writePhaseCheckpoint();

@@ -27,7 +27,7 @@ Marker::Marker(std::string name, const HwgcConfig &config,
     hasFastForward_ = true; // Accrues tlbMissStalls over skipped spans.
     panic_if(port_ == nullptr, "marker needs a memory port");
     panic_if(config_.markerSlots == 0, "marker needs request slots");
-    ptwPort_ = ptw_.registerRequester(this->name());
+    ptwPort_ = ptw_.registerRequester(*this, this->name());
 }
 
 bool
@@ -218,21 +218,19 @@ Marker::issue(Tick now)
     }
 }
 
-mem::Ptw::WalkCallback
-Marker::walkCallback(std::uint64_t token)
+void
+Marker::onWalk(const mem::WalkResult &walk, Tick now)
 {
-    const std::size_t i = std::size_t(token);
-    panic_if(i >= waiters_.size(), "bad marker walk token %llu",
-             (unsigned long long)token);
-    return [this, i](bool valid, Addr va, Addr pa, unsigned page_bits) {
-        fatal_if(!valid, "GC unit touched unmapped VA %#llx",
-                 (unsigned long long)va);
-        tlb_.insert(va, pa, page_bits);
-        WalkWaiter &w = waiters_[i];
-        panic_if(!w.valid || w.ready, "stale marker walk callback");
-        w.pa = pa;
-        w.ready = true;
-    };
+    (void)now;
+    panic_if(walk.token >= waiters_.size(), "bad marker walk token %llu",
+             (unsigned long long)walk.token);
+    fatal_if(!walk.valid, "GC unit touched unmapped VA %#llx",
+             (unsigned long long)walk.va);
+    tlb_.insert(walk.va, walk.pa, walk.pageBits);
+    WalkWaiter &w = waiters_[std::size_t(walk.token)];
+    panic_if(!w.valid || w.ready, "stale marker walk completion");
+    w.pa = walk.pa;
+    w.ready = true;
 }
 
 void
@@ -248,7 +246,7 @@ Marker::tick(Tick now)
             continue;
         }
         waiter.walkRequested = true;
-        ptw_.requestWalk(ptwPort_, waiter.ref, now, walkCallback(i), i);
+        ptw_.requestWalk(ptwPort_, waiter.ref, now, i);
     }
 
     issue(now);
@@ -299,8 +297,8 @@ Marker::nextWakeup(Tick now) const
         // Note this fires even when the marker itself is idle: the
         // mark queue's entries are pulled from here. The waiters-full
         // TLB stall is *not* a wakeup — tlbMissStalls accrues in
-        // fastForward() and the unblocking walk callback runs inside
-        // a PTW tick, which re-polls every component.
+        // fastForward() and the unblocking walk completion runs
+        // inside a PTW tick, which re-polls every component.
         return now;
     }
     // Remaining states (reads in flight, walks pending, stalls on the

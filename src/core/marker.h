@@ -100,7 +100,9 @@ class MarkBitCache
 };
 
 /** The marker. */
-class Marker : public Clocked, public mem::MemResponder
+class Marker : public Clocked,
+               public mem::MemResponder,
+               public mem::WalkResponder
 {
   public:
     Marker(std::string name, const HwgcConfig &config,
@@ -113,6 +115,9 @@ class Marker : public Clocked, public mem::MemResponder
     // MemResponder interface.
     void onResponse(const mem::MemResponse &resp, Tick now) override;
 
+    /** WalkResponder interface: the token is the walk waiter's index. */
+    void onWalk(const mem::WalkResult &walk, Tick now) override;
+
     // Clocked interface.
     void tick(Tick now) override;
     bool busy() const override { return !idle(); }
@@ -121,12 +126,6 @@ class Marker : public Clocked, public mem::MemResponder
     void fastForward(Tick from, Tick to) override;
     void serialize(checkpoint::Archive &ar) override;
     void resetStats() override;
-
-    /**
-     * Re-creates the page-walk completion callback for walk-waiter
-     * slot @p token (used by the PTW callback resolver on restore).
-     */
-    mem::Ptw::WalkCallback walkCallback(std::uint64_t token);
 
     /** In-flight mark reads (for the coupled-tracer ablation). */
     unsigned inFlight() const { return inFlightReads_; }

@@ -18,22 +18,26 @@ ReclamationUnit::ReclamationUnit(std::string name,
                                  std::vector<mem::MemPort *> sweeper_ports,
                                  mem::Ptw &ptw)
     : Clocked(std::move(name)), config_(config),
-      readerPort_(reader_port), ptw_(ptw),
-      readerTlb_(this->name() + ".reader.tlb", 4)
+      readerPort_(reader_port), sweepers_([&] {
+          std::vector<std::unique_ptr<BlockSweeper>> sweepers;
+          for (std::size_t i = 0; i < sweeper_ports.size(); ++i) {
+              sweepers.push_back(std::make_unique<BlockSweeper>(
+                  this->name() + ".sweeper" + std::to_string(i), config,
+                  sweeper_ports[i], ptw));
+          }
+          return sweepers;
+      }()),
+      readerTranslator_(ptw, this->name(), 4)
 {
     panic_if(readerPort_ == nullptr, "reclamation unit needs a port");
     panic_if(sweeper_ports.size() != config.numSweepers,
              "expected %u sweeper ports, got %zu", config.numSweepers,
              sweeper_ports.size());
-    for (unsigned i = 0; i < config.numSweepers; ++i) {
-        sweepers_.push_back(std::make_unique<BlockSweeper>(
-            this->name() + ".sweeper" + std::to_string(i), config,
-            sweeper_ports[i], ptw));
+    for (auto &sweeper : sweepers_) {
         // The dispatcher is each sweeper's sole work source; the
         // cycle profiler uses the edge to tell starvation from idle.
-        sweepers_.back()->setUpstream(this);
+        sweeper->setUpstream(this);
     }
-    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 void
@@ -102,18 +106,12 @@ ReclamationUnit::tick(Tick now)
     if (entryReadPending_ || nextBlock_ >= blockCount_) {
         return;
     }
-    if (walkPending_) {
-        return; // Blocked on the PTW; don't re-probe the TLB.
-    }
 
     // Fetch the next 32-byte block-table entry.
     const Addr entry_va = BlockTableEntry::addr(tableVa_, nextBlock_);
-    std::optional<Addr> pa = readerTlb_.lookup(entry_va);
+    const std::optional<Addr> pa =
+        readerTranslator_.translate(entry_va, now);
     if (!pa) {
-        if (ptw_.canRequest(ptwPort_)) {
-            walkPending_ = true;
-            ptw_.requestWalk(ptwPort_, entry_va, now, walkCallback());
-        }
         return;
     }
 
@@ -145,7 +143,7 @@ ReclamationUnit::nextWakeup(Tick now) const
         return maxTick; // Entry read resolves via onResponse.
     }
     if (nextBlock_ < blockCount_) {
-        return walkPending_ ? maxTick : now;
+        return readerTranslator_.walkPending() ? maxTick : now;
     }
     return maxTick; // Draining sweepers only.
 }
@@ -169,7 +167,7 @@ ReclamationUnit::cycleClass(Tick now) const
         return CycleClass::StallDram; // Block-table entry in flight.
     }
     if (nextBlock_ < blockCount_) {
-        if (walkPending_) {
+        if (readerTranslator_.walkPending()) {
             return CycleClass::StallPtw;
         }
         mem::MemRequest probe;
@@ -180,22 +178,11 @@ ReclamationUnit::cycleClass(Tick now) const
     return CycleClass::StallDownstreamFull; // Sweepers still draining.
 }
 
-mem::Ptw::WalkCallback
-ReclamationUnit::walkCallback()
-{
-    return [this](bool valid, Addr va, Addr wpa, unsigned page_bits) {
-        fatal_if(!valid, "block table unmapped at %#llx",
-                 (unsigned long long)va);
-        readerTlb_.insert(va, wpa, page_bits);
-        walkPending_ = false;
-    };
-}
-
 void
 ReclamationUnit::serialize(checkpoint::Archive &ar)
 {
     ar(tableVa_, nextBlock_, blockCount_, entryReadPending_, entryReady_,
-       pendingJob_, walkPending_, stats_, readerTlb_);
+       pendingJob_, stats_, readerTranslator_);
 }
 
 std::uint64_t
@@ -222,7 +209,7 @@ void
 ReclamationUnit::reset()
 {
     panic_if(!done(), "reclamation unit reset while active");
-    readerTlb_.flush();
+    readerTranslator_.flush();
     for (auto &sweeper : sweepers_) {
         sweeper->reset();
     }
@@ -232,7 +219,7 @@ void
 ReclamationUnit::resetStats()
 {
     stats_.reset();
-    readerTlb_.stats().reset();
+    readerTranslator_.resetStats();
 }
 
 } // namespace hwgc::core

@@ -48,9 +48,6 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
     CycleClass cycleClass(Tick now) const override;
     void serialize(checkpoint::Archive &ar) override;
 
-    /** Re-creates the page-walk completion callback (restore path). */
-    mem::Ptw::WalkCallback walkCallback();
-
     /** The sweepers (registered separately with the System). */
     std::vector<std::unique_ptr<BlockSweeper>> &sweepers()
     {
@@ -73,10 +70,10 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
   private:
     HwgcConfig config_;
     mem::MemPort *readerPort_;
-    mem::Ptw &ptw_;
-    unsigned ptwPort_ = 0; //!< Our requester port on the shared PTW.
-    mem::TlbArray readerTlb_;
+    /** Built before readerTranslator_: PTW port ids follow
+     *  registration order, and the sweepers' come first. */
     std::vector<std::unique_ptr<BlockSweeper>> sweepers_;
+    mem::Translator readerTranslator_;
 
     Addr tableVa_ = 0;
     std::uint64_t nextBlock_ = 0;
@@ -84,7 +81,6 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
     bool entryReadPending_ = false;
     bool entryReady_ = false;
     SweepJob pendingJob_;
-    bool walkPending_ = false;
 
     stats::Group stats_{name()};
     stats::Scalar dispatched_{stats_, "blocksDispatched"};

@@ -14,10 +14,9 @@ RootReader::RootReader(std::string name, const HwgcConfig &config,
                        MarkQueue &mark_queue, mem::MemPort *port,
                        mem::Ptw &ptw)
     : Clocked(std::move(name)), config_(config), markQueue_(mark_queue),
-      port_(port), ptw_(ptw), tlb_(this->name() + ".tlb", 4)
+      port_(port), translator_(ptw, this->name(), 4)
 {
     panic_if(port_ == nullptr, "root reader needs a memory port");
-    ptwPort_ = ptw_.registerRequester(this->name());
 }
 
 void
@@ -83,17 +82,10 @@ RootReader::tick(Tick now)
     if (cursor_ >= end_ || pending_.size() >= 64) {
         return;
     }
-    if (walkPending_) {
-        return; // Blocked on the PTW; don't re-probe the TLB.
-    }
 
     // Translate the current page (blocking, via the shared PTW).
-    std::optional<Addr> pa = tlb_.lookup(cursor_);
+    const std::optional<Addr> pa = translator_.translate(cursor_, now);
     if (!pa) {
-        if (ptw_.canRequest(ptwPort_)) {
-            walkPending_ = true;
-            ptw_.requestWalk(ptwPort_, cursor_, now, walkCallback());
-        }
         return;
     }
 
@@ -119,7 +111,7 @@ RootReader::nextWakeup(Tick now) const
     }
     if (cursor_ < end_) {
         // pending_ is empty here, so the 64-entry gate is open.
-        return walkPending_ ? maxTick : now;
+        return translator_.walkPending() ? maxTick : now;
     }
     return maxTick; // Only in-flight reads remain (onResponse).
 }
@@ -135,7 +127,7 @@ RootReader::cycleClass(Tick now) const
         return CycleClass::Busy; // Feeding roots into the queue.
     }
     if (cursor_ < end_ && pending_.size() < 64) {
-        if (walkPending_) {
+        if (translator_.walkPending()) {
             return CycleClass::StallPtw;
         }
         // Issuing (or launching a walk); the TLB itself is not
@@ -149,42 +141,31 @@ RootReader::cycleClass(Tick now) const
     if (!pending_.empty()) {
         return CycleClass::StallDownstreamFull; // Mark queue full.
     }
-    if (walkPending_) {
+    if (translator_.walkPending()) {
         return CycleClass::StallPtw;
     }
     return CycleClass::StallDram; // Root-line reads in flight.
 }
 
-mem::Ptw::WalkCallback
-RootReader::walkCallback()
-{
-    return [this](bool valid, Addr va, Addr wpa, unsigned page_bits) {
-        fatal_if(!valid, "hwgc-space unmapped at %#llx",
-                 (unsigned long long)va);
-        tlb_.insert(va, wpa, page_bits);
-        walkPending_ = false;
-    };
-}
-
 void
 RootReader::serialize(checkpoint::Archive &ar)
 {
-    ar(base_, cursor_, end_, inFlight_, pending_, walkPending_, doneAt_,
-       stats_, tlb_);
+    ar(base_, cursor_, end_, inFlight_, pending_, doneAt_, stats_,
+       translator_);
 }
 
 void
 RootReader::resetStats()
 {
     stats_.reset();
-    tlb_.stats().reset();
+    translator_.resetStats();
 }
 
 void
 RootReader::reset()
 {
     panic_if(!done(), "root reader reset while active");
-    tlb_.flush();
+    translator_.flush();
     base_ = cursor_ = end_ = 0;
     doneAt_ = 0;
 }

@@ -13,8 +13,7 @@
 
 #include "core/hwgc_config.h"
 #include "core/mark_queue.h"
-#include "mem/ptw.h"
-#include "mem/tlb.h"
+#include "mem/translator.h"
 
 namespace hwgc::core
 {
@@ -53,9 +52,6 @@ class RootReader : public Clocked, public mem::MemResponder
     void serialize(checkpoint::Archive &ar) override;
     void resetStats() override;
 
-    /** Re-creates the page-walk completion callback (restore path). */
-    mem::Ptw::WalkCallback walkCallback();
-
     void reset();
 
     std::uint64_t rootsRead() const { return rootsRead_.value(); }
@@ -82,9 +78,7 @@ class RootReader : public Clocked, public mem::MemResponder
     HwgcConfig config_;
     MarkQueue &markQueue_;
     mem::MemPort *port_;
-    mem::Ptw &ptw_;
-    unsigned ptwPort_ = 0; //!< Our requester port on the shared PTW.
-    mem::TlbArray tlb_;
+    mem::Translator translator_;
 
     Addr base_ = 0;
     Addr cursor_ = 0;
@@ -92,7 +86,6 @@ class RootReader : public Clocked, public mem::MemResponder
     unsigned inFlight_ = 0;
     std::deque<Addr> pending_;
 
-    bool walkPending_ = false;
     Tick doneAt_ = 0;
 
     stats::Group stats_{name()};

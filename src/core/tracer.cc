@@ -22,7 +22,7 @@ Tracer::Tracer(std::string name, const HwgcConfig &config,
     // Replays throttle stalls and blocked retries' TLB hits.
     hasFastForward_ = true;
     panic_if(port_ == nullptr, "tracer needs a memory port");
-    ptwPort_ = ptw_.registerRequester(this->name());
+    ptwPort_ = ptw_.registerRequester(*this, this->name());
 }
 
 unsigned
@@ -66,23 +66,22 @@ Tracer::translate(Addr va, Tick now)
     if (ptw_.canRequest(ptwPort_)) {
         walkPending_ = true;
         walkDone_ = false;
-        ptw_.requestWalk(ptwPort_, va, now, walkCallback());
+        ptw_.requestWalk(ptwPort_, va, now);
     }
     return std::nullopt;
 }
 
-mem::Ptw::WalkCallback
-Tracer::walkCallback()
+void
+Tracer::onWalk(const mem::WalkResult &walk, Tick now)
 {
-    return [this](bool valid, Addr wva, Addr wpa, unsigned page_bits) {
-        fatal_if(!valid, "tracer touched unmapped VA %#llx",
-                 (unsigned long long)wva);
-        tlb_.insert(wva, wpa, page_bits);
-        walkVa_ = alignDown(wva, pageBytes);
-        walkPa_ = alignDown(wpa, pageBytes);
-        walkPending_ = false;
-        walkDone_ = true;
-    };
+    (void)now;
+    fatal_if(!walk.valid, "tracer touched unmapped VA %#llx",
+             (unsigned long long)walk.va);
+    tlb_.insert(walk.va, walk.pa, walk.pageBits);
+    walkVa_ = alignDown(walk.va, pageBytes);
+    walkPa_ = alignDown(walk.pa, pageBytes);
+    walkPending_ = false;
+    walkDone_ = true;
 }
 
 bool
@@ -357,9 +356,9 @@ Tracer::nextWakeup(Tick now) const
         return now;
     }
     if (!issueReady()) {
-        // Nothing to issue, or throttled, or blocked on the PTW
-        // callback or a dependent TIB load: every input changes only
-        // inside a declared input's tick or a callback that pokes us.
+        // Nothing to issue, or throttled, or blocked on a PTW walk
+        // or a dependent TIB load: every input changes only inside a
+        // declared input's tick or a callback that pokes us.
         // throttledCycles accrues in fastForward().
         return maxTick;
     }

@@ -36,7 +36,9 @@ namespace hwgc::core
 {
 
 /** The tracer. */
-class Tracer : public Clocked, public mem::MemResponder
+class Tracer : public Clocked,
+               public mem::MemResponder,
+               public mem::WalkResponder
 {
   public:
     Tracer(std::string name, const HwgcConfig &config,
@@ -60,6 +62,10 @@ class Tracer : public Clocked, public mem::MemResponder
     // MemResponder interface.
     void onResponse(const mem::MemResponse &resp, Tick now) override;
 
+    /** WalkResponder interface: installs the translation and keeps
+     *  the walked page as a memo the next translate() reads first. */
+    void onWalk(const mem::WalkResult &walk, Tick now) override;
+
     // Clocked interface.
     void tick(Tick now) override;
     bool busy() const override { return !idle(); }
@@ -68,9 +74,6 @@ class Tracer : public Clocked, public mem::MemResponder
     void fastForward(Tick from, Tick to) override;
     void serialize(checkpoint::Archive &ar) override;
     void resetStats() override;
-
-    /** Re-creates the page-walk completion callback (restore path). */
-    mem::Ptw::WalkCallback walkCallback();
 
     void reset();
 

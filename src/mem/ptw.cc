@@ -21,9 +21,9 @@ Ptw::Ptw(std::string name, const PtwParams &params,
 }
 
 unsigned
-Ptw::registerRequester(std::string label)
+Ptw::registerRequester(WalkResponder &responder, std::string label)
 {
-    ports_.push_back({std::move(label), {}});
+    ports_.push_back({&responder, std::move(label), {}});
     return unsigned(ports_.size() - 1);
 }
 
@@ -34,13 +34,12 @@ Ptw::canRequest(unsigned port) const
 }
 
 void
-Ptw::requestWalk(unsigned port, Addr va, Tick now, WalkCallback cb,
-                 std::uint64_t token)
+Ptw::requestWalk(unsigned port, Addr va, Tick now, std::uint64_t token)
 {
     panic_if(!canRequest(port), "PTW '%s' port '%s': queue overflow",
              name().c_str(), ports_[port].label.c_str());
     pokeWakeup(); // The latched walk becomes visible next cycle.
-    ports_[port].queue.push_back({va, now + 1, std::move(cb), token});
+    ports_[port].queue.push_back({va, now + 1, token});
 }
 
 void
@@ -59,16 +58,11 @@ Ptw::issueLevel(Tick now)
 }
 
 void
-Ptw::finishWalk(bool valid, Addr pa, unsigned page_bits, Tick now)
+Ptw::complete(bool valid, Addr pa, unsigned page_bits, Tick ready_at)
 {
-    if (valid) {
-        l2Tlb_.insert(current_.va, pa, page_bits);
-    }
-    pendingCallbacks_.push_back({now + 1, valid, current_.va, pa,
-                                 page_bits, std::move(current_.cb),
-                                 current_.token, currentPort_});
-    walking_ = false;
-    awaitingResponse_ = false;
+    completions_.push_back(
+        {ready_at, currentPort_,
+         {valid, current_.va, pa, page_bits, current_.token}});
 }
 
 void
@@ -81,20 +75,23 @@ Ptw::onResponse(const MemResponse &resp, Tick now)
     awaitingResponse_ = false;
     ++level_;
     if (level_ >= walkPlan_.levels) {
-        finishWalk(walkPlan_.valid, walkPlan_.pa, walkPlan_.pageBits,
-                   now);
+        if (walkPlan_.valid) {
+            l2Tlb_.insert(current_.va, walkPlan_.pa, walkPlan_.pageBits);
+        }
+        complete(walkPlan_.valid, walkPlan_.pa, walkPlan_.pageBits,
+                 now + 1);
+        walking_ = false;
     }
 }
 
 void
 Ptw::tick(Tick now)
 {
-    // Fire due callbacks.
-    while (!pendingCallbacks_.empty() &&
-           pendingCallbacks_.front().readyAt <= now) {
-        PendingCallback pc = std::move(pendingCallbacks_.front());
-        pendingCallbacks_.pop_front();
-        pc.cb(pc.valid, pc.va, pc.pa, pc.pageBits);
+    // Deliver due completions.
+    while (!completions_.empty() && completions_.front().readyAt <= now) {
+        const Completion c = completions_.front();
+        completions_.pop_front();
+        ports_[c.port].responder->onWalk(c.result, now);
     }
 
     if (walking_) {
@@ -126,11 +123,8 @@ Ptw::tick(Tick now)
     p.queue.pop_front();
     if (const auto hit = l2Tlb_.lookupEntry(current_.va)) {
         ++l2Hits_;
-        pendingCallbacks_.push_back({now + params_.l2TlbLatency, true,
-                                     current_.va, hit->first,
-                                     hit->second,
-                                     std::move(current_.cb),
-                                     current_.token, currentPort_});
+        complete(true, hit->first, hit->second,
+                 now + params_.l2TlbLatency);
         return;
     }
     ++walks_;
@@ -156,15 +150,15 @@ Ptw::anyQueued() const
 bool
 Ptw::busy() const
 {
-    return walking_ || !pendingCallbacks_.empty() || anyQueued();
+    return walking_ || !completions_.empty() || anyQueued();
 }
 
 Tick
 Ptw::nextWakeup(Tick now) const
 {
     Tick next = maxTick;
-    if (!pendingCallbacks_.empty()) {
-        next = pendingCallbacks_.front().readyAt;
+    if (!completions_.empty()) {
+        next = completions_.front().readyAt;
     }
     if (walking_) {
         if (!awaitingResponse_ && level_ < walkPlan_.levels) {
@@ -199,35 +193,18 @@ Ptw::cycleClass(Tick now) const
                                          : CycleClass::StallBus;
         }
     }
-    // Latching or starting a queued walk, or delivering completion
-    // callbacks after their modeled latency: the walker itself is
-    // doing the work.
+    // Latching or starting a queued walk, or delivering completions
+    // after their modeled latency: the walker itself is doing the
+    // work.
     return CycleClass::Busy;
 }
 
 void
 Ptw::setPageTable(const PageTable &page_table)
 {
-    panic_if(walking_ || anyQueued() || !pendingCallbacks_.empty(),
+    panic_if(walking_ || anyQueued() || !completions_.empty(),
              "ptw retargeted with a walk in flight");
     pageTable_ = &page_table;
-}
-
-Ptw::WalkCallback
-Ptw::resolveCallback(const std::string &owner, std::uint64_t token,
-                     const std::string &origin) const
-{
-    fatal_if(!resolver_,
-             "checkpoint '%s': PTW '%s' has in-flight walks but no "
-             "callback resolver is installed",
-             origin.c_str(), name().c_str());
-    WalkCallback cb = resolver_(owner, token);
-    fatal_if(!cb,
-             "checkpoint '%s': PTW '%s' cannot re-create the walk "
-             "callback for owner '%s' token %llu",
-             origin.c_str(), name().c_str(), owner.c_str(),
-             (unsigned long long)token);
-    return cb;
 }
 
 void
@@ -242,12 +219,6 @@ Ptw::serialize(checkpoint::Archive &ar)
                  (unsigned long long)num_ports);
     }
     for (Port &pp : ports_) {
-        if (!ar.loading()) {
-            panic_if(!pp.queue.empty() && pp.label.empty(),
-                     "PTW '%s': cannot checkpoint walk requests issued "
-                     "through an unlabelled port",
-                     name().c_str());
-        }
         std::string label = pp.label;
         ar(label, pp.queue);
         if (ar.loading()) {
@@ -256,29 +227,16 @@ Ptw::serialize(checkpoint::Archive &ar)
                      "('%s' vs '%s')",
                      ar.origin().c_str(), name().c_str(), label.c_str(),
                      pp.label.c_str());
-            for (WalkRequest &r : pp.queue) {
-                r.cb = resolveCallback(pp.label, r.token, ar.origin());
-            }
         }
     }
-    if (!ar.loading()) {
-        for (const PendingCallback &pc : pendingCallbacks_) {
-            panic_if(ports_[pc.port].label.empty(),
-                     "PTW '%s': cannot checkpoint a walk callback issued "
-                     "through an unlabelled port",
-                     name().c_str());
-        }
-    }
-    ar(pendingCallbacks_);
+    ar(completions_);
     if (ar.loading()) {
-        for (PendingCallback &pc : pendingCallbacks_) {
-            fatal_if(pc.port >= ports_.size(),
-                     "checkpoint '%s': PTW '%s' callback references "
+        for (const Completion &c : completions_) {
+            fatal_if(c.port >= ports_.size(),
+                     "checkpoint '%s': PTW '%s' completion references "
                      "port %u of %zu",
-                     ar.origin().c_str(), name().c_str(), pc.port,
+                     ar.origin().c_str(), name().c_str(), c.port,
                      ports_.size());
-            pc.cb = resolveCallback(ports_[pc.port].label, pc.token,
-                                    ar.origin());
         }
     }
     ar(walking_, awaitingResponse_);
@@ -289,12 +247,6 @@ Ptw::serialize(checkpoint::Archive &ar)
         level_ = 0;
     }
     if (walking_) {
-        if (!ar.loading()) {
-            panic_if(ports_[currentPort_].label.empty(),
-                     "PTW '%s': cannot checkpoint the current walk: it "
-                     "was issued through an unlabelled port",
-                     name().c_str());
-        }
         ar(current_.va, currentPort_, current_.token);
         if (ar.loading()) {
             fatal_if(currentPort_ >= ports_.size(),
@@ -302,8 +254,6 @@ Ptw::serialize(checkpoint::Archive &ar)
                      "port %u of %zu",
                      ar.origin().c_str(), name().c_str(), currentPort_,
                      ports_.size());
-            current_.cb = resolveCallback(ports_[currentPort_].label,
-                                          current_.token, ar.origin());
         }
         ar(walkPlan_.valid, walkPlan_.pa, walkPlan_.pteAddr,
            walkPlan_.levels, walkPlan_.pageBits, level_);

@@ -14,19 +14,21 @@
  * consulted before walking.
  *
  * Requesters attach through registered *ports* (registerRequester),
- * each with its own bounded request queue. An issued walk is latched
- * for one cycle (arriveAt = issue + 1) before the walker can pick it
- * up, and the walker starts at most one queued walk per cycle,
- * choosing the oldest arrival and breaking same-cycle ties by port
- * id, so the pick order is a pure function of issue cycles and port
- * ids.
+ * each with its own bounded request queue and the WalkResponder its
+ * results go to, bound once, as a MemPort is bound to its
+ * MemResponder. An issued walk is latched for one cycle (arriveAt =
+ * issue + 1) before the walker can pick it up, and the walker starts
+ * at most one queued walk per cycle, choosing the oldest arrival and
+ * breaking same-cycle ties by port id, so the pick order is a pure
+ * function of issue cycles and port ids. Queued walks, the walk in
+ * progress and undelivered results are plain data (VA, cycle, port,
+ * token) that a checkpoint stores as they are.
  */
 
 #ifndef HWGC_MEM_PTW_H
 #define HWGC_MEM_PTW_H
 
 #include <deque>
-#include <functional>
 
 #include "mem/page_table.h"
 #include "mem/port.h"
@@ -45,27 +47,30 @@ struct PtwParams
     unsigned queueDepth = 16;     //!< Pending walks per requester port.
 };
 
+/** A resolved page walk, as delivered to its requester. */
+struct WalkResult
+{
+    bool valid = false; //!< False: the virtual address is unmapped.
+    Addr va = 0;
+    Addr pa = 0;
+    unsigned pageBits = 0; //!< log2 of the mapped page size (12, 21).
+    std::uint64_t token = 0; //!< As passed to Ptw::requestWalk().
+};
+
+/** Receiver of a requester port's walk completions. */
+class WalkResponder
+{
+  public:
+    virtual ~WalkResponder() = default;
+
+    /** Delivers one completed walk at time @p now. */
+    virtual void onWalk(const WalkResult &walk, Tick now) = 0;
+};
+
 /** Blocking page-table walker with a shared L2 TLB. */
 class Ptw : public Clocked, public MemResponder
 {
   public:
-    /**
-     * Completion callback: (valid, va, pa, page_bits). Invalid means
-     * the virtual address is unmapped — a configuration error for the
-     * GC unit, surfaced to the requester. page_bits is log2 of the
-     * mapped page size (12 for 4 KiB pages, 21 for superpages).
-     */
-    using WalkCallback = std::function<void(bool, Addr, Addr, unsigned)>;
-
-    /**
-     * Re-creates a walk callback from its (owner, token) identity when
-     * a checkpoint is restored. @p owner is the requesting component's
-     * name; @p token is requester-defined (e.g. a slot index).
-     */
-    using CallbackResolver =
-        std::function<WalkCallback(const std::string &owner,
-                                   std::uint64_t token)>;
-
     /**
      * @param port Where PTE fetches are sent (the walker does not own
      *        it). Must be wired so responses come back to this Ptw.
@@ -74,37 +79,26 @@ class Ptw : public Clocked, public MemResponder
         const PageTable &page_table, MemPort *port);
 
     /**
-     * Attaches a requester and returns its port id for canRequest() /
-     * requestWalk(). @p label is its checkpoint identity — the name
-     * handed to the CallbackResolver, conventionally the requesting
-     * component's name(). Call during construction, before the first
-     * tick.
+     * Attaches a requester whose results go to @p responder and
+     * returns its port id (registration order) for canRequest() /
+     * requestWalk(). @p label names the port in a checkpoint,
+     * conventionally the requester's name(). Call during
+     * construction, before the first tick.
      */
-    unsigned registerRequester(std::string label);
+    unsigned registerRequester(WalkResponder &responder,
+                               std::string label);
 
     /** True if port @p port can queue another walk this cycle. */
     bool canRequest(unsigned port) const;
 
     /**
-     * Queues a walk for @p va on @p port at cycle @p now; @p cb fires
-     * when it resolves. The walk becomes visible to the walker one
-     * cycle later (the issue latch).
-     *
-     * Callbacks are opaque closures and cannot be serialized, so each
-     * request also carries a requester-defined @p token; together with
-     * the port's label it forms the identity from which the
-     * CallbackResolver re-creates the closure after a checkpoint
-     * restore.
+     * Queues a walk for @p va on @p port at cycle @p now. The walk
+     * becomes visible to the walker one cycle later (the issue
+     * latch); its result reaches the port's responder carrying the
+     * requester-defined @p token.
      */
-    void requestWalk(unsigned port, Addr va, Tick now, WalkCallback cb,
+    void requestWalk(unsigned port, Addr va, Tick now,
                      std::uint64_t token = 0);
-
-    /** Installs the restore-time (owner, token) -> callback factory. */
-    void
-    setCallbackResolver(CallbackResolver resolver)
-    {
-        resolver_ = std::move(resolver);
-    }
 
     // MemResponder interface (PTE fetch completions).
     void onResponse(const MemResponse &resp, Tick now) override;
@@ -135,39 +129,34 @@ class Ptw : public Clocked, public MemResponder
     /** @} */
 
   private:
-    /** Archived without cb: loading re-creates it from the token. */
     struct WalkRequest
     {
         void serialize(checkpoint::Archive &ar) { ar(va, arriveAt, token); }
 
         Addr va = 0;
         Tick arriveAt = 0;  //!< Issue cycle + 1 (the issue latch).
-        WalkCallback cb;
-        std::uint64_t token = 0;  //!< Requester-defined (restore identity).
+        std::uint64_t token = 0;  //!< Requester-defined.
     };
 
-    /** Archived without cb, like WalkRequest. */
-    struct PendingCallback
+    /** A resolved walk waiting out its latency. */
+    struct Completion
     {
         void
         serialize(checkpoint::Archive &ar)
         {
-            ar(readyAt, valid, va, pa, pageBits, port, token);
+            ar(readyAt, result.valid, result.va, result.pa,
+               result.pageBits, port, result.token);
         }
 
         Tick readyAt = 0;
-        bool valid = false;
-        Addr va = 0;
-        Addr pa = 0;
-        unsigned pageBits = 0;
-        WalkCallback cb;
-        std::uint64_t token = 0;  //!< Requester-defined (restore identity).
-        unsigned port = 0;        //!< Issuing port (restore identity).
+        unsigned port = 0; //!< The issuing port.
+        WalkResult result;
     };
 
     /** One requester attachment. */
     struct Port
     {
+        WalkResponder *responder = nullptr;
         std::string label;
         std::deque<WalkRequest> queue;
     };
@@ -175,14 +164,10 @@ class Ptw : public Clocked, public MemResponder
     /** Issues the PTE fetch for the current level if the port has room. */
     void issueLevel(Tick now);
 
-    void finishWalk(bool valid, Addr pa, unsigned page_bits, Tick now);
+    /** Queues the current walk's result for delivery at @p ready_at. */
+    void complete(bool valid, Addr pa, unsigned page_bits, Tick ready_at);
 
     bool anyQueued() const;
-
-    /** Rebuilds a callback from its saved identity via the resolver. */
-    WalkCallback resolveCallback(const std::string &owner,
-                                 std::uint64_t token,
-                                 const std::string &origin) const;
 
     PtwParams params_;
     const PageTable *pageTable_;
@@ -190,7 +175,7 @@ class Ptw : public Clocked, public MemResponder
     TlbArray l2Tlb_;
 
     std::vector<Port> ports_;
-    std::deque<PendingCallback> pendingCallbacks_;
+    std::deque<Completion> completions_;
 
     // Current walk state.
     bool walking_ = false;
@@ -199,8 +184,6 @@ class Ptw : public Clocked, public MemResponder
     unsigned currentPort_ = 0;
     PageTable::WalkResult walkPlan_;
     unsigned level_ = 0;
-
-    CallbackResolver resolver_;
 
     stats::Group stats_{name()};
     stats::Scalar walks_{stats_, "walks"};

@@ -25,24 +25,9 @@ Clocked::serialize(checkpoint::Archive &ar)
 void
 System::serialize(checkpoint::Archive &ar)
 {
-    ar(now_, executedCycles_, dueMask_);
-    // The scheduled wakeups travel as (cycle, index) pairs in queue
-    // order; pushing them back rebuilds an equivalent heap.
-    std::vector<ScheduledTick> pending;
-    for (auto copy = scheduled_; !copy.empty(); copy.pop()) {
-        pending.push_back(copy.top());
-    }
-    ar(pending);
+    ar(now_, executedCycles_);
     if (!ar.loading()) {
         return;
-    }
-    scheduled_ = {};
-    for (const ScheduledTick &tick : pending) {
-        fatal_if(tick.second >= components_.size(),
-                 "checkpoint '%s': scheduled wakeup for component %zu "
-                 "but only %zu are registered", ar.origin().c_str(),
-                 tick.second, components_.size());
-        scheduled_.push(tick);
     }
     // Every cached wakeup is stale; the run entry points also set
     // this, but restoring directly into a paused System must not

@@ -4,8 +4,8 @@
  *
  * A checkpoint is a single file holding the complete architectural
  * state of a simulation at an inter-cycle boundary: every Clocked
- * component's registers, queues and statistics, the kernel's clock and
- * scheduled wakeups, and the functional memory image. The format is
+ * component's registers, queues and statistics, the kernel's clock,
+ * and the functional memory image. The format is
  * self-describing and versioned so that a stale, truncated or
  * mismatched file fails loudly instead of silently mis-restoring:
  *
@@ -20,12 +20,12 @@
  * fatal() with a precise message, never a corrupted resume.
  *
  * Determinism argument: serialization only happens between cycles
- * (never mid-tick), where the kernel's transient state (the event
- * kernel's due mask) is provably empty, and the wakeup caches need no
- * serialization at all because nextWakeup() is a pure function of
- * component state and the kernel re-polls every component when a run
- * (re)starts. A restored run is therefore bit-identical — cycle counts
- * and statistics — to the uninterrupted one, under either kernel.
+ * (never mid-tick), where the kernel holds no transient state, and the
+ * wakeup caches need no serialization at all because nextWakeup() is a
+ * pure function of component state and the kernel re-polls every
+ * component when a run (re)starts. A restored run is therefore
+ * bit-identical — cycle counts and statistics — to the uninterrupted
+ * one, under either kernel.
  */
 
 #ifndef HWGC_SIM_CHECKPOINT_H
@@ -57,7 +57,7 @@ namespace hwgc::checkpoint
 /** Format magic and version; bump the version on any layout change. */
 inline constexpr char magic[8] = {'H', 'W', 'G', 'C',
                                   'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t formatVersion = 5;
+inline constexpr std::uint32_t formatVersion = 6;
 
 /** Serializes state into the chunked checkpoint image. */
 class Serializer
@@ -419,8 +419,8 @@ class Deserializer
  * their elements (std::array and std::pair carry no count). A
  * statistics group is one item: its statistics in declaration order.
  * Work that belongs to one direction only — a "configurations
- * differ" count check, re-creating a callback, clearing a host-side
- * memo — sits inside `if (ar.loading())`; sorting an unordered
+ * differ" count check, clearing a host-side memo — sits inside
+ * `if (ar.loading())`; sorting an unordered
  * container or draining a priority queue for a byte-stable image
  * happens inside the container helpers below.
  */

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -231,7 +230,7 @@ class Clocked
      * System::declareWakeupInputs). A component with declared wakeup
      * inputs MUST call this from every externally callable method
      * that mutates wakeup-relevant state — onResponse, queue
-     * enqueues/dequeues, walk callbacks — since those run inside
+     * enqueues/dequeues, walk completions — since those run inside
      * *other* components' ticks, where the kernel cannot see them.
      * Harmless (and a no-op) outside a System or in dense mode.
      */
@@ -360,21 +359,6 @@ class System
     std::uint64_t executedCycles() const { return executedCycles_; }
 
     /**
-     * Requests an explicit tick of @p c at cycle @p at, in addition to
-     * whatever its nextWakeup() reports. A wakeup scheduled in the
-     * past or at the current cycle fires on the next cycle the kernel
-     * evaluates — no cycle is lost and nothing is skipped past it.
-     * Only meaningful in Event mode (Dense ticks everything anyway).
-     */
-    void
-    schedule(Clocked *c, Tick at)
-    {
-        panic_if(c == nullptr || c->system_ != this,
-                 "schedule() for unregistered component");
-        scheduled_.push({std::max(at, now_), c->sysIndex_});
-    }
-
-    /**
      * Advances the clock by exactly one cycle, ticking every
      * component, and reports whether any component is still busy (the
      * idle scan rides the same call so runUntilIdle() does not pay a
@@ -467,13 +451,13 @@ class System
     }
 
     /**
-     * Saves or restores the kernel state (clock, executed-cycle
-     * count, the due mask, the scheduled-wakeup queue) within an open
-     * chunk. The wakeup caches are deliberately *not* archived:
-     * nextWakeup() is a pure function of component state, and
-     * loading marks every cache stale, so they rebuild exactly. The
-     * kernel mode is a host-execution knob, not architectural state
-     * — a checkpoint saved under one kernel restores under the other.
+     * Saves or restores the kernel state (clock and executed-cycle
+     * count) within an open chunk. The wakeup caches are deliberately
+     * *not* archived: nextWakeup() is a pure function of component
+     * state, and loading marks every cache stale, so they rebuild
+     * exactly. The kernel mode is a host-execution knob, not
+     * architectural state — a checkpoint saved under one kernel
+     * restores under the other.
      * Defined in checkpoint.cc.
      */
     void serialize(checkpoint::Archive &ar);
@@ -545,16 +529,6 @@ class System
                       //!< ticked — pokes invalidate it anyway).
     };
 
-    /** Moves all scheduled wakeups that are due into the due mask. */
-    void
-    collectDue()
-    {
-        while (!scheduled_.empty() && scheduled_.top().first <= now_) {
-            dueMask_ |= std::uint64_t(1) << scheduled_.top().second;
-            scheduled_.pop();
-        }
-    }
-
     /**
      * Executes one cycle in a single pass. Each component's due-ness
      * is evaluated *at its turn* in registration order — not in a
@@ -579,17 +553,13 @@ class System
     CyclePass
     executeCycle()
     {
-        collectDue();
         bool ticked = false;
         std::uint64_t tickedMask = 0;
         Tick next = maxTick;
         for (std::size_t i = 0; i < components_.size(); ++i) {
             const std::uint64_t bit = std::uint64_t(1) << i;
             Tick w;
-            if ((dueMask_ & bit) != 0) {
-                dueMask_ &= ~bit;
-                w = now_;
-            } else if ((dirty_ & bit) != 0 || (declared_ & bit) == 0) {
+            if ((dirty_ & bit) != 0 || (declared_ & bit) == 0) {
                 w = components_[i]->nextWakeup(now_);
                 wake_[i] = w;
                 dirty_ &= ~bit;
@@ -613,9 +583,6 @@ class System
         ++executedCycles_;
         if (observer_ != nullptr) {
             observer_->cycleExecuted(cycle, tickedMask);
-        }
-        if (!scheduled_.empty()) {
-            next = std::min(next, scheduled_.top().first);
         }
         return {ticked, next};
     }
@@ -703,18 +670,11 @@ class System
     std::vector<Clocked *> components_;
     std::vector<Tick> wake_; //!< Cached absolute wakeups (event mode).
     std::vector<std::uint64_t> succ_; //!< Per-src mask of dependents.
-    std::uint64_t dueMask_ = 0; //!< Scheduled-wakeup due components.
     std::uint64_t declared_ = 0; //!< Components with declared inputs.
     std::uint64_t dirty_ = ~std::uint64_t(0); //!< Stale wakeup caches.
     double watchdogSecs_ = 0; //!< Progress watchdog limit (0 = off).
     std::function<void()> watchdogReporter_; //!< Pre-abort dump hook.
     std::chrono::steady_clock::time_point watchdogStart_;
-
-    /** Explicitly scheduled (cycle, component index) wakeups. */
-    using ScheduledTick = std::pair<Tick, std::size_t>;
-    std::priority_queue<ScheduledTick, std::vector<ScheduledTick>,
-                        std::greater<ScheduledTick>>
-        scheduled_;
 };
 
 inline void

@@ -1,12 +1,12 @@
 /**
  * @file
  * Checkpoint/restore tests: a checkpoint taken at any inter-cycle
- * boundary — mid-mark via --checkpoint-at or after a completed phase —
- * must restore into an identically configured device and finish the
- * run bit-identically (same final cycle count, same full stats-JSON
- * export) under either kernel, and corrupt or mismatched checkpoint
- * files must be rejected with a fatal error, never silently
- * mis-restored.
+ * boundary — mid-mark or mid-sweep via --checkpoint-at, with page
+ * walks in flight, or after a completed phase — must restore into an
+ * identically configured device and finish the run bit-identically
+ * (same final cycle count, same full stats-JSON export) under either
+ * kernel, and corrupt or mismatched checkpoint files must be rejected
+ * with a fatal error, never silently mis-restored.
  */
 
 #include <gtest/gtest.h>
@@ -177,17 +177,19 @@ scopedRun(const workload::GraphParams &graph, const HwgcConfig &config,
 }
 
 /**
- * The core round-trip: an uninterrupted reference run; then for each
- * kernel a writer run that checkpoints mid-mark (and must match the
- * reference — writing cannot perturb the simulation) and a reader run
- * under the *other* kernel that restores that file and must converge
- * to the same final cycle and statistics.
+ * The core round-trip: an uninterrupted reference run; then, at the
+ * middle of the mark (or at @p mark_at) and at the middle of the
+ * sweep, for each kernel a writer run that checkpoints there (and must
+ * match the reference — writing cannot perturb the simulation) and a
+ * reader run under the *other* kernel that restores that file, resumes
+ * inside the interrupted phase, and must converge to the same final
+ * cycle and statistics.
  */
 void
-expectMidMarkRoundTrip(const HwgcConfig &config,
-                       runtime::Layout layout =
-                           runtime::Layout::Bidirectional,
-                       Tick at = 0)
+expectMidPhaseRoundTrip(const HwgcConfig &config,
+                        runtime::Layout layout =
+                            runtime::Layout::Bidirectional,
+                        Tick mark_at = 0)
 {
     const auto graph = testGraph(21);
 
@@ -196,11 +198,25 @@ expectMidMarkRoundTrip(const HwgcConfig &config,
         [](Rig &) {});
     ASSERT_GT(ref.markCycles, 200u) << "graph too small for a mid-mark "
                                        "checkpoint";
+    ASSERT_GT(ref.now - ref.markCycles, 200u)
+        << "graph too small for a mid-sweep checkpoint";
     ASSERT_GT(ref.marked, 0u);
-    if (at == 0) {
-        at = ref.markCycles / 2;
+    if (mark_at == 0) {
+        mark_at = ref.markCycles / 2;
     }
-    ASSERT_LT(at, ref.markCycles) << "checkpoint cycle past the mark";
+    ASSERT_LT(mark_at, ref.markCycles) << "checkpoint cycle past the mark";
+
+    struct Phase
+    {
+        const char *name;
+        Tick at;
+        std::uint64_t status; //!< What the restored status must read.
+    };
+    const Phase phases[] = {
+        {"midmark", mark_at, core::MmioRegs::Marking},
+        {"midsweep", ref.markCycles + (ref.now - ref.markCycles) / 2,
+         core::MmioRegs::Sweeping},
+    };
 
     struct Case
     {
@@ -212,75 +228,79 @@ expectMidMarkRoundTrip(const HwgcConfig &config,
         {"event", KernelMode::Event},
     };
 
-    for (std::size_t i = 0; i < std::size(cases); ++i) {
-        const Case &save_case = cases[i];
-        // Rotating the restore kernel also proves cross-kernel resume
-        // in both directions: kernel mode is a host knob, not
-        // architectural state.
-        const Case &load_case = cases[(i + 1) % std::size(cases)];
-        const std::string path =
-            tmpPath(std::string("midmark-") + save_case.name + ".ckpt");
+    for (const Phase &phase : phases) {
+        for (std::size_t i = 0; i < std::size(cases); ++i) {
+            const Case &save_case = cases[i];
+            // Rotating the restore kernel also proves cross-kernel
+            // resume in both directions: kernel mode is a host knob,
+            // not architectural state.
+            const Case &load_case = cases[(i + 1) % std::size(cases)];
+            const std::string path = tmpPath(std::string(phase.name) +
+                                             "-" + save_case.name +
+                                             ".ckpt");
 
-        {
-            SCOPED_TRACE(std::string("save under ") + save_case.name);
-            const FinalState run = scopedRun(
-                graph,
-                withKernel(config, save_case.kernel),
-                layout, [&](Rig &writer) {
-                    writer.device->armCheckpoint(path, at);
-                });
-            EXPECT_EQ(ref.now, run.now);
-            EXPECT_EQ(ref.markCycles, run.markCycles);
-            EXPECT_EQ(ref.marked, run.marked);
-            EXPECT_EQ(ref.freed, run.freed);
-            expectSameStatsJson(ref.statsJson, run.statsJson);
-        }
-        {
-            SCOPED_TRACE(std::string("restore under ") + load_case.name +
-                         " from " + save_case.name);
-            const FinalState run = scopedRun(
-                graph,
-                withKernel(config, load_case.kernel),
-                layout, [&](Rig &reader) {
-                    reader.device->restoreCheckpoint(path);
-                    EXPECT_EQ(reader.device->system().now(), at);
-                    EXPECT_EQ(reader.device->regs().status,
-                              core::MmioRegs::Marking);
-                    expectResaveIdentical(path, [&](const std::string &p) {
-                        return reader.device->writeCheckpoint(p);
+            {
+                SCOPED_TRACE(std::string(phase.name) + ": save under " +
+                             save_case.name);
+                const FinalState run = scopedRun(
+                    graph, withKernel(config, save_case.kernel), layout,
+                    [&](Rig &writer) {
+                        writer.device->armCheckpoint(path, phase.at);
                     });
-                });
-            EXPECT_EQ(ref.now, run.now);
-            EXPECT_EQ(ref.freed, run.freed);
-            expectSameStatsJson(ref.statsJson, run.statsJson);
+                EXPECT_EQ(ref.now, run.now);
+                EXPECT_EQ(ref.markCycles, run.markCycles);
+                EXPECT_EQ(ref.marked, run.marked);
+                EXPECT_EQ(ref.freed, run.freed);
+                expectSameStatsJson(ref.statsJson, run.statsJson);
+            }
+            {
+                SCOPED_TRACE(std::string(phase.name) + ": restore under " +
+                             load_case.name + " from " + save_case.name);
+                const FinalState run = scopedRun(
+                    graph, withKernel(config, load_case.kernel), layout,
+                    [&](Rig &reader) {
+                        reader.device->restoreCheckpoint(path);
+                        EXPECT_EQ(reader.device->system().now(), phase.at);
+                        EXPECT_EQ(reader.device->regs().status,
+                                  phase.status);
+                        expectResaveIdentical(
+                            path, [&](const std::string &p) {
+                                return reader.device->writeCheckpoint(p);
+                            });
+                    });
+                EXPECT_EQ(ref.now, run.now);
+                EXPECT_EQ(ref.freed, run.freed);
+                expectSameStatsJson(ref.statsJson, run.statsJson);
+            }
+            std::remove(path.c_str());
         }
     }
 }
 
 TEST(Checkpoint, MidMarkRoundTripKernelMatrix)
 {
-    expectMidMarkRoundTrip(HwgcConfig{});
+    expectMidPhaseRoundTrip(HwgcConfig{});
 }
 
 TEST(Checkpoint, MidMarkRoundTripSharedCache)
 {
     HwgcConfig config;
     config.sharedCache = true;
-    expectMidMarkRoundTrip(config);
+    expectMidPhaseRoundTrip(config);
 }
 
 TEST(Checkpoint, MidMarkRoundTripIdealMemory)
 {
     HwgcConfig config;
     config.memModel = core::MemModel::Ideal;
-    expectMidMarkRoundTrip(config);
+    expectMidPhaseRoundTrip(config);
 }
 
 TEST(Checkpoint, MidMarkRoundTripSpillPressure)
 {
     HwgcConfig config;
     config.markQueueEntries = 32; // Force the spill path.
-    expectMidMarkRoundTrip(config);
+    expectMidPhaseRoundTrip(config);
 }
 
 TEST(Checkpoint, MidMarkRoundTripRefillingBucketBlockedTracer)
@@ -310,7 +330,7 @@ TEST(Checkpoint, MidMarkRoundTripRefillingBucketBlockedTracer)
         }
     }
     ASSERT_NE(at, 0u) << "no refilling, tracer-blocked cycle found";
-    expectMidMarkRoundTrip(config, runtime::Layout::Bidirectional, at);
+    expectMidPhaseRoundTrip(config, runtime::Layout::Bidirectional, at);
 }
 
 TEST(Checkpoint, MidMarkRoundTripTibLayoutUnderThrottle)
@@ -320,7 +340,129 @@ TEST(Checkpoint, MidMarkRoundTripTibLayoutUnderThrottle)
     HwgcConfig config;
     config.layout = runtime::Layout::Tib;
     config.bus.throttleBytesPerCycle = 1.0;
-    expectMidMarkRoundTrip(config, runtime::Layout::Tib);
+    expectMidPhaseRoundTrip(config, runtime::Layout::Tib);
+}
+
+// ---------------------------------------------------------------------
+// Walks in flight: an image saved while the shared PTW holds a queued
+// walk, a walk in progress or an undelivered completion must hand each
+// result to the requester that asked for it after the restore.
+// ---------------------------------------------------------------------
+
+/** A checkpoint written at cycle `at`. */
+struct Image
+{
+    Tick at;
+    std::string path;
+};
+
+/**
+ * Steps @p rig cycle by cycle from @p from and writes a checkpoint at
+ * each of the first @p count boundaries where the PTW is busy. Returns
+ * fewer if the phase drains first.
+ */
+std::vector<Image>
+saveWhileWalking(Rig &rig, Tick from, unsigned count, const std::string &tag)
+{
+    System &sys = rig.device->system();
+    std::vector<Image> images;
+    for (Tick c = std::max(from, sys.now()); images.size() < count; ++c) {
+        if (sys.runUntilIdleStop(c) != System::StopReason::Stopped) {
+            break;
+        }
+        if (rig.device->ptw().busy()) {
+            const std::string path =
+                tmpPath(tag + "-" + std::to_string(c) + ".ckpt");
+            EXPECT_TRUE(rig.device->writeCheckpoint(path));
+            images.push_back({c, path});
+        }
+    }
+    return images;
+}
+
+/**
+ * Saves a dense run wherever a walk is in flight near the start and
+ * the middle of each phase, and restores every image under the event
+ * kernel. The phase starts hold the first walks of the root reader
+ * and of the block-table reader (nothing else has work yet), the end
+ * of the root scan the marker's first misses, and the midpoints the
+ * tracer's and the sweepers'. Between them the images hold queued
+ * walks, walks in progress and undelivered completions.
+ */
+void
+expectWalkInFlightRoundTrips(const HwgcConfig &config)
+{
+    const auto graph = testGraph(21);
+    const auto layout = runtime::Layout::Bidirectional;
+    const FinalState ref = scopedRun(
+        graph, withKernel(config, KernelMode::Dense), layout,
+        [](Rig &) {});
+    const Tick sweep_start = ref.markCycles;
+
+    std::vector<Image> images;
+    {
+        telemetry::StatsRegistry::global().clearRetired();
+        Rig probe(graph, withKernel(config, KernelMode::Dense), layout);
+        core::HwgcDevice &device = *probe.device;
+        auto save = [&](Tick from, const std::string &tag) {
+            const auto found = saveWhileWalking(probe, from, 3, tag);
+            EXPECT_EQ(found.size(), 3u) << "too few walks in flight at "
+                                        << tag;
+            images.insert(images.end(), found.begin(), found.end());
+        };
+        device.startMark();
+        save(0, "walk-markstart");
+        EXPECT_TRUE(device.marker().idle() && device.tracer().idle())
+            << "the first mark walks belong to the root reader";
+        while (!device.rootReader().done()) {
+            device.system().runUntilIdleStop(device.system().now() + 1);
+        }
+        save(device.system().now(), "walk-markroots");
+        save(ref.markCycles / 2, "walk-midmark");
+        device.runMark();
+        ASSERT_EQ(device.system().now(), sweep_start);
+        device.startSweep();
+        save(sweep_start, "walk-sweepstart");
+        for (const auto &sweeper : device.reclamation().sweepers()) {
+            EXPECT_TRUE(sweeper->idle())
+                << "the first sweep walks belong to the block-table "
+                   "reader";
+        }
+        save(sweep_start + (ref.now - sweep_start) / 2, "walk-midsweep");
+    }
+
+    for (const Image &image : images) {
+        SCOPED_TRACE("restore under event at cycle " +
+                     std::to_string(image.at));
+        const FinalState run = scopedRun(
+            graph, withKernel(config, KernelMode::Event), layout,
+            [&](Rig &reader) {
+                reader.device->restoreCheckpoint(image.path);
+                EXPECT_EQ(reader.device->system().now(), image.at);
+                EXPECT_TRUE(reader.device->ptw().busy());
+                expectResaveIdentical(image.path,
+                                      [&](const std::string &p) {
+                    return reader.device->writeCheckpoint(p);
+                });
+            });
+        EXPECT_EQ(ref.now, run.now);
+        EXPECT_EQ(ref.freed, run.freed);
+        expectSameStatsJson(ref.statsJson, run.statsJson);
+        std::remove(image.path.c_str());
+    }
+}
+
+TEST(Checkpoint, WalkInFlightRoundTrips)
+{
+    expectWalkInFlightRoundTrips(HwgcConfig{});
+}
+
+TEST(Checkpoint, WalkInFlightRoundTripsSharedCache)
+{
+    // PTE fetches share the unit cache with every traversal port.
+    HwgcConfig config;
+    config.sharedCache = true;
+    expectWalkInFlightRoundTrips(config);
 }
 
 // ---------------------------------------------------------------------
@@ -564,16 +706,43 @@ TEST(CheckpointDeathTest, RejectsTrailingGarbage)
 
 TEST(CheckpointDeathTest, RejectsDifferentConfiguration)
 {
-    Rig writer(testGraph(5, 64), HwgcConfig{});
-    const std::string path = tmpPath("config.ckpt");
-    validImage(writer, path);
+    // Unit sizes and every memory-side parameter are architectural: a
+    // restore into any other value fails up front, before a chunk is
+    // parsed.
+    struct Change
+    {
+        const char *field;
+        core::MemModel memModel;
+        void (*apply)(HwgcConfig &);
+    };
+    const Change changes[] = {
+        {"markQueueEntries", core::MemModel::Ddr3,
+         [](HwgcConfig &c) { c.markQueueEntries = 64; }},
+        {"bus.throttleBytesPerCycle", core::MemModel::Ddr3,
+         [](HwgcConfig &c) { c.bus.throttleBytesPerCycle = 1.0; }},
+        {"dram.tCAS", core::MemModel::Ddr3,
+         [](HwgcConfig &c) { c.dram.tCAS += 1; }},
+        {"ptw.queueDepth", core::MemModel::Ddr3,
+         [](HwgcConfig &c) { c.ptw.queueDepth += 1; }},
+        {"ideal.latency", core::MemModel::Ideal,
+         [](HwgcConfig &c) { c.ideal.latency += 1; }},
+        {"ptwCacheParams.hitLatency", core::MemModel::Ddr3,
+         [](HwgcConfig &c) { c.ptwCacheParams.hitLatency += 1; }},
+    };
+    for (const Change &change : changes) {
+        SCOPED_TRACE(change.field);
+        HwgcConfig config;
+        config.memModel = change.memModel;
+        Rig writer(testGraph(5, 64), config);
+        const std::string path = tmpPath("config.ckpt");
+        validImage(writer, path);
 
-    HwgcConfig other;
-    other.markQueueEntries = 64;
-    Rig reader(testGraph(5, 64), other);
-    EXPECT_EXIT(reader.device->restoreCheckpoint(path),
-                ::testing::ExitedWithCode(1),
-                "different device configuration");
+        change.apply(config);
+        Rig reader(testGraph(5, 64), config);
+        EXPECT_EXIT(reader.device->restoreCheckpoint(path),
+                    ::testing::ExitedWithCode(1),
+                    "different device configuration");
+    }
 }
 
 TEST(CheckpointDeathTest, RejectsMissingFile)

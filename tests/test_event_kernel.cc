@@ -2,8 +2,7 @@
  * @file
  * Event-kernel equivalence tests: the event-driven kernel must be a
  * cycle-exact, stat-exact drop-in for the dense reference kernel on
- * every configuration we model, and System::schedule() must never
- * lose a cycle no matter how a wakeup is requested.
+ * every configuration we model.
  */
 
 #include <gtest/gtest.h>
@@ -152,73 +151,6 @@ TEST(EventKernel, MatchesDenseOnFig15Workload)
     auto profile = workload::dacapoProfile("avrora");
     profile.numGCs = 1;
     expectKernelsAgree(core::HwgcConfig{}, profile);
-}
-
-// ---------------------------------------------------------------------
-// Kernel-level scheduling semantics.
-// ---------------------------------------------------------------------
-
-/**
- * Drives itself purely through System::schedule(), deliberately
- * requesting wakeups at the current cycle and in the past: the kernel
- * must clamp those to "next evaluated cycle" and tick on consecutive
- * cycles with no gap and no lost cycle.
- */
-class Rescheduler : public Clocked
-{
-  public:
-    Rescheduler(System &sys, unsigned total)
-        : Clocked("resched"), sys_(sys), total_(total)
-    {
-    }
-
-    void
-    tick(Tick now) override
-    {
-        ticks.push_back(now);
-        if (ticks.size() < total_) {
-            // At now, or 5 cycles in the past — both must behave as
-            // "tick me on the very next cycle".
-            sys_.schedule(this, now >= 5 ? now - 5 : now);
-        }
-    }
-
-    bool busy() const override { return ticks.size() < total_; }
-    Tick nextWakeup(Tick) const override { return maxTick; }
-
-    std::vector<Tick> ticks;
-
-  private:
-    System &sys_;
-    unsigned total_;
-};
-
-TEST(EventKernel, PastAndPresentSchedulesLoseNoCycle)
-{
-    System sys;
-    sys.setMode(KernelMode::Event);
-    Rescheduler r(sys, 8);
-    sys.add(&r);
-    sys.schedule(&r, 0);
-    EXPECT_TRUE(sys.runUntilIdle(100));
-    ASSERT_EQ(r.ticks.size(), 8u);
-    for (std::size_t i = 0; i < r.ticks.size(); ++i) {
-        EXPECT_EQ(r.ticks[i], Tick(i)); // Consecutive, starting at 0.
-    }
-    EXPECT_EQ(sys.now(), 8u);
-}
-
-TEST(EventKernel, FutureScheduleFiresExactlyOnTime)
-{
-    System sys;
-    sys.setMode(KernelMode::Event);
-    Rescheduler r(sys, 1);
-    sys.add(&r);
-    sys.schedule(&r, 7);
-    sys.run(10);
-    ASSERT_EQ(r.ticks.size(), 1u);
-    EXPECT_EQ(r.ticks[0], 7u);
-    EXPECT_EQ(sys.now(), 10u); // run() still covers the full span.
 }
 
 // ---------------------------------------------------------------------

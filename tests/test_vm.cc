@@ -174,6 +174,21 @@ TEST(Tlb, ReplayHitsMatchesRepeatedLookups)
     }
 }
 
+/** Records every walk completion delivered to its port. */
+class RecordingResponder : public WalkResponder
+{
+  public:
+    void
+    onWalk(const WalkResult &walk, Tick now) override
+    {
+        walks.push_back(walk);
+        deliveredAt.push_back(now);
+    }
+
+    std::vector<WalkResult> walks;
+    std::vector<Tick> deliveredAt;
+};
+
 /** Fixture with a PTW wired through a bus to ideal memory. */
 class PtwTest : public testing::Test
 {
@@ -187,7 +202,7 @@ class PtwTest : public testing::Test
         ptw_ = std::make_unique<Ptw>("ptw", PtwParams{}, table_,
                                      makePort());
         bus_.setClientResponder(portId_, ptw_.get());
-        ptwPort_ = ptw_->registerRequester("test");
+        ptwPort_ = ptw_->registerRequester(responder_, "test");
     }
 
     MemPort *
@@ -216,54 +231,39 @@ class PtwTest : public testing::Test
     std::unique_ptr<BusPort> port_;
     unsigned portId_ = 0;
     std::unique_ptr<Ptw> ptw_;
+    RecordingResponder responder_;
     unsigned ptwPort_ = 0;
     Tick now_ = 0;
 };
 
 TEST_F(PtwTest, WalkResolves)
 {
-    bool done = false;
-    Addr result = 0;
-    ptw_->requestWalk(ptwPort_, 0x4000'2abc, now_,
-                      [&](bool valid, Addr, Addr pa, unsigned) {
-        EXPECT_TRUE(valid);
-        result = pa;
-        done = true;
-    });
+    ptw_->requestWalk(ptwPort_, 0x4000'2abc, now_);
     run(200);
-    EXPECT_TRUE(done);
-    EXPECT_EQ(result, 0x4000'2abcu);
+    ASSERT_EQ(responder_.walks.size(), 1u);
+    EXPECT_TRUE(responder_.walks[0].valid);
+    EXPECT_EQ(responder_.walks[0].pa, 0x4000'2abcu);
     EXPECT_EQ(ptw_->walksStarted(), 1u);
     EXPECT_EQ(ptw_->pteFetches(), ptLevels);
 }
 
 TEST_F(PtwTest, UnmappedWalkReportsInvalid)
 {
-    bool done = false;
-    ptw_->requestWalk(ptwPort_, 0x7000'0000, now_,
-                      [&](bool valid, Addr, Addr, unsigned) {
-        EXPECT_FALSE(valid);
-        done = true;
-    });
+    ptw_->requestWalk(ptwPort_, 0x7000'0000, now_);
     run(200);
-    EXPECT_TRUE(done);
+    ASSERT_EQ(responder_.walks.size(), 1u);
+    EXPECT_FALSE(responder_.walks[0].valid);
+    EXPECT_EQ(responder_.walks[0].va, 0x7000'0000u);
 }
 
 TEST_F(PtwTest, L2TlbShortcutsRepeatWalks)
 {
-    int walks_done = 0;
-    ptw_->requestWalk(ptwPort_, 0x4000'3000, now_,
-                      [&](bool, Addr, Addr, unsigned) {
-        ++walks_done;
-    });
+    ptw_->requestWalk(ptwPort_, 0x4000'3000, now_);
     run(200);
     const auto pte_fetches = ptw_->pteFetches();
-    ptw_->requestWalk(ptwPort_, 0x4000'3008, now_,
-                      [&](bool, Addr, Addr, unsigned) {
-        ++walks_done;
-    });
+    ptw_->requestWalk(ptwPort_, 0x4000'3008, now_);
     run(200);
-    EXPECT_EQ(walks_done, 2);
+    EXPECT_EQ(responder_.walks.size(), 2u);
     EXPECT_EQ(ptw_->pteFetches(), pte_fetches); // No new PTE reads.
     EXPECT_EQ(ptw_->l2TlbHits(), 1u);
 }
@@ -271,17 +271,15 @@ TEST_F(PtwTest, L2TlbShortcutsRepeatWalks)
 TEST_F(PtwTest, WalksSerialize)
 {
     // Two walks to distinct pages: the second completes after the
-    // first (blocking walker).
-    Tick first_done = 0, second_done = 0;
-    ptw_->requestWalk(ptwPort_, 0x4000'4000, now_,
-                      [&](bool, Addr, Addr, unsigned) {
-        first_done = now_;
-    });
-    ptw_->requestWalk(ptwPort_, 0x4000'5000, now_,
-                      [&](bool, Addr, Addr, unsigned) {
-        second_done = now_;
-    });
+    // first (blocking walker). Tokens tell the completions apart.
+    ptw_->requestWalk(ptwPort_, 0x4000'4000, now_, 1);
+    ptw_->requestWalk(ptwPort_, 0x4000'5000, now_, 2);
     run(500);
+    ASSERT_EQ(responder_.walks.size(), 2u);
+    EXPECT_EQ(responder_.walks[0].token, 1u);
+    EXPECT_EQ(responder_.walks[1].token, 2u);
+    const Tick first_done = responder_.deliveredAt[0];
+    const Tick second_done = responder_.deliveredAt[1];
     EXPECT_GT(first_done, 0u);
     EXPECT_GT(second_done, first_done);
 }
@@ -291,8 +289,7 @@ TEST_F(PtwTest, QueueCapacityIsEnforced)
     unsigned accepted = 0;
     while (ptw_->canRequest(ptwPort_)) {
         ptw_->requestWalk(ptwPort_,
-                          0x4000'0000 + Addr(accepted) * pageBytes, now_,
-                          [](bool, Addr, Addr, unsigned) {});
+                          0x4000'0000 + Addr(accepted) * pageBytes, now_);
         ++accepted;
     }
     EXPECT_EQ(accepted, PtwParams{}.queueDepth);
