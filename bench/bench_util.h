@@ -246,26 +246,6 @@ class BenchRecord
     std::vector<std::pair<std::string, ClassTotals>> attribution_;
 };
 
-/**
- * Warmup-reuse hook: if --checkpoint-in=/HWGC_CHECKPOINT_IN names a
- * checkpoint, restores it into @p device and returns true — the
- * caller can then skip re-simulating whatever the checkpoint already
- * covers (warmup pauses, a long mark prefix). Pairs with
- * --checkpoint-out=, which makes the device write a checkpoint after
- * every completed pause (or at --checkpoint-at=<cycle>).
- */
-template <typename Device>
-inline bool
-restoreCheckpointIfRequested(Device &device)
-{
-    const std::string &path = telemetry::options().checkpointIn;
-    if (path.empty()) {
-        return false;
-    }
-    device.restoreCheckpoint(path);
-    return true;
-}
-
 /** Prints one row of a two-column-per-engine table. */
 inline void
 row(const std::string &label, double a, double b,

@@ -28,7 +28,7 @@ using runtime::StatusWord;
 BlockSweeper::BlockSweeper(std::string name, const HwgcConfig &config,
                            mem::MemPort *port, mem::Ptw &ptw)
     : Clocked(std::move(name)), config_(config), port_(port),
-      translator_(ptw, this->name(), config.sweeperTlbEntries)
+      translator_(ptw, *this, config.sweeperTlbEntries)
 {
     panic_if(port_ == nullptr, "sweeper needs a memory port");
 }
@@ -318,9 +318,8 @@ BlockSweeper::serialize(checkpoint::Archive &ar)
 {
     ar(active_, job_, inboxValid_, inboxAt_, inboxJob_, cellIndex_,
        numCells_, step_, curNumRefs_, freeHead_, prevFree_, freeCells_,
-       hasLive_, pendingLink_, pendingLinkTarget_, lines_, useCounter_,
-       lineFillPending_, lineFillVa_, writesInFlight_, stats_,
-       translator_);
+       hasLive_, lines_, useCounter_, lineFillPending_, lineFillVa_,
+       writesInFlight_, stats_, translator_);
 }
 
 void
@@ -331,13 +330,6 @@ BlockSweeper::reset()
     for (auto &line : lines_) {
         line.valid = false;
     }
-}
-
-void
-BlockSweeper::resetStats()
-{
-    stats_.reset();
-    translator_.resetStats();
 }
 
 } // namespace hwgc::core

@@ -72,7 +72,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     void serialize(checkpoint::Archive &ar) override;
-    void resetStats() override;
 
     void reset();
 
@@ -81,7 +80,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     std::uint64_t cellsScanned() const { return cells_.value(); }
     std::uint64_t cellsFreed() const { return freed_.value(); }
     std::uint64_t lineFetches() const { return lineFetches_.value(); }
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
   private:
@@ -147,8 +145,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     Addr prevFree_ = 0;
     std::uint32_t freeCells_ = 0;
     bool hasLive_ = false;
-    bool pendingLink_ = false; //!< prevFree -> current cell store due.
-    Addr pendingLinkTarget_ = 0;
 
     // Memory machinery.
     std::array<LineBuf, 2> lines_;
@@ -157,7 +153,6 @@ class BlockSweeper : public Clocked, public mem::MemResponder
     Addr lineFillVa_ = 0;
     unsigned writesInFlight_ = 0;
 
-    stats::Group stats_{name()};
     stats::Scalar blocks_{stats_, "blocksSwept"};
     stats::Scalar cells_{stats_, "cellsScanned"};
     stats::Scalar freed_{stats_, "cellsFreed"};

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "runtime/heap_layout.h"
@@ -206,12 +207,11 @@ HwgcDevice::join()
         sys.declareWakeupInputs(ptwCache_.get(), {});
     }
 
+    // Each group carries its children (the TLBs) along.
     const std::string &p = statsPrefix_;
     stats_.add(p + ".rootReader", rootReader_->stats());
     stats_.add(p + ".marker", marker_->stats());
-    stats_.add(p + ".marker.tlb", marker_->tlb().stats());
     stats_.add(p + ".tracer", tracer_->stats());
-    stats_.add(p + ".tracer.tlb", tracer_->tlb().stats());
     stats_.add(p + ".markQueue", markQueue_->stats());
     stats_.add(p + ".traceQueue", traceQueue_->stats());
     stats_.add(p + ".reclamation", reclamation_->stats());
@@ -220,7 +220,6 @@ HwgcDevice::join()
                    reclamation_->sweepers()[i]->stats());
     }
     stats_.add(p + ".ptw", ptw_->stats());
-    stats_.add(p + ".ptw.l2tlb", ptw_->l2Tlb().stats());
     if (sharedCache_) {
         stats_.add(p + ".unitcache", sharedCache_->stats());
     }
@@ -320,12 +319,15 @@ HwgcDevice::configure(const runtime::Heap &heap)
     }
 
     // Driver-level checkpoint wiring (--checkpoint-* / HWGC_CHECKPOINT_*).
-    const telemetry::Options &opts = telemetry::options();
+    telemetry::Options &opts = telemetry::options();
     if (!opts.checkpointOut.empty() && checkpointOut_.empty()) {
         armCheckpoint(opts.checkpointOut, opts.checkpointAt);
     }
     if (!opts.checkpointIn.empty()) {
-        restoreCheckpoint(opts.checkpointIn);
+        // One image resumes one run: restoring consumes the option, so
+        // the next pause's configure() continues the restored run
+        // instead of loading the image again.
+        restoreCheckpoint(std::exchange(opts.checkpointIn, ""));
     }
 
     // Progress watchdog (--watchdog-secs= / HWGC_WATCHDOG_SECS): a

@@ -198,7 +198,6 @@ class HwgcDevice
     mem::Ptw &ptw() { return *ptw_; }
     mem::Dram *dram() { return soc_.dram(); }
     mem::TimedCache *sharedCache() { return sharedCache_.get(); }
-    mem::TimedCache *ptwCache() { return ptwCache_.get(); }
     const HwgcConfig &config() const { return config_; }
     System &system() { return soc_.system(); }
     /** @} */
@@ -215,8 +214,11 @@ class HwgcDevice
 
     /**
      * The dotted path this device's stats groups registered under in
-     * the global telemetry::StatsRegistry ("system.hwgc0", ...). Also
-     * the track prefix of its trace-event timeline.
+     * the global telemetry::StatsRegistry: "system.hwgcN" standalone,
+     * "system.fleetN.hwgc<i>" for device i of a shared SoC. Each
+     * unit's group is registered once and carries its child groups
+     * ("marker.tlb", "ptw.l2tlb"). Also the track prefix of its
+     * trace-event timeline.
      */
     const std::string &statsPrefix() const { return statsPrefix_; }
 

@@ -325,10 +325,4 @@ MarkQueue::reset()
              "reset with spill traffic in flight");
 }
 
-void
-MarkQueue::resetStats()
-{
-    stats_.reset();
-}
-
 } // namespace hwgc::core

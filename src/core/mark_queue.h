@@ -91,7 +91,6 @@ class MarkQueue : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     void serialize(checkpoint::Archive &ar) override;
-    void resetStats() override;
 
     /** Drops all state between GC phases. */
     void reset();
@@ -116,7 +115,6 @@ class MarkQueue : public Clocked, public mem::MemResponder
     std::uint64_t entriesSpilled() const { return entriesSpilled_.value(); }
     std::uint64_t maxDepth() const { return maxDepth_.value(); }
     std::uint64_t peakSpillBytes() const { return peakSpill_.value(); }
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
   private:
@@ -147,7 +145,6 @@ class MarkQueue : public Clocked, public mem::MemResponder
     bool writeInFlight_ = false;
     bool readInFlight_ = false;
 
-    stats::Group stats_{name()};
     stats::Scalar spillWrites_{stats_, "spillWrites"};
     stats::Scalar spillReads_{stats_, "spillReads"};
     stats::Scalar entriesSpilled_{stats_, "entriesSpilled"};

@@ -19,7 +19,7 @@ Marker::Marker(std::string name, const HwgcConfig &config,
                mem::MemPort *port, mem::Ptw &ptw)
     : Clocked(std::move(name)), config_(config), markQueue_(mark_queue),
       traceQueue_(trace_queue), port_(port), ptw_(ptw),
-      tlb_(this->name() + ".tlb", config.unitTlbEntries),
+      tlb_(stats_, "tlb", config.unitTlbEntries),
       markBitCache_(config.markBitCacheEntries),
       slots_(config.markerSlots),
       waiters_(std::max(1u, config.markerWalkWaiters))
@@ -411,13 +411,6 @@ Marker::reset()
     tlb_.flush();
     markBitCache_.clear();
     targetProfile_.clear();
-}
-
-void
-Marker::resetStats()
-{
-    stats_.reset();
-    tlb_.stats().reset();
 }
 
 } // namespace hwgc::core

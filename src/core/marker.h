@@ -125,7 +125,6 @@ class Marker : public Clocked,
     CycleClass cycleClass(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
     void serialize(checkpoint::Archive &ar) override;
-    void resetStats() override;
 
     /** In-flight mark reads (for the coupled-tracer ablation). */
     unsigned inFlight() const { return inFlightReads_; }
@@ -155,7 +154,6 @@ class Marker : public Clocked,
     {
         return targetProfile_;
     }
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
   private:
@@ -229,7 +227,6 @@ class Marker : public Clocked,
     bool profileTargets_ = false;
     std::unordered_map<Addr, std::uint64_t> targetProfile_;
 
-    stats::Group stats_{name()};
     stats::Scalar marksIssued_{stats_, "marksIssued"};
     stats::Scalar alreadyMarked_{stats_, "alreadyMarked"};
     stats::Scalar newlyMarked_{stats_, "newlyMarked"};

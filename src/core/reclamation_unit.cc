@@ -27,7 +27,7 @@ ReclamationUnit::ReclamationUnit(std::string name,
           }
           return sweepers;
       }()),
-      readerTranslator_(ptw, this->name(), 4)
+      readerTranslator_(ptw, *this, 4)
 {
     panic_if(readerPort_ == nullptr, "reclamation unit needs a port");
     panic_if(sweeper_ports.size() != config.numSweepers,
@@ -213,13 +213,6 @@ ReclamationUnit::reset()
     for (auto &sweeper : sweepers_) {
         sweeper->reset();
     }
-}
-
-void
-ReclamationUnit::resetStats()
-{
-    stats_.reset();
-    readerTranslator_.resetStats();
 }
 
 } // namespace hwgc::core

@@ -56,15 +56,10 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
 
     void reset();
 
-    /** Resets the dispatcher's statistics; each sweeper, registered
-     *  with the System on its own, resets its own. */
-    void resetStats() override;
-
     /** @name Statistics @{ */
     std::uint64_t blocksDispatched() const { return dispatched_.value(); }
     std::uint64_t cellsFreed() const;
     std::uint64_t cellsScanned() const;
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
   private:
@@ -82,7 +77,6 @@ class ReclamationUnit : public Clocked, public mem::MemResponder
     bool entryReady_ = false;
     SweepJob pendingJob_;
 
-    stats::Group stats_{name()};
     stats::Scalar dispatched_{stats_, "blocksDispatched"};
 };
 

@@ -14,7 +14,7 @@ RootReader::RootReader(std::string name, const HwgcConfig &config,
                        MarkQueue &mark_queue, mem::MemPort *port,
                        mem::Ptw &ptw)
     : Clocked(std::move(name)), config_(config), markQueue_(mark_queue),
-      port_(port), translator_(ptw, this->name(), 4)
+      port_(port), translator_(ptw, *this, 4)
 {
     panic_if(port_ == nullptr, "root reader needs a memory port");
 }
@@ -152,13 +152,6 @@ RootReader::serialize(checkpoint::Archive &ar)
 {
     ar(base_, cursor_, end_, inFlight_, pending_, doneAt_, stats_,
        translator_);
-}
-
-void
-RootReader::resetStats()
-{
-    stats_.reset();
-    translator_.resetStats();
 }
 
 void

@@ -50,7 +50,6 @@ class RootReader : public Clocked, public mem::MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     void serialize(checkpoint::Archive &ar) override;
-    void resetStats() override;
 
     void reset();
 
@@ -63,7 +62,6 @@ class RootReader : public Clocked, public mem::MemResponder
      */
     Tick doneAt() const { return doneAt_; }
 
-    const stats::Group &stats() const { return stats_; }
 
   private:
     /** Records the first completion cycle (observational only). */
@@ -88,7 +86,6 @@ class RootReader : public Clocked, public mem::MemResponder
 
     Tick doneAt_ = 0;
 
-    stats::Group stats_{name()};
     stats::Scalar rootsRead_{stats_, "rootsRead"};
 };
 

@@ -53,9 +53,8 @@ Soc::join(HwgcDevice &device)
     if (scope_ == Scope::Device) {
         return {"", statsPrefix_};
     }
-    return {"hwgc" + std::to_string(index) + ".",
-            telemetry::StatsRegistry::global().indexedPrefix(
-                "system.hwgc", index)};
+    const std::string name = "hwgc" + std::to_string(index);
+    return {name + ".", statsPrefix_ + "." + name};
 }
 
 void

@@ -43,9 +43,12 @@ class Soc
   public:
     /**
      * Builds the System, the memory device and the interconnect from
-     * @p config, shared by the devices that join it: device i's
-     * components are "hwgc<i>.marker", ..., its stats
-     * "system.hwgc<i>", and the bus and memory stats "system.fleetN".
+     * @p config, shared by the devices that join it. The SoC owns its
+     * devices' stats paths: device i's components are
+     * "hwgc<i>.marker", ..., its stats "system.fleetN.hwgc<i>", and
+     * the bus and memory stats "system.fleetN.bus" and
+     * "system.fleetN.memory", so every fleet in a process keeps its
+     * own.
      * The kernel is config.kernel when set, else the --kernel= /
      * HWGC_KERNEL option, else event (DESIGN.md §6). An unusable
      * @p config is fatal (HwgcConfig::validate()).

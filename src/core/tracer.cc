@@ -17,7 +17,7 @@ Tracer::Tracer(std::string name, const HwgcConfig &config,
                mem::MemPort *port, mem::Ptw &ptw)
     : Clocked(std::move(name)), config_(config), traceQueue_(trace_queue),
       markQueue_(mark_queue), port_(port), ptw_(ptw),
-      tlb_(this->name() + ".tlb", config.unitTlbEntries)
+      tlb_(stats_, "tlb", config.unitTlbEntries)
 {
     // Replays throttle stalls and blocked retries' TLB hits.
     hasFastForward_ = true;
@@ -454,13 +454,6 @@ Tracer::reset()
     tlb_.flush();
     walkDone_ = false;
     portRefused_ = false;
-}
-
-void
-Tracer::resetStats()
-{
-    stats_.reset();
-    tlb_.stats().reset();
 }
 
 } // namespace hwgc::core

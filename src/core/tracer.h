@@ -73,7 +73,6 @@ class Tracer : public Clocked,
     CycleClass cycleClass(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
     void serialize(checkpoint::Archive &ar) override;
-    void resetStats() override;
 
     void reset();
 
@@ -87,7 +86,6 @@ class Tracer : public Clocked,
     std::uint64_t throttledCycles() const { return throttled_.value(); }
     std::uint64_t tibExtraReads() const { return tibReads_.value(); }
     const mem::TlbArray &tlb() const { return tlb_; }
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
     /**
@@ -186,7 +184,6 @@ class Tracer : public Clocked,
     unsigned numProbes_ = 0;
     /** @} */
 
-    stats::Group stats_{name()};
     stats::Scalar requests_{stats_, "requests"};
     stats::Scalar bytesRequested_{stats_, "bytesRequested"};
     stats::Scalar refsEnqueued_{stats_, "refsEnqueued"};

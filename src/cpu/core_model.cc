@@ -15,9 +15,10 @@ CoreModel::CoreModel(std::string name, const CoreParams &params,
                      const mem::PageTable &page_table,
                      mem::MemDevice &memory)
     : params_(params), mem_(mem), pageTable_(page_table),
-      l2_(name + ".l2", params.l2, nullptr, &memory),
-      l1d_(name + ".l1d", params.l1d, &l2_, nullptr),
-      dtlb_(name + ".dtlb", params.dtlbEntries), stats_(name)
+      stats_(std::move(name)),
+      l2_(stats_, "l2", params.l2, nullptr, &memory),
+      l1d_(stats_, "l1d", params.l1d, &l2_, nullptr),
+      dtlb_(stats_, "dtlb", params.dtlbEntries)
 {
 }
 
@@ -62,18 +63,6 @@ CoreModel::store(Addr va, Word value)
     mem_.writeWord(pa, value);
 }
 
-Word
-CoreModel::amoFetchOr(Addr va, Word operand)
-{
-    ++instrs_;
-    ++loads_;
-    const Addr pa = translate(va);
-    // AMOs occupy the cache port for a read-modify-write.
-    cycles_ += l1d_.access(pa, wordBytes, true, cycles_);
-    ++cycles_;
-    return mem_.fetchOrWord(pa, operand);
-}
-
 void
 CoreModel::branch(unsigned site, bool taken)
 {
@@ -99,15 +88,6 @@ CoreModel::flushMicroarchState()
     l2_.flush();
     dtlb_.flush();
     predictor_.clear();
-}
-
-void
-CoreModel::resetStats()
-{
-    stats_.reset();
-    l1d_.stats().reset();
-    l2_.stats().reset();
-    dtlb_.stats().reset();
 }
 
 } // namespace hwgc::cpu

@@ -61,9 +61,6 @@ class CoreModel
     /** @name Charged functional accesses (virtual addresses) @{ */
     Word load(Addr va);
     void store(Addr va, Word value);
-
-    /** Atomic fetch-or (RISC-V amoor.d): returns the old value. */
-    Word amoFetchOr(Addr va, Word operand);
     /** @} */
 
     /** Charges @p n single-cycle (ALU/compare/predicted-branch) ops. */
@@ -84,8 +81,9 @@ class CoreModel
     /** Drops cache/TLB/predictor state (cold start between phases). */
     void flushMicroarchState();
 
-    /** Resets the core's statistics and those of its caches and TLB. */
-    void resetStats();
+    /** Resets the core's statistics and those of its caches and TLB
+     *  (child groups "l1d", "l2" and "dtlb"). */
+    void resetStats() { stats_.reset(); }
 
     /** @name Statistics @{ */
     std::uint64_t instructions() const { return instrs_.value(); }
@@ -103,6 +101,8 @@ class CoreModel
     CoreParams params_;
     mem::PhysMem &mem_;
     const mem::PageTable &pageTable_;
+    /** Before the caches and the TLB, whose groups nest in it. */
+    stats::Group stats_;
     mem::AtomicCache l2_;
     mem::AtomicCache l1d_;
     mem::TlbArray dtlb_;
@@ -110,7 +110,6 @@ class CoreModel
     Tick cycles_ = 0;
     std::unordered_map<unsigned, std::uint8_t> predictor_;
 
-    stats::Group stats_;
     stats::Scalar instrs_{stats_, "instructions"};
     stats::Scalar mispredicts_{stats_, "branchMispredicts"};
     stats::Scalar loads_{stats_, "loads"};

@@ -375,7 +375,6 @@ FleetLab::measure()
         s.p999Ms = workload::quantileSorted(sorted, 0.999);
         s.maxMs = sorted.back();
     }
-    measured_ = true;
     return stats_;
 }
 
@@ -466,7 +465,6 @@ FleetLab::serialize(checkpoint::Archive &ar)
     for (std::size_t d = 0; d < devices_.size(); ++d) {
         devices_[d].device->regs() = regs[d];
     }
-    measured_ = false;
 }
 
 bool

@@ -233,7 +233,6 @@ class FleetLab
     std::vector<GcRequest> pending_; //!< Kept in trigger order.
 
     std::vector<TenantStats> stats_;
-    bool measured_ = false;
 };
 
 } // namespace hwgc::driver

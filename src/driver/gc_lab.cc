@@ -30,13 +30,11 @@ GcLab::GcLab(const workload::BenchmarkProfile &profile,
     device_ = std::make_unique<core::HwgcDevice>(
         mem_, heap_->pageTable(), config_.hwgc);
 
-    // Register the CPU baseline's stats beside the device's.
+    // Register the CPU baseline's stats beside the device's; the
+    // core's group carries its caches and TLB.
     const std::string prefix =
         telemetry::StatsRegistry::global().uniquePrefix("system.cpu");
     cpuStats_.add(prefix + ".core", core_->stats());
-    cpuStats_.add(prefix + ".core.l1d", core_->l1d().stats());
-    cpuStats_.add(prefix + ".core.l2", core_->l2().stats());
-    cpuStats_.add(prefix + ".core.dtlb", core_->dtlb().stats());
     cpuStats_.add(prefix + ".memory", cpuMemory_->stats());
 }
 

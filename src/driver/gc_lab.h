@@ -106,7 +106,6 @@ class GcLab
     runtime::Heap &heap() { return *heap_; }
     core::HwgcDevice &device() { return *device_; }
     cpu::CoreModel &core() { return *core_; }
-    mem::MemDevice &cpuMemory() { return *cpuMemory_; }
     mem::Dram *cpuDram() { return cpuDramPtr_; }
     workload::GraphBuilder &builder() { return *builder_; }
     const std::vector<PauseResult> &results() const { return results_; }

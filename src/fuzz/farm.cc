@@ -63,7 +63,8 @@ saveFarmSnapshot(const std::string &path, FarmMeta meta,
     serializeFarm(ar, meta, params, mem.size(), [&](std::uint64_t) {
         return std::tie(mem, heap, builder);
     });
-    ser.writeFile(path);
+    fatal_if(!ser.writeFile(path), "farm: cannot write snapshot '%s'",
+             path.c_str());
 }
 
 FarmUniverse

@@ -52,7 +52,8 @@ struct FarmUniverse
     std::unique_ptr<workload::GraphBuilder> builder;
 };
 
-/** Serializes a warm heap to @p path. */
+/** Serializes a warm heap to @p path; a failed write is fatal,
+ *  naming the path. */
 void saveFarmSnapshot(const std::string &path, FarmMeta meta,
                       workload::GraphParams params, runtime::Heap &heap,
                       workload::GraphBuilder &builder, mem::PhysMem &mem);

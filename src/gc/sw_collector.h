@@ -29,8 +29,6 @@ struct GcResult
     std::uint64_t refsTraced = 0;      //!< References examined.
     std::uint64_t cellsFreed = 0;      //!< Cells added to free lists.
     std::uint64_t blocksSwept = 0;
-
-    Tick totalCycles() const { return markCycles + sweepCycles; }
 };
 
 /** Stop-the-world software Mark & Sweep on the core model. */

@@ -8,14 +8,14 @@
 namespace hwgc::mem
 {
 
-AtomicCache::AtomicCache(std::string name,
+AtomicCache::AtomicCache(stats::Group &parent, std::string name,
                          const AtomicCacheParams &params,
                          AtomicCache *next, MemDevice *memory)
-    : name_(std::move(name)), params_(params),
-      tags_(params.sizeBytes, params.assoc), next_(next), memory_(memory)
+    : params_(params), tags_(params.sizeBytes, params.assoc), next_(next),
+      memory_(memory), stats_(parent, std::move(name))
 {
     panic_if(next_ == nullptr && memory_ == nullptr,
-             "cache '%s' has no downstream", name_.c_str());
+             "cache '%s' has no downstream", stats_.name().c_str());
 }
 
 Tick

@@ -38,13 +38,16 @@ class AtomicCache
 {
   public:
     /**
+     * @param parent The owner's statistics group; the cache's
+     *        counters are its child group @p name ("l1d").
      * @param next The next cache level, or nullptr if this level
      *        misses straight to @p memory.
      * @param memory The memory device charged for fills/write-backs
      *        when @p next is nullptr.
      */
-    AtomicCache(std::string name, const AtomicCacheParams &params,
-                AtomicCache *next, MemDevice *memory);
+    AtomicCache(stats::Group &parent, std::string name,
+                const AtomicCacheParams &params, AtomicCache *next,
+                MemDevice *memory);
 
     /**
      * Charges one access of @p size bytes at @p addr.
@@ -59,9 +62,6 @@ class AtomicCache
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t writebacks() const { return writebacks_.value(); }
-    const std::string &name() const { return name_; }
-    stats::Group &stats() { return stats_; }
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
   private:
@@ -71,13 +71,12 @@ class AtomicCache
     /** Charges a 64-byte timing-only transfer at the next level down. */
     Tick chargeDownstream(Addr line_addr, bool is_write, Tick now);
 
-    std::string name_;
     AtomicCacheParams params_;
     CacheTags tags_;
     AtomicCache *next_;
     MemDevice *memory_;
 
-    stats::Group stats_{name_};
+    stats::Group stats_;
     stats::Scalar hits_{stats_, "hits"};
     stats::Scalar misses_{stats_, "misses"};
     stats::Scalar writebacks_{stats_, "writebacks"};

@@ -272,25 +272,6 @@ Dram::serialize(checkpoint::Archive &ar)
        stats_);
 }
 
-Dram::DebugState
-Dram::debugState() const
-{
-    DebugState state;
-    for (const auto &p : queue_) {
-        state.queued += !p.issued;
-    }
-    state.completionsPending = completions_.size();
-    state.readsInFlight = readsInFlight_;
-    state.writesInFlight = writesInFlight_;
-    state.busFreeAt = busFreeAt_;
-    if (!queue_.empty()) {
-        const auto &front = queue_.front();
-        state.firstBankReadyAt =
-            banks_[bankIndex(front.req.paddr)].readyAt;
-    }
-    return state;
-}
-
 void
 Dram::resetBankState()
 {

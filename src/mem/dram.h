@@ -82,18 +82,6 @@ class Dram : public MemDevice
     /** Resets bank/row-buffer state (between experiment phases). */
     void resetBankState();
 
-    /** Introspection for debugging stuck traffic. */
-    struct DebugState
-    {
-        std::size_t queued = 0;
-        std::size_t completionsPending = 0;
-        unsigned readsInFlight = 0;
-        unsigned writesInFlight = 0;
-        Tick firstBankReadyAt = 0;
-        Tick busFreeAt = 0;
-    };
-    DebugState debugState() const;
-
     const DramParams &params() const { return params_; }
 
     /** @name Statistics @{ */

@@ -116,7 +116,6 @@ class Interconnect : public Clocked, public MemResponder
     CycleClass cycleClass(Tick now) const override;
     void fastForward(Tick from, Tick to) override;
     void serialize(checkpoint::Archive &ar) override;
-    void resetStats() override { stats_.reset(); }
 
     /** @name Statistics @{ */
     std::uint64_t clientRequests(unsigned client) const;
@@ -131,8 +130,6 @@ class Interconnect : public Clocked, public MemResponder
     }
     /** The global throttle's bucket (disabled when unthrottled). */
     const TokenBucket &throttleBucket() const { return throttle_; }
-    /** The bus statistics, per-client counters included. */
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
   private:
@@ -205,8 +202,6 @@ class Interconnect : public Clocked, public MemResponder
     std::vector<unsigned> clientGroup_; //!< Per client, default noGroup.
     /** @} */
 
-    /** Last, behind the state every cycle touches. */
-    stats::Group stats_{name()};
     stats::Scalar busBusy_{stats_, "busBusyCycles"};
     stats::Scalar cycles_{stats_, "cycles"};
     stats::Scalar throttledGrants_{stats_, "throttledGrants"};

@@ -18,7 +18,6 @@
 
 #include "mem/request.h"
 #include "sim/clocked.h"
-#include "sim/stats.h"
 
 namespace hwgc::mem
 {
@@ -46,12 +45,6 @@ class MemDevice : public Clocked
     virtual Tick accessAtomic(const MemRequest &req, Tick now,
                               std::array<Word, maxReqWords> &rdata) = 0;
 
-    /** Resets statistics between experiment phases. */
-    void resetStats() override { stats_.reset(); }
-
-    /** The device's statistics (exported by the SoC or the lab). */
-    const stats::Group &stats() const { return stats_; }
-
     /**
      * Resets internal timing state (bank/row buffers, bus occupancy
      * timestamps) between experiment phases. Required whenever the
@@ -62,7 +55,6 @@ class MemDevice : public Clocked
 
   protected:
     MemResponder *responder_ = nullptr;
-    stats::Group stats_{name()};
 };
 
 } // namespace hwgc::mem

@@ -15,7 +15,7 @@ namespace hwgc::mem
 Ptw::Ptw(std::string name, const PtwParams &params,
          const PageTable &page_table, MemPort *port)
     : Clocked(std::move(name)), params_(params), pageTable_(&page_table),
-      port_(port), l2Tlb_(this->name() + ".l2tlb", params.l2TlbEntries)
+      port_(port), l2Tlb_(stats_, "l2tlb", params.l2TlbEntries)
 {
     panic_if(port_ == nullptr, "PTW needs a memory port");
 }
@@ -259,13 +259,6 @@ Ptw::serialize(checkpoint::Archive &ar)
            walkPlan_.levels, walkPlan_.pageBits, level_);
     }
     ar(stats_, l2Tlb_);
-}
-
-void
-Ptw::resetStats()
-{
-    stats_.reset();
-    l2Tlb_.stats().reset();
 }
 
 } // namespace hwgc::mem

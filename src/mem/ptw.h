@@ -109,9 +109,9 @@ class Ptw : public Clocked, public MemResponder
     Tick nextWakeup(Tick now) const override;
     CycleClass cycleClass(Tick now) const override;
     void serialize(checkpoint::Archive &ar) override;
-    void resetStats() override;
 
-    /** The shared second-level TLB (flush between phases). */
+    /** The shared second-level TLB (flush between phases); its
+     *  counters are the child group "l2tlb". */
     TlbArray &l2Tlb() { return l2Tlb_; }
 
     /**
@@ -125,7 +125,6 @@ class Ptw : public Clocked, public MemResponder
     std::uint64_t walksStarted() const { return walks_.value(); }
     std::uint64_t l2TlbHits() const { return l2Hits_.value(); }
     std::uint64_t pteFetches() const { return pteFetches_.value(); }
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
   private:
@@ -185,7 +184,6 @@ class Ptw : public Clocked, public MemResponder
     PageTable::WalkResult walkPlan_;
     unsigned level_ = 0;
 
-    stats::Group stats_{name()};
     stats::Scalar walks_{stats_, "walks"};
     stats::Scalar l2Hits_{stats_, "l2TlbHits"};
     stats::Scalar pteFetches_{stats_, "pteFetches"};

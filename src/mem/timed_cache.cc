@@ -40,7 +40,7 @@ struct TimedCache::UpstreamPort : public MemPort
         (void)now;
         owner_.pokeWakeup(); // A queued request needs a service tick.
         queue.push_back(req);
-        ++numRequests;
+        ++requests;
     }
 
     TimedCache &owner_;
@@ -49,9 +49,10 @@ struct TimedCache::UpstreamPort : public MemPort
     const Clocked *wakeOwner_ = nullptr;
     std::string label_;
     std::deque<MemRequest> queue;
-    std::uint64_t numRequests = 0;
+    /** Declared into the cache's group, after its own counters. */
+    stats::Scalar requests{owner_.stats_, "requests::" + label_};
 
-    void serialize(checkpoint::Archive &ar) { ar(queue, numRequests); }
+    void serialize(checkpoint::Archive &ar) { ar(queue); }
 };
 
 TimedCache::TimedCache(std::string name, const TimedCacheParams &params,
@@ -355,19 +356,10 @@ TimedCache::serialize(checkpoint::Archive &ar)
        stats_);
 }
 
-void
-TimedCache::resetStats()
-{
-    stats_.reset();
-    for (auto &p : ports_) {
-        p->numRequests = 0;
-    }
-}
-
 std::uint64_t
 TimedCache::portRequests(unsigned port) const
 {
-    return ports_.at(port)->numRequests;
+    return ports_.at(port)->requests.value();
 }
 
 const std::string &

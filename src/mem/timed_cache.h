@@ -53,7 +53,9 @@ class TimedCache : public Clocked, public MemResponder
     ~TimedCache() override; // Out of line: UpstreamPort is incomplete.
 
     /**
-     * Adds an upstream port. The returned port is owned by the cache.
+     * Adds an upstream port. The returned port is owned by the cache,
+     * and its request count is the cache statistic
+     * "requests::<label>".
      * @param responder Receiver of completions (nullptr to discard).
      */
     MemPort *addPort(MemResponder *responder, std::string label);
@@ -78,9 +80,6 @@ class TimedCache : public Clocked, public MemResponder
     CycleClass cycleClass(Tick now) const override;
     void serialize(checkpoint::Archive &ar) override;
 
-    /** Resets the statistics and the per-port request counts. */
-    void resetStats() override;
-
     /** @name Statistics @{ */
     std::uint64_t portRequests(unsigned port) const;
     const std::string &portLabel(unsigned port) const;
@@ -88,7 +87,6 @@ class TimedCache : public Clocked, public MemResponder
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t writebacks() const { return writebacks_.value(); }
-    const stats::Group &stats() const { return stats_; }
     /** @} */
 
     /** Occupied MSHRs right now (telemetry counter track). */
@@ -144,7 +142,6 @@ class TimedCache : public Clocked, public MemResponder
     unsigned rrNext_ = 0;
     unsigned outstandingWritebacks_ = 0;
 
-    stats::Group stats_{name()};
     stats::Scalar hits_{stats_, "hits"};
     stats::Scalar misses_{stats_, "misses"};
     stats::Scalar writebacks_{stats_, "writebacks"};

@@ -27,11 +27,12 @@ class TlbArray
 {
   public:
     /**
-     * @param name Statistics name.
+     * @param parent The owner's statistics group; the hit/miss
+     *        counters are its child group @p name ("tlb").
      * @param entries Capacity (32 for unit TLBs, 128 for shared L2).
      */
-    TlbArray(std::string name, unsigned entries)
-        : stats_(name), name_(std::move(name)), entries_(entries)
+    TlbArray(stats::Group &parent, std::string name, unsigned entries)
+        : stats_(parent, std::move(name)), entries_(entries)
     {
         panic_if(entries_ == 0, "TLB needs at least one entry");
     }
@@ -131,12 +132,6 @@ class TlbArray
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
-    const std::string &name() const { return name_; }
-
-    /** The hit/miss counters (exported by the owner, if at all). */
-    stats::Group &stats() { return stats_; }
-    const stats::Group &stats() const { return stats_; }
-
     /** Archives the translation array and the hit/miss counters. */
     void
     serialize(checkpoint::Archive &ar)
@@ -147,7 +142,7 @@ class TlbArray
             fatal_if(count > entries_,
                      "checkpoint '%s': TLB '%s' holds %llu entries but "
                      "has capacity %u — configurations differ",
-                     ar.origin().c_str(), name_.c_str(),
+                     ar.origin().c_str(), stats_.name().c_str(),
                      (unsigned long long)count, entries_);
             slots_.assign(std::size_t(count), Entry{});
         }
@@ -168,7 +163,6 @@ class TlbArray
 
     /** First, so the lookup state and its counters stay adjacent. */
     stats::Group stats_;
-    std::string name_;
     unsigned entries_;
     std::vector<Entry> slots_;
     std::uint64_t useCounter_ = 0;

@@ -27,11 +27,11 @@ namespace hwgc::mem
 class Translator : public WalkResponder
 {
   public:
-    /** Registers port @p owner on @p ptw; the TLB is "<owner>.tlb". */
-    Translator(Ptw &ptw, std::string owner, unsigned tlb_entries)
-        : ptw_(ptw), owner_(std::move(owner)),
-          tlb_(owner_ + ".tlb", tlb_entries),
-          port_(ptw.registerRequester(*this, owner_))
+    /** Registers a port named after @p owner on @p ptw; the TLB's
+     *  counters are the child group "tlb" of the owner's. */
+    Translator(Ptw &ptw, Clocked &owner, unsigned tlb_entries)
+        : ptw_(ptw), owner_(owner), tlb_(owner.stats(), "tlb", tlb_entries),
+          port_(ptw.registerRequester(*this, owner.name()))
     {
     }
 
@@ -62,19 +62,18 @@ class Translator : public WalkResponder
     {
         (void)now;
         fatal_if(!walk.valid, "%s touched unmapped VA %#llx",
-                 owner_.c_str(), (unsigned long long)walk.va);
+                 owner_.name().c_str(), (unsigned long long)walk.va);
         tlb_.insert(walk.va, walk.pa, walk.pageBits);
         walkPending_ = false;
     }
 
     /** Drops every translation (the §VII context switch). */
     void flush() { tlb_.flush(); }
-    void resetStats() { tlb_.stats().reset(); }
     void serialize(checkpoint::Archive &ar) { ar(walkPending_, tlb_); }
 
   private:
     Ptw &ptw_;
-    std::string owner_;
+    const Clocked &owner_;
     TlbArray tlb_;
     unsigned port_;
     bool walkPending_ = false;

@@ -232,13 +232,6 @@ Heap::addRoot(ObjRef ref)
 }
 
 void
-Heap::clearRoots()
-{
-    roots_.clear();
-    publishedRoots_ = 0;
-}
-
-void
 Heap::publishRoots()
 {
     fatal_if(roots_.size() * wordBytes > HeapLayout::hwgcSpaceSize,

@@ -97,7 +97,6 @@ class Heap
 
     /** @name Root management (hwgc-space, §V-A "Root Scanning") @{ */
     void addRoot(ObjRef ref);
-    void clearRoots();
     const std::vector<ObjRef> &roots() const { return roots_; }
 
     /**

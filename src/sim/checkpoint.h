@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -57,7 +58,7 @@ namespace hwgc::checkpoint
 /** Format magic and version; bump the version on any layout change. */
 inline constexpr char magic[8] = {'H', 'W', 'G', 'C',
                                   'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t formatVersion = 6;
+inline constexpr std::uint32_t formatVersion = 7;
 
 /** Serializes state into the chunked checkpoint image. */
 class Serializer
@@ -102,17 +103,6 @@ class Serializer
         rawU64(v);
     }
 
-    void putI64(std::int64_t v) { putU64(std::uint64_t(v)); }
-    void putBool(bool v) { putU64(v ? 1 : 0); }
-
-    void
-    putDouble(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        putU64(bits);
-    }
-
     void
     putString(const std::string &s)
     {
@@ -138,8 +128,9 @@ class Serializer
 
     /**
      * Writes the image to @p path. Returns false (with a warning)
-     * on I/O failure — the crash-dump path must not fatal() again
-     * while already handling a fatal error.
+     * on any I/O failure, a full disk at the final flush or close
+     * included — the crash-dump path must not fatal() again while
+     * already handling a fatal error.
      */
     bool
     writeFile(const std::string &path) const
@@ -151,11 +142,12 @@ class Serializer
             return false;
         }
         const std::string &data = image();
-        const std::size_t written =
-            std::fwrite(data.data(), 1, data.size(), f);
-        std::fclose(f);
-        if (written != data.size()) {
-            warn("checkpoint: short write to '%s'", path.c_str());
+        const bool bad =
+            std::fwrite(data.data(), 1, data.size(), f) != data.size() ||
+            std::fflush(f) != 0 || std::ferror(f) != 0;
+        if (std::fclose(f) != 0 || bad) {
+            warn("checkpoint: error writing '%s': %s", path.c_str(),
+                 std::strerror(errno));
             return false;
         }
         return true;
@@ -270,18 +262,6 @@ class Deserializer
                  "checkpoint '%s': read past chunk end",
                  origin_.c_str());
         return rawU64();
-    }
-
-    std::int64_t getI64() { return std::int64_t(getU64()); }
-    bool getBool() { return getU64() != 0; }
-
-    double
-    getDouble()
-    {
-        const std::uint64_t bits = getU64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
     }
 
     std::string

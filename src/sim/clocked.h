@@ -32,6 +32,7 @@
 
 #include "sim/cycle_class.h"
 #include "sim/logging.h"
+#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace hwgc
@@ -106,8 +107,11 @@ class Clocked
     friend class System;
 
   public:
-    /** @param name A unique, human-readable instance name. */
-    explicit Clocked(std::string name) : name_(std::move(name)) {}
+    /** @param name A unique, human-readable instance name; it also
+     *  names the statistics group. */
+    explicit Clocked(std::string name)
+        : name_(std::move(name)), stats_(name_)
+    {}
     virtual ~Clocked() = default;
 
     Clocked(const Clocked &) = delete;
@@ -214,16 +218,29 @@ class Clocked
     virtual void serialize(checkpoint::Archive &ar);
 
     /**
-     * Zeroes every statistic this component owns (its stats group and
-     * those of the structures inside it), between GC pauses or
-     * experiment phases. Components without statistics keep the
-     * default, which does nothing.
+     * The statistics this component owns. A structure inside it (a
+     * TLB, per-port counters) declares its statistics into this group
+     * or into a child of it, so registering the group exports them
+     * all (telemetry::StatsGroups).
      */
-    virtual void resetStats() {}
+    stats::Group &stats() { return stats_; }
+    const stats::Group &stats() const { return stats_; }
+
+    /**
+     * Zeroes every statistic this component owns, its sub-structures'
+     * child groups included, between GC pauses or experiment phases.
+     */
+    void resetStats() { stats_.reset(); }
 
     const std::string &name() const { return name_; }
 
+  private:
+    std::string name_;
+
   protected:
+    /** The component's statistics (see stats()). */
+    stats::Group stats_;
+
     /**
      * Marks this component's cached wakeup stale so the event kernel
      * re-polls nextWakeup() on the next cycle it evaluates (see
@@ -249,7 +266,6 @@ class Clocked
     bool hasFastForward_ = false;
 
   private:
-    std::string name_;
     System *system_ = nullptr;
     std::size_t sysIndex_ = 0;
 };

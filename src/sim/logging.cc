@@ -85,15 +85,6 @@ removeCrashHook(unsigned id)
 }
 
 void
-setCrashHook(void (*hook)(void *ctx), void *ctx)
-{
-    crashHooks().clear();
-    if (hook != nullptr) {
-        addCrashHook(hook, ctx);
-    }
-}
-
-void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {
     std::fprintf(stderr, "panic: %s:%d: ", file, line);

@@ -47,12 +47,6 @@ unsigned addCrashHook(void (*hook)(void *ctx), void *ctx);
  *  already ran or was removed). */
 void removeCrashHook(unsigned id);
 
-/**
- * Legacy single-hook interface: installs @p hook as the only
- * registered hook (clearing all others); nullptr uninstalls all.
- */
-void setCrashHook(void (*hook)(void *ctx), void *ctx);
-
 /** Prints a warning; the simulation continues. */
 void warnImpl(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -219,13 +219,24 @@ class TimeSeries
  * "requests"}`), and the group is then the only list of them: the
  * telemetry registry exports it (sim/telemetry.h), reset() zeroes it
  * and checkpoints archive it as one item, in declaration order
- * (sim/checkpoint.h). The group keeps pointers, so a statistic must
- * not move once declared; groups are neither copied nor moved.
+ * (sim/checkpoint.h). A structure inside the component (a TLB, a
+ * cache level) declares its own group as a child of its owner's, so
+ * the component's groups form a tree: reset() and a registration
+ * cover the whole tree, while archiving covers one group only and
+ * each owner archives its sub-structures itself. The group keeps
+ * pointers, so a statistic or a child must not move once declared;
+ * groups are neither copied nor moved.
  */
 class Group
 {
   public:
     explicit Group(std::string name) : name_(std::move(name)) {}
+
+    /** Declares a child group named @p name inside @p parent. */
+    Group(Group &parent, std::string name) : name_(std::move(name))
+    {
+        parent.children_.push_back(this);
+    }
 
     Group(const Group &) = delete;
     Group &operator=(const Group &) = delete;
@@ -246,14 +257,18 @@ class Group
         order_.push_back(t);
     }
 
-    /** Zeroes every statistic in the group. */
+    /** Zeroes every statistic in the group and in its children. */
     void
     reset()
     {
         forEach([](auto &stat) { stat.reset(); });
+        for (Group *child : children_) {
+            child->reset();
+        }
     }
 
-    /** Calls @p fn on every statistic, in declaration order. */
+    /** Calls @p fn on every statistic of this group (not of its
+     *  children), in declaration order. */
     template <typename Fn>
     void
     forEach(Fn &&fn)
@@ -267,6 +282,9 @@ class Group
     void dump(std::ostream &os) const;
 
     const std::string &name() const { return name_; }
+
+    /** The child groups, in declaration order. */
+    const std::vector<Group *> &children() const { return children_; }
 
     /** @name Introspection by kind (telemetry exporters) @{ */
     const std::vector<Scalar *> &scalars() const { return scalars_; }
@@ -290,6 +308,7 @@ class Group
     std::vector<Histogram *> histograms_;
     std::vector<TimeSeries *> timeSeries_;
     std::vector<Stat> order_; //!< Every statistic, in declaration order.
+    std::vector<Group *> children_;
 };
 
 inline Scalar::Scalar(Group &group, std::string name)

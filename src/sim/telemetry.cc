@@ -325,24 +325,13 @@ StatsRegistry::global()
     return registry;
 }
 
-std::string
+void
 StatsRegistry::add(const std::string &path, const stats::Group *group)
 {
     panic_if(group == nullptr, "StatsRegistry::add(nullptr)");
-    std::string actual = path;
-    unsigned suffix = 1;
-    // Only *live* groups force a "#N" suffix. A retired entry at the
-    // same path is superseded instead: under device churn the path
-    // names a slot whose occupants come and go, and keeping every
-    // dead occupant's values would grow the export without bound
-    // while pushing the live one onto an ever-changing "#N" path.
-    while (groups_.count(actual) != 0) {
-        actual = path + "#" + std::to_string(suffix++);
-    }
-    retired_.erase(actual);
-    dropSnapshotBaselines(actual);
-    groups_.emplace(actual, group);
-    return actual;
+    panic_if(groups_.count(path) != 0 || retired_.count(path) != 0,
+             "stats path '%s' registered twice", path.c_str());
+    groups_.emplace(path, group);
 }
 
 void
@@ -356,36 +345,12 @@ StatsRegistry::remove(const std::string &path)
     // component even though its stats objects are about to die.
     retired_[path] = RetiredGroup{renderGroupJson(*it->second)};
     groups_.erase(it);
-    // Drop the interval-delta baselines with the group: its values are
-    // frozen now, and if another component re-registers this path its
-    // first delta must be measured from zero, not from the dead
-    // component's totals (cur - old reads as a huge negative delta).
-    dropSnapshotBaselines(path);
-}
-
-void
-StatsRegistry::dropSnapshotBaselines(const std::string &path)
-{
-    const std::string prefix = path + ".";
-    auto it = snapshotPrev_.lower_bound(prefix);
-    while (it != snapshotPrev_.end() &&
-           it->first.compare(0, prefix.size(), prefix) == 0) {
-        it = snapshotPrev_.erase(it);
-    }
 }
 
 std::string
 StatsRegistry::uniquePrefix(const std::string &base)
 {
     return base + std::to_string(prefixCounters_[base]++);
-}
-
-std::string
-StatsRegistry::indexedPrefix(const std::string &base, unsigned n)
-{
-    unsigned &counter = prefixCounters_[base];
-    counter = std::max(counter, n + 1);
-    return base + std::to_string(n);
 }
 
 void
@@ -517,7 +482,11 @@ StatsGroups::~StatsGroups()
 void
 StatsGroups::add(const std::string &path, const stats::Group &group)
 {
-    paths_.push_back(StatsRegistry::global().add(path, &group));
+    StatsRegistry::global().add(path, &group);
+    paths_.push_back(path);
+    for (const stats::Group *child : group.children()) {
+        add(path + "." + child->name(), *child);
+    }
 }
 
 // ---------------------------------------------------------------------

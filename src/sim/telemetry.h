@@ -76,7 +76,12 @@ struct Options
 
     /** @name Checkpointing (see sim/checkpoint.h, DESIGN.md §9) @{ */
 
-    /** Checkpoint to restore when the device is configured ("" off). */
+    /**
+     * Checkpoint to restore ("" off). The first configure() of a
+     * standalone device restores it and clears this field, so the
+     * image is loaded once per process and later pauses continue
+     * the restored run.
+     */
     std::string checkpointIn;
 
     /**
@@ -165,34 +170,22 @@ struct RunMetadata
 /**
  * The process-wide hierarchical statistics registry.
  *
- * Paths are dotted ("system.hwgc0.marker.tlb"); add() uniquifies a
- * colliding path by appending "#N". remove() retires the group's
- * *values* (not the pointer) so exports after a component's death
- * still cover it.
+ * Paths are dotted ("system.hwgc0.marker.tlb") and name one group
+ * for the life of the process: every owner registers under a prefix
+ * from uniquePrefix(), so registering a path twice is a bug and
+ * panics. remove() retires the group's *values* (not the pointer) so
+ * exports after a component's death still cover it.
  */
 class StatsRegistry
 {
   public:
     static StatsRegistry &global();
 
-    /**
-     * Registers @p group under @p path (uniquified against *live*
-     * groups on collision). A retired group at the chosen path is
-     * superseded — its stale values drop out of future exports —
-     * which is what device churn wants: the slot's current occupant
-     * represents the path, and re-registering does not grow the
-     * export or shift the path with an ever-increasing "#N" suffix.
-     * @return The path actually used — pass it to remove().
-     */
-    std::string add(const std::string &path, const stats::Group *group);
+    /** Registers @p group under @p path; a path registered before,
+     *  live or retired, panics. */
+    void add(const std::string &path, const stats::Group *group);
 
-    /**
-     * Unregisters @p path, retiring the group's current values. Also
-     * drops the path's interval-delta baselines, so a later
-     * re-registration at the same path starts its deltas from zero
-     * instead of inheriting the dead component's running totals
-     * (which rendered as a large negative delta).
-     */
+    /** Unregisters @p path, retiring the group's current values. */
     void remove(const std::string &path);
 
     /**
@@ -201,16 +194,6 @@ class StatsRegistry
      * within a process, so two live devices cannot collide.
      */
     std::string uniquePrefix(const std::string &base);
-
-    /**
-     * Claims the *specific* prefix "<base><n>" and bumps the counter
-     * past it, so later uniquePrefix() calls cannot hand it out
-     * again. Checkpoint restore uses this to pin each restored
-     * device to the index it had when the image was written —
-     * without it the counter restarts at 0 in the new process and
-     * stats paths drift between the saver and the restorer.
-     */
-    std::string indexedPrefix(const std::string &base, unsigned n);
 
     /** Live groups, sorted by path. */
     const std::map<std::string, const stats::Group *> &groups() const
@@ -253,9 +236,6 @@ class StatsRegistry
   private:
     StatsRegistry() = default;
 
-    /** Erases the interval-delta baselines under "<path>.". */
-    void dropSnapshotBaselines(const std::string &path);
-
     struct SnapshotRow
     {
         Tick tick;
@@ -277,10 +257,10 @@ class StatsRegistry
 
 /**
  * The component-owned stats groups one owner (a device, a SoC, a lab,
- * a profiler) exports: add() registers a group in the global registry,
- * and destruction retires every group it added. Declare it after the
- * components that own the groups, so the retirement still reads live
- * values.
+ * a profiler) exports: add() registers a group and its children in
+ * the global registry, and destruction retires every group it added.
+ * Declare it after the components that own the groups, so the
+ * retirement still reads live values.
  */
 class StatsGroups
 {
@@ -291,7 +271,8 @@ class StatsGroups
     StatsGroups(const StatsGroups &) = delete;
     StatsGroups &operator=(const StatsGroups &) = delete;
 
-    /** Registers @p group at @p path ("system.hwgc0.marker"). */
+    /** Registers @p group at @p path ("system.hwgc0.marker") and
+     *  every descendant at "<path>.<child>" ("...marker.tlb"). */
     void add(const std::string &path, const stats::Group &group);
 
   private:

@@ -95,11 +95,12 @@ class AtomicCacheTest : public testing::Test
 
     PhysMem mem_;
     IdealMem ideal_;
+    stats::Group owner_{"core"}; //!< The caches' groups nest in it.
 };
 
 TEST_F(AtomicCacheTest, MissThenHit)
 {
-    AtomicCache cache("l1", {1024, 2, 2}, nullptr, &ideal_);
+    AtomicCache cache(owner_, "l1", {1024, 2, 2}, nullptr, &ideal_);
     const Tick miss = cache.access(0x1000, 8, false, 0);
     const Tick hit = cache.access(0x1008, 8, false, 1000);
     EXPECT_GT(miss, 50u);
@@ -110,8 +111,8 @@ TEST_F(AtomicCacheTest, MissThenHit)
 
 TEST_F(AtomicCacheTest, TwoLevelHierarchy)
 {
-    AtomicCache l2("l2", {4096, 4, 12}, nullptr, &ideal_);
-    AtomicCache l1("l1", {1024, 2, 2}, &l2, nullptr);
+    AtomicCache l2(owner_, "l2", {4096, 4, 12}, nullptr, &ideal_);
+    AtomicCache l1(owner_, "l1", {1024, 2, 2}, &l2, nullptr);
     const Tick cold = l1.access(0x2000, 8, false, 0);
     EXPECT_GT(cold, 12u); // Paid L2 + memory.
     // Evict 0x2000 from the 2-way L1 set without exceeding the 4-way
@@ -125,7 +126,7 @@ TEST_F(AtomicCacheTest, TwoLevelHierarchy)
 
 TEST_F(AtomicCacheTest, DirtyEvictionChargesDownstreamTraffic)
 {
-    AtomicCache cache("l1", {128, 1, 2}, nullptr, &ideal_);
+    AtomicCache cache(owner_, "l1", {128, 1, 2}, nullptr, &ideal_);
     cache.access(0x0, 8, true, 0); // Dirty line in set 0.
     const auto before = ideal_.bytesMoved().value();
     cache.access(0x80, 8, false, 1000); // Evicts dirty 0x0.
@@ -136,7 +137,7 @@ TEST_F(AtomicCacheTest, DirtyEvictionChargesDownstreamTraffic)
 
 TEST_F(AtomicCacheTest, MultiLineAccessTouchesAllLines)
 {
-    AtomicCache cache("l1", {4096, 4, 2}, nullptr, &ideal_);
+    AtomicCache cache(owner_, "l1", {4096, 4, 2}, nullptr, &ideal_);
     cache.access(0x1000, 8, false, 0);
     // A 64B access starting mid-line spans two lines.
     cache.access(0x1020, 64, false, 1000);
@@ -146,7 +147,7 @@ TEST_F(AtomicCacheTest, MultiLineAccessTouchesAllLines)
 
 TEST_F(AtomicCacheTest, FlushForcesMisses)
 {
-    AtomicCache cache("l1", {1024, 2, 2}, nullptr, &ideal_);
+    AtomicCache cache(owner_, "l1", {1024, 2, 2}, nullptr, &ideal_);
     cache.access(0x1000, 8, false, 0);
     cache.flush();
     cache.access(0x1000, 8, false, 1000);

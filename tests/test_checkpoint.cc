@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/hwgc_device.h"
 #include "driver/fleet.h"
 #include "instance_ids.h"
@@ -512,6 +514,70 @@ TEST(Checkpoint, PhaseCheckpointResumesNextPause)
     runSecondPause(restored);
     EXPECT_EQ(restored.device->system().now(), original_now);
     expectSameStatsJson(original_stats, exportStats());
+}
+
+/** One pause the way GcLab runs it: configure(), then mark and sweep. */
+void
+configuredPause(Rig &rig)
+{
+    rig.heap.clearAllMarks();
+    rig.heap.publishRoots();
+    rig.device->resetPhaseState();
+    rig.device->configure(rig.heap);
+    rig.device->runMark();
+    rig.device->runSweep();
+}
+
+TEST(Checkpoint, CheckpointInRestoresOnce)
+{
+    // --checkpoint-in= resumes one run: the configure() that restores
+    // the image consumes the option, so the next pause's configure()
+    // continues the restored run instead of loading the image again.
+    const auto graph = testGraph(29);
+    const std::string path = tmpPath("resume.ckpt");
+    const HwgcConfig config;
+    constexpr Tick at = 3000;
+
+    Tick pause1_now = 0;
+    Tick original_now = 0;
+    std::string original_stats;
+    {
+        telemetry::StatsRegistry::global().clearRetired();
+        Rig original(graph, config);
+        original.device->armCheckpoint(path, at);
+        ASSERT_GT(original.device->runMark().cycles, at);
+        original.device->runSweep();
+        pause1_now = original.device->system().now();
+        configuredPause(original);
+        original_now = original.device->system().now();
+        original_stats = exportStats();
+    }
+
+    telemetry::StatsRegistry::global().clearRetired();
+    telemetry::options().checkpointIn = path;
+    Rig resumed(graph, config); // Its configure() restores the image.
+    EXPECT_TRUE(telemetry::options().checkpointIn.empty());
+    EXPECT_EQ(resumed.device->system().now(), at);
+    resumed.device->runMark();
+    resumed.device->runSweep();
+    EXPECT_EQ(resumed.device->system().now(), pause1_now);
+    configuredPause(resumed);
+    telemetry::options().checkpointIn.clear();
+    EXPECT_EQ(resumed.device->system().now(), original_now);
+    expectSameStatsJson(original_stats, exportStats());
+}
+
+TEST(Checkpoint, WriteFileReportsAFullDisk)
+{
+    if (::access("/dev/full", W_OK) != 0) {
+        GTEST_SKIP() << "/dev/full is not writable here";
+    }
+    // A small image fits the stdio buffer, so only the final flush
+    // meets the full disk.
+    checkpoint::Serializer ser;
+    std::uint64_t word = 42;
+    checkpoint::Archive(ser).chunk("word", word);
+    EXPECT_FALSE(ser.writeFile("/dev/full"));
 }
 
 // ---------------------------------------------------------------------

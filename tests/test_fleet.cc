@@ -124,6 +124,59 @@ expectSameSig(const FleetSig &ref, const FleetSig &run)
     }
 }
 
+/** Scalar @p name of group @p path in stats export @p json, or
+ *  ~0 when the export has no such group. */
+std::uint64_t
+exportedScalar(const std::string &json, const std::string &path,
+               const std::string &name)
+{
+    const std::string key = "\"" + name + "\": ";
+    const std::size_t group = json.find("\"" + path + "\": {");
+    const std::size_t at =
+        group == std::string::npos ? group : json.find(key, group);
+    if (at == std::string::npos) {
+        return ~std::uint64_t(0);
+    }
+    return std::stoull(json.substr(at + key.size()));
+}
+
+TEST(FleetStats, ConsecutiveFleetsKeepTheirOwnDeviceGroups)
+{
+    // A fleet owns its devices' stats paths ("system.fleetN.hwgc<i>"),
+    // so a second fleet in the process neither collides with the
+    // first's device groups nor supersedes their values.
+    telemetry::StatsRegistry::global().clearRetired();
+    std::vector<std::pair<std::string, std::uint64_t>> marked;
+    for (const unsigned tenants : {2u, 3u}) {
+        driver::FleetLab lab(tinyConfig(2), tinyTenants(tenants));
+        lab.run();
+        for (unsigned d = 0; d < lab.numDevices(); ++d) {
+            core::HwgcDevice &device = lab.device(d);
+            const std::string &prefix = device.statsPrefix();
+            EXPECT_EQ(prefix.substr(prefix.rfind('.')),
+                      ".hwgc" + std::to_string(d));
+            marked.emplace_back(prefix + ".marker",
+                                device.marker().newlyMarked());
+        }
+    }
+    ASSERT_EQ(marked.size(), 4u);
+    EXPECT_NE(marked[0].first, marked[2].first);
+
+    std::ostringstream os;
+    telemetry::StatsRegistry::global().exportJson(os, {});
+    const std::string json = os.str();
+    for (const auto &[path, value] : marked) {
+        EXPECT_EQ(path.rfind("system.fleet", 0), 0u) << path;
+        EXPECT_EQ(exportedScalar(json, path, "newlyMarked"), value)
+            << path;
+        EXPECT_NE(json.find("\"" + path + ".tlb\": {"),
+                  std::string::npos)
+            << path;
+    }
+    EXPECT_EQ(json.find("\"system.hwgc"), std::string::npos);
+    telemetry::StatsRegistry::global().clearRetired();
+}
+
 FleetSig
 runFleet(driver::FleetConfig config, KernelMode kernel,
          unsigned tenants = 4)
@@ -446,8 +499,8 @@ char goneCtx[] = "gone";
 
 TEST(CrashHookDeathTest, EveryHookRunsMostRecentFirst)
 {
-    // Two armed sessions; a panic must dump both, newest first (the
-    // single-slot setCrashHook used to drop the first one). The hook
+    // Two armed sessions; a panic must dump both, newest first (a
+    // single-slot hook would drop the first one). The hook
     // output is contiguous on stderr right after the panic line.
     EXPECT_DEATH(
         {

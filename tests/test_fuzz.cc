@@ -29,6 +29,8 @@
 #include <memory>
 #include <string>
 
+#include <unistd.h>
+
 #include "core/hwgc_device.h"
 #include "fuzz/differ.h"
 #include "fuzz/farm.h"
@@ -545,6 +547,25 @@ TEST(FuzzFarmDeathTest, RejectsTruncatedSnapshot)
     out.close();
 
     EXPECT_DEATH(fuzz::loadFarmSnapshot(bad), "");
+}
+
+TEST(FuzzFarmDeathTest, SnapshotWriteFailureIsFatalNamingThePath)
+{
+    if (::access("/dev/full", W_OK) != 0) {
+        GTEST_SKIP() << "/dev/full is not writable here";
+    }
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    workload::GraphParams params;
+    params.liveObjects = 60;
+    params.garbageObjects = 20;
+    params.seed = 3;
+    mem::PhysMem mem;
+    runtime::Heap heap(mem);
+    workload::GraphBuilder builder(heap, params);
+    builder.build();
+    EXPECT_EXIT(
+        fuzz::saveFarmSnapshot("/dev/full", {}, params, heap, builder, mem),
+        ::testing::ExitedWithCode(1), "cannot write snapshot '/dev/full'");
 }
 
 } // namespace

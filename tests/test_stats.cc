@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.h"
 #include "sim/stats.h"
 #include "sim/telemetry.h"
 
@@ -364,8 +365,8 @@ TEST(StatsJson, ExportRoundTripsThroughAParser)
 {
     auto &registry = telemetry::StatsRegistry::global();
     ExportRig rig;
-    const std::string path =
-        registry.add("test.jsonRoundTrip", &rig.group_);
+    const std::string path = "test.jsonRoundTrip";
+    registry.add(path, &rig.group_);
 
     telemetry::RunMetadata meta;
     meta.binary = "test_stats";
@@ -395,10 +396,10 @@ TEST(StatsJson, ExportRoundTripsThroughAParser)
 TEST(StatsJson, RetiredGroupsSurviveRemovalWithFinalValues)
 {
     auto &registry = telemetry::StatsRegistry::global();
-    std::string path;
+    const std::string path = "test.retired";
     {
         ExportRig rig;
-        path = registry.add("test.retired", &rig.group_);
+        registry.add(path, &rig.group_);
         registry.remove(path); // Rig dies after this scope...
     }
     telemetry::RunMetadata meta;
@@ -420,7 +421,8 @@ TEST(StatsJson, IntervalSnapshotsRecordNonZeroDeltasOnly)
     stats::Group group("snap");
     group.add(&busy);
     group.add(&idle);
-    const std::string path = registry.add("test.snap", &group);
+    const std::string path = "test.snap";
+    registry.add(path, &group);
 
     busy += 10;
     registry.snapshot(1000);
@@ -447,101 +449,35 @@ TEST(StatsJson, IntervalSnapshotsRecordNonZeroDeltasOnly)
     registry.clearRetired();
 }
 
-// ---------------------------------------------------------------------
-// Device churn: fleet mode registers and retires "system.hwgcN" style
-// groups over and over as devices context-switch between tenants.
-// ---------------------------------------------------------------------
-
-TEST(StatsJson, DeviceChurnDoesNotLeakRetiredTwins)
+TEST(StatsGroup, ChildrenResetWithTheirParentAndRegisterBelowIt)
 {
-    auto &registry = telemetry::StatsRegistry::global();
+    stats::Group parent("marker");
+    stats::Scalar issued(parent, "marksIssued");
+    stats::Group tlb(parent, "tlb");
+    stats::Scalar misses(tlb, "misses");
+    issued += 3;
+    misses += 5;
+    ASSERT_EQ(parent.children().size(), 1u);
 
-    stats::Scalar first_ctr("requests");
-    stats::Group first("gen1");
-    first.add(&first_ctr);
-    first_ctr += 111;
-    const std::string path = registry.add("test.churn.dev", &first);
-    EXPECT_EQ(path, "test.churn.dev");
-    registry.remove(path);
+    // Archiving covers the group alone; its owner archives children.
+    checkpoint::Serializer ser;
+    checkpoint::Archive(ser).chunk("group", parent);
+    checkpoint::Serializer own;
+    checkpoint::Archive(own).chunk("group", issued);
+    EXPECT_EQ(ser.image(), own.image());
 
-    // The slot's next occupant supersedes the retired values: the
-    // export must carry exactly one group at this path (the live
-    // one), not an ever-growing stack of "#N" twins.
-    stats::Scalar second_ctr("requests");
-    stats::Group second("gen2");
-    second.add(&second_ctr);
-    second_ctr += 7;
-    const std::string path2 = registry.add("test.churn.dev", &second);
-    EXPECT_EQ(path2, path);
-
-    telemetry::RunMetadata meta;
-    std::ostringstream os;
-    registry.exportJson(os, meta);
-    const Json root = JsonParser(os.str()).parse();
-    ASSERT_TRUE(root.at("groups").has(path));
-    EXPECT_FALSE(root.at("groups").has(path + "#1"));
-    EXPECT_DOUBLE_EQ(
-        root.at("groups").at(path).at("scalars").at("requests").number,
-        7.0);
-
-    registry.remove(path2);
-    registry.clearRetired();
-}
-
-TEST(StatsJson, ReRegistrationStartsIntervalDeltasFresh)
-{
-    auto &registry = telemetry::StatsRegistry::global();
-    registry.clearSnapshots();
-
-    stats::Scalar first_ctr("requests");
-    stats::Group first("gen1");
-    first.add(&first_ctr);
-    const std::string path = registry.add("test.churn.delta", &first);
-    first_ctr += 100;
-    registry.snapshot(1000);
-    registry.remove(path);
-
-    // The new occupant's counter starts far below the dead one's
-    // running total; its first delta must be its own +3, not the
-    // -97 the stale baseline used to produce.
-    stats::Scalar second_ctr("requests");
-    stats::Group second("gen2");
-    second.add(&second_ctr);
-    ASSERT_EQ(registry.add("test.churn.delta", &second), path);
-    second_ctr += 3;
-    registry.snapshot(2000);
-
-    telemetry::RunMetadata meta;
-    std::ostringstream os;
-    registry.exportJson(os, meta);
-    const Json root = JsonParser(os.str()).parse();
-    const auto &rows = root.at("intervals").items;
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_DOUBLE_EQ(
-        rows[0].at("deltas").at(path + ".requests").number, 100.0);
-    EXPECT_DOUBLE_EQ(
-        rows[1].at("deltas").at(path + ".requests").number, 3.0);
-
-    registry.remove(path);
-    registry.clearRetired();
-    registry.clearSnapshots();
-}
-
-TEST(StatsRegistry, IndexedPrefixPinsTheSlotAndBumpsTheCounter)
-{
-    auto &registry = telemetry::StatsRegistry::global();
-    // Restore pins a device to the index the image was saved under...
-    EXPECT_EQ(registry.indexedPrefix("test.churn.idx", 5),
-              "test.churn.idx5");
-    // ...and later fresh devices must not be handed the same slot.
-    EXPECT_EQ(registry.uniquePrefix("test.churn.idx"),
-              "test.churn.idx6");
-    // Re-pinning a low index is stable and does not rewind the
-    // counter.
-    EXPECT_EQ(registry.indexedPrefix("test.churn.idx", 2),
-              "test.churn.idx2");
-    EXPECT_EQ(registry.uniquePrefix("test.churn.idx"),
-              "test.churn.idx7");
+    {
+        telemetry::StatsGroups groups;
+        groups.add("test.tree.marker", parent);
+        const auto &live = telemetry::StatsRegistry::global().groups();
+        ASSERT_EQ(live.count("test.tree.marker.tlb"), 1u);
+        EXPECT_EQ(live.at("test.tree.marker"), &parent);
+        EXPECT_EQ(live.at("test.tree.marker.tlb"), &tlb);
+    }
+    parent.reset();
+    EXPECT_EQ(issued.value(), 0u);
+    EXPECT_EQ(misses.value(), 0u);
+    telemetry::StatsRegistry::global().clearRetired();
 }
 
 } // namespace

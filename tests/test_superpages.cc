@@ -54,7 +54,8 @@ TEST(Superpages, FewerTablePagesThanBasePages)
 
 TEST(Superpages, TlbEntryCoversWholeSuperpage)
 {
-    mem::TlbArray tlb("t", 2);
+    stats::Group owner("owner");
+    mem::TlbArray tlb(owner, "tlb", 2);
     tlb.insert(0x4000'0000, 0x4000'0000, 21);
     // Any address within the 2 MiB page hits the single entry.
     EXPECT_EQ(tlb.lookup(0x401f'ff00).value(), 0x401f'ff00u);
@@ -65,7 +66,8 @@ TEST(Superpages, TlbEntryCoversWholeSuperpage)
 
 TEST(Superpages, MixedPageSizesCoexistInTlb)
 {
-    mem::TlbArray tlb("t", 4);
+    stats::Group owner("owner");
+    mem::TlbArray tlb(owner, "tlb", 4);
     tlb.insert(0x4000'0000, 0x4000'0000, 21);
     tlb.insert(0x5000'0000, 0x6000'0000, 12);
     EXPECT_EQ(tlb.lookup(0x4010'0000).value(), 0x4010'0000u);

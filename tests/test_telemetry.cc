@@ -25,17 +25,18 @@ namespace
 // Registry mechanics.
 // ---------------------------------------------------------------------
 
-TEST(StatsRegistry, CollidingPathsAreUniquified)
+TEST(StatsRegistryDeathTest, PathRegisteredTwicePanics)
 {
+    // Every owner registers under a unique prefix, so a second
+    // registration of a path, live or retired, is a bug.
     auto &registry = telemetry::StatsRegistry::global();
     stats::Group a("a"), b("b");
-    const std::string first = registry.add("test.collide", &a);
-    const std::string second = registry.add("test.collide", &b);
-    EXPECT_EQ(first, "test.collide");
-    EXPECT_EQ(second, "test.collide#1");
-    EXPECT_NE(registry.groups().find(second), registry.groups().end());
-    registry.remove(first);
-    registry.remove(second);
+    registry.add("test.twice", &a);
+    EXPECT_DEATH(registry.add("test.twice", &b),
+                 "stats path 'test.twice' registered twice");
+    registry.remove("test.twice");
+    EXPECT_DEATH(registry.add("test.twice", &b),
+                 "stats path 'test.twice' registered twice");
     registry.clearRetired();
 }
 
@@ -79,58 +80,72 @@ TEST(StatsRegistry, DeviceResetZeroesEveryExportedStatistic)
     // Reset is uniform: after a collect under the global throttle and
     // a group budget, resetStats() leaves every scalar, vector,
     // histogram and time series of every group a standalone device
-    // exports at zero, the root reader's and both bus throttle
-    // counters included.
-    mem::PhysMem phys_mem;
-    runtime::Heap heap(phys_mem);
-    workload::GraphBuilder builder(heap, workload::smokeProfile().graph);
-    builder.build();
-    heap.publishRoots();
-    core::HwgcConfig config;
-    config.bus.throttleBytesPerCycle = 2.0;
-    core::HwgcDevice device(phys_mem, heap.pageTable(), config);
-    mem::Interconnect &bus = device.bus();
-    for (unsigned c = 0; c < bus.numClients(); c += 2) {
-        bus.setClientGroup(c, 0);
-    }
-    bus.setGroupThrottle(0, 1.0);
-    device.configure(heap);
-    device.collect();
-    ASSERT_GT(device.rootReader().rootsRead(), 0u);
-    ASSERT_GT(bus.throttledGrants(), 0u);
-    ASSERT_GT(bus.groupThrottledGrants(), 0u);
+    // exports at zero — the root reader's, both bus throttle counters,
+    // every TLB group and, with the shared cache, its per-port request
+    // counts included.
+    for (const bool shared : {false, true}) {
+        SCOPED_TRACE(shared ? "shared cache" : "partitioned");
+        mem::PhysMem phys_mem;
+        runtime::Heap heap(phys_mem);
+        workload::GraphBuilder builder(heap,
+                                       workload::smokeProfile().graph);
+        builder.build();
+        heap.publishRoots();
+        core::HwgcConfig config;
+        config.sharedCache = shared;
+        config.bus.throttleBytesPerCycle = 2.0;
+        core::HwgcDevice device(phys_mem, heap.pageTable(), config);
+        mem::Interconnect &bus = device.bus();
+        for (unsigned c = 0; c < bus.numClients(); c += 2) {
+            bus.setClientGroup(c, 0);
+        }
+        bus.setGroupThrottle(0, 1.0);
+        device.configure(heap);
+        device.collect();
+        ASSERT_GT(device.rootReader().rootsRead(), 0u);
+        ASSERT_GT(bus.throttledGrants(), 0u);
+        ASSERT_GT(bus.groupThrottledGrants(), 0u);
+        if (shared) {
+            ASSERT_GT(device.sharedCache()->portRequests(0), 0u);
+        }
 
-    device.resetStats();
-    const std::string prefix = device.statsPrefix() + ".";
-    unsigned groups = 0;
-    for (const auto &[path, group] :
-         telemetry::StatsRegistry::global().groups()) {
-        if (path.rfind(prefix, 0) != 0) {
-            continue;
+        device.resetStats();
+        const std::string prefix = device.statsPrefix() + ".";
+        const auto &groups = telemetry::StatsRegistry::global().groups();
+        for (const char *owned :
+             {"rootReader.tlb", "reclamation.tlb", "sweeper0.tlb",
+              "marker.tlb", "tracer.tlb", "ptw.l2tlb"}) {
+            EXPECT_EQ(groups.count(prefix + owned), 1u) << owned;
         }
-        ++groups;
-        for (const stats::Scalar *s : group->scalars()) {
-            EXPECT_EQ(s->value(), 0u) << path << "." << s->name();
-        }
-        for (const stats::Vector *v : group->vectors()) {
-            EXPECT_EQ(v->total(), 0u) << path << "." << v->name();
-        }
-        for (const stats::Histogram *h : group->histograms()) {
-            EXPECT_EQ(h->count() + h->sum() + h->minValue() +
-                          h->maxValue(),
-                      0u)
-                << path << "." << h->name();
-            for (const std::uint64_t b : h->buckets()) {
-                EXPECT_EQ(b, 0u) << path << "." << h->name();
+        unsigned exported = 0;
+        for (const auto &[path, group] : groups) {
+            if (path.rfind(prefix, 0) != 0) {
+                continue;
+            }
+            ++exported;
+            for (const stats::Scalar *s : group->scalars()) {
+                EXPECT_EQ(s->value(), 0u) << path << "." << s->name();
+            }
+            for (const stats::Vector *v : group->vectors()) {
+                EXPECT_EQ(v->total(), 0u) << path << "." << v->name();
+            }
+            for (const stats::Histogram *h : group->histograms()) {
+                EXPECT_EQ(h->count() + h->sum() + h->minValue() +
+                              h->maxValue(),
+                          0u)
+                    << path << "." << h->name();
+                for (const std::uint64_t b : h->buckets()) {
+                    EXPECT_EQ(b, 0u) << path << "." << h->name();
+                }
+            }
+            for (const stats::TimeSeries *t : group->timeSeries()) {
+                for (const std::uint64_t b : t->buckets()) {
+                    EXPECT_EQ(b, 0u) << path << "." << t->name();
+                }
             }
         }
-        for (const stats::TimeSeries *t : group->timeSeries()) {
-            for (const std::uint64_t b : t->buckets()) {
-                EXPECT_EQ(b, 0u) << path << "." << t->name();
-            }
-        }
+        EXPECT_GT(exported, 10u);
     }
-    EXPECT_GT(groups, 10u);
 }
 
 // ---------------------------------------------------------------------

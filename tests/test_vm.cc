@@ -89,7 +89,8 @@ TEST_F(PageTableTest, PageAllocationGrows)
 
 TEST(Tlb, HitAfterInsert)
 {
-    TlbArray tlb("t", 4);
+    stats::Group owner("owner");
+    TlbArray tlb(owner, "tlb", 4);
     EXPECT_FALSE(tlb.lookup(0x1000).has_value());
     tlb.insert(0x1000, 0x20000);
     const auto pa = tlb.lookup(0x1234);
@@ -101,7 +102,8 @@ TEST(Tlb, HitAfterInsert)
 
 TEST(Tlb, LruEviction)
 {
-    TlbArray tlb("t", 2);
+    stats::Group owner("owner");
+    TlbArray tlb(owner, "tlb", 2);
     tlb.insert(0x1000, 0x1000);
     tlb.insert(0x2000, 0x2000);
     tlb.lookup(0x1000); // Touch: 0x2000 becomes LRU.
@@ -113,7 +115,8 @@ TEST(Tlb, LruEviction)
 
 TEST(Tlb, Flush)
 {
-    TlbArray tlb("t", 4);
+    stats::Group owner("owner");
+    TlbArray tlb(owner, "tlb", 4);
     tlb.insert(0x1000, 0x1000);
     tlb.flush();
     EXPECT_FALSE(tlb.lookup(0x1000).has_value());
@@ -121,7 +124,8 @@ TEST(Tlb, Flush)
 
 TEST(Tlb, ReinsertUpdatesMapping)
 {
-    TlbArray tlb("t", 4);
+    stats::Group owner("owner");
+    TlbArray tlb(owner, "tlb", 4);
     tlb.insert(0x1000, 0x1000);
     tlb.insert(0x1000, 0x9000);
     EXPECT_EQ(tlb.lookup(0x1000).value(), 0x9000u);
@@ -145,7 +149,9 @@ TEST(Tlb, ReplayHitsMatchesRepeatedLookups)
         {0x3000}, {0x1000, 0x4000}, {0x2000, 0x2000}, {0x4000, 0x1000}};
     for (const auto &vas : sequences) {
         for (const std::uint64_t repeats : {1u, 2u, 7u}) {
-            TlbArray looped("t", 4), replayed("t", 4);
+            stats::Group owner("owner");
+            TlbArray looped(owner, "looped", 4);
+            TlbArray replayed(owner, "replayed", 4);
             for (TlbArray *tlb : {&looped, &replayed}) {
                 for (Addr page = 0x1000; page <= 0x4000; page += 0x1000) {
                     tlb->insert(page, page + 0x10000);
