@@ -116,8 +116,16 @@ struct MatrixResult
     std::string statsJson; //!< Normalized full registry export.
 };
 
+/** Restores the process-global telemetry options on scope exit. */
+struct OptionsGuard
+{
+    telemetry::Options saved = telemetry::options();
+    ~OptionsGuard() { telemetry::options() = saved; }
+};
+
 MatrixResult
-matrixRun(core::HwgcConfig config, KernelMode kernel)
+matrixRun(core::HwgcConfig config, KernelMode kernel,
+          const workload::BenchmarkProfile &profile)
 {
     config.kernel = kernel;
     driver::LabConfig lab_config;
@@ -130,7 +138,7 @@ matrixRun(core::HwgcConfig config, KernelMode kernel)
     // accumulate into the export and differ between runs.
     telemetry::StatsRegistry::global().clearRetired();
 
-    driver::GcLab lab(workload::smokeProfile(), lab_config);
+    driver::GcLab lab(profile, lab_config);
     lab.run();
 
     MatrixResult r;
@@ -165,16 +173,151 @@ expectSameStatsJson(const std::string &ref, const std::string &run)
 }
 
 void
-expectKernelMatrixAgrees(const core::HwgcConfig &config)
+expectKernelMatrixAgrees(
+    const core::HwgcConfig &config,
+    const workload::BenchmarkProfile &profile = workload::smokeProfile())
 {
-    const auto ref = matrixRun(config, KernelMode::Dense);
-    const auto run = matrixRun(config, KernelMode::Event);
+    const auto ref = matrixRun(config, KernelMode::Dense, profile);
+    const auto run = matrixRun(config, KernelMode::Event, profile);
     EXPECT_EQ(ref.hwMark, run.hwMark);
     EXPECT_EQ(ref.hwSweep, run.hwSweep);
     EXPECT_EQ(ref.marked, run.marked);
     EXPECT_EQ(ref.freed, run.freed);
     expectSameStatsJson(ref.statsJson, run.statsJson);
 }
+
+/**
+ * The kernel matrix with the cycle profiler attached: the dense
+ * kernel classifies every component on every cycle, so its profile
+ * is the reference the event kernel's must equal, every
+ * "*.profile.*" vector of the export included.
+ */
+void
+expectProfiledKernelMatrixAgrees(
+    const core::HwgcConfig &config,
+    const workload::BenchmarkProfile &profile = workload::smokeProfile())
+{
+    OptionsGuard guard;
+    telemetry::options().profile = true;
+    const auto ref = matrixRun(config, KernelMode::Dense, profile);
+    ASSERT_NE(ref.statsJson.find(".profile.marker\": {"),
+              std::string::npos)
+        << "the export holds no profile groups";
+    const auto run = matrixRun(config, KernelMode::Event, profile);
+    EXPECT_EQ(ref.hwMark, run.hwMark);
+    EXPECT_EQ(ref.hwSweep, run.hwSweep);
+    expectSameStatsJson(ref.statsJson, run.statsJson);
+}
+
+/** @name The standalone configurations both matrices run @{ */
+
+core::HwgcConfig
+sharedCache()
+{
+    core::HwgcConfig config;
+    config.sharedCache = true;
+    return config;
+}
+
+core::HwgcConfig
+idealMemory()
+{
+    core::HwgcConfig config;
+    config.memModel = core::MemModel::Ideal;
+    return config;
+}
+
+core::HwgcConfig
+spillPressure()
+{
+    core::HwgcConfig config;
+    config.markQueueEntries = 32; // Force the spill path.
+    return config;
+}
+
+core::HwgcConfig
+bandwidthThrottle()
+{
+    core::HwgcConfig config;
+    config.bus.throttleBytesPerCycle = 1.0;
+    return config;
+}
+
+core::HwgcConfig
+tibLayout()
+{
+    core::HwgcConfig config;
+    config.layout = runtime::Layout::Tib;
+    return config;
+}
+
+// The event kernel skips token-starved bus cycles and the tracer's
+// retries into a full port, replaying both in closed form. These
+// points stress the replay where it is least regular.
+
+core::HwgcConfig
+offStepThrottleRate()
+{
+    // 0.3 B/cycle is not a multiple of the bucket's 2^-32-byte step,
+    // so the rounded rate's grant cycles never repeat in a short
+    // period.
+    core::HwgcConfig config;
+    config.bus.throttleBytesPerCycle = 0.3;
+    return config;
+}
+
+core::HwgcConfig
+twoGrantsPerCycleUnderThrottle()
+{
+    core::HwgcConfig config;
+    config.bus.grantsPerCycle = 2;
+    config.bus.throttleBytesPerCycle = 2.0;
+    return config;
+}
+
+core::HwgcConfig
+sharedCacheUnderThrottle()
+{
+    // The tracer's port is a cache port here: the cache's lookup pop,
+    // not a bus grant, is what wakes the sleeping tracer.
+    core::HwgcConfig config = sharedCache();
+    config.bus.throttleBytesPerCycle = 1.0;
+    return config;
+}
+
+core::HwgcConfig
+tibLayoutUnderThrottle()
+{
+    // A refused TIB slot read follows two TLB probes (slot and offset
+    // word); the replay must stamp both in order.
+    core::HwgcConfig config = tibLayout();
+    config.bus.throttleBytesPerCycle = 1.0;
+    return config;
+}
+
+/** Mark-queue overflow stress: a tiny queue against a wide graph
+ *  keeps the spill/refill path saturated. */
+core::HwgcConfig
+spillStressTinyQueue()
+{
+    core::HwgcConfig config;
+    config.markQueueEntries = 16;
+    config.spillQueueEntries = 16;
+    config.spillThrottle = 8;
+    return config;
+}
+
+workload::BenchmarkProfile
+spillStressWideGraph()
+{
+    auto profile = workload::smokeProfile();
+    profile.graph.numRoots = 128;
+    profile.graph.avgRefs = 8.0;
+    profile.graph.maxRefs = 24;
+    profile.numGCs = 1;
+    return profile;
+}
+/** @} */
 
 TEST(KernelMatrix, BaselineDdr3)
 {
@@ -183,79 +326,103 @@ TEST(KernelMatrix, BaselineDdr3)
 
 TEST(KernelMatrix, SharedCache)
 {
-    core::HwgcConfig config;
-    config.sharedCache = true;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(sharedCache());
 }
 
 TEST(KernelMatrix, IdealMemory)
 {
-    core::HwgcConfig config;
-    config.memModel = core::MemModel::Ideal;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(idealMemory());
 }
 
 TEST(KernelMatrix, SpillPressure)
 {
-    core::HwgcConfig config;
-    config.markQueueEntries = 32; // Force the spill path.
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(spillPressure());
 }
 
 TEST(KernelMatrix, BandwidthThrottle)
 {
-    core::HwgcConfig config;
-    config.bus.throttleBytesPerCycle = 1.0;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(bandwidthThrottle());
 }
 
 TEST(KernelMatrix, TibLayout)
 {
-    core::HwgcConfig config;
-    config.layout = runtime::Layout::Tib;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(tibLayout());
 }
-
-// The event kernel skips token-starved bus cycles and the tracer's
-// retries into a full port, replaying both in closed form. These
-// points stress the replay where it is least regular.
 
 TEST(KernelMatrix, OffStepThrottleRate)
 {
-    // 0.3 B/cycle is not a multiple of the bucket's 2^-32-byte step,
-    // so the rounded rate's grant cycles never repeat in a short
-    // period.
-    core::HwgcConfig config;
-    config.bus.throttleBytesPerCycle = 0.3;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(offStepThrottleRate());
 }
 
 TEST(KernelMatrix, TwoGrantsPerCycleUnderThrottle)
 {
-    core::HwgcConfig config;
-    config.bus.grantsPerCycle = 2;
-    config.bus.throttleBytesPerCycle = 2.0;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(twoGrantsPerCycleUnderThrottle());
 }
 
 TEST(KernelMatrix, SharedCacheUnderThrottle)
 {
-    // The tracer's port is a cache port here: the cache's lookup pop,
-    // not a bus grant, is what wakes the sleeping tracer.
-    core::HwgcConfig config;
-    config.sharedCache = true;
-    config.bus.throttleBytesPerCycle = 1.0;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(sharedCacheUnderThrottle());
 }
 
 TEST(KernelMatrix, TibLayoutUnderThrottle)
 {
-    // A refused TIB slot read follows two TLB probes (slot and offset
-    // word); the replay must stamp both in order.
-    core::HwgcConfig config;
-    config.layout = runtime::Layout::Tib;
-    config.bus.throttleBytesPerCycle = 1.0;
-    expectKernelMatrixAgrees(config);
+    expectKernelMatrixAgrees(tibLayoutUnderThrottle());
+}
+
+TEST(ProfiledKernelMatrix, BaselineDdr3)
+{
+    expectProfiledKernelMatrixAgrees(core::HwgcConfig{});
+}
+
+TEST(ProfiledKernelMatrix, SharedCache)
+{
+    expectProfiledKernelMatrixAgrees(sharedCache());
+}
+
+TEST(ProfiledKernelMatrix, IdealMemory)
+{
+    expectProfiledKernelMatrixAgrees(idealMemory());
+}
+
+TEST(ProfiledKernelMatrix, SpillPressure)
+{
+    expectProfiledKernelMatrixAgrees(spillPressure());
+}
+
+TEST(ProfiledKernelMatrix, BandwidthThrottle)
+{
+    expectProfiledKernelMatrixAgrees(bandwidthThrottle());
+}
+
+TEST(ProfiledKernelMatrix, TibLayout)
+{
+    expectProfiledKernelMatrixAgrees(tibLayout());
+}
+
+TEST(ProfiledKernelMatrix, OffStepThrottleRate)
+{
+    expectProfiledKernelMatrixAgrees(offStepThrottleRate());
+}
+
+TEST(ProfiledKernelMatrix, TwoGrantsPerCycleUnderThrottle)
+{
+    expectProfiledKernelMatrixAgrees(twoGrantsPerCycleUnderThrottle());
+}
+
+TEST(ProfiledKernelMatrix, SharedCacheUnderThrottle)
+{
+    expectProfiledKernelMatrixAgrees(sharedCacheUnderThrottle());
+}
+
+TEST(ProfiledKernelMatrix, TibLayoutUnderThrottle)
+{
+    expectProfiledKernelMatrixAgrees(tibLayoutUnderThrottle());
+}
+
+TEST(ProfiledKernelMatrix, SpillStressTinyQueueWideGraph)
+{
+    expectProfiledKernelMatrixAgrees(spillStressTinyQueue(),
+                                     spillStressWideGraph());
 }
 
 // ---------------------------------------------------------------------
@@ -367,24 +534,15 @@ TEST(KernelMatrix, FleetGlobalThrottleAndGroupPacing)
 }
 
 // ---------------------------------------------------------------------
-// Mark-queue overflow stress: a tiny queue against a wide graph keeps
-// the spill/refill path saturated; its counters must still be
-// identical across kernels (the full-export comparison covers them,
-// but the explicit asserts document which stats are the point here).
+// Mark-queue overflow stress: its spill counters must be identical
+// across kernels (the profiled matrix compares the full export, but
+// the explicit asserts document which stats are the point here).
 // ---------------------------------------------------------------------
 
 TEST(KernelMatrix, SpillStressTinyQueueWideGraph)
 {
-    core::HwgcConfig config;
-    config.markQueueEntries = 16;
-    config.spillQueueEntries = 16;
-    config.spillThrottle = 8;
-
-    auto profile = workload::smokeProfile();
-    profile.graph.numRoots = 128;
-    profile.graph.avgRefs = 8.0;
-    profile.graph.maxRefs = 24;
-    profile.numGCs = 1;
+    const core::HwgcConfig config = spillStressTinyQueue();
+    const workload::BenchmarkProfile profile = spillStressWideGraph();
 
     auto run = [&](KernelMode kernel) {
         auto cfg = config;
