@@ -96,7 +96,7 @@ BlockSweeper::readWord(Addr va, Tick now)
     req.paddr = *pa;
     req.size = lineBytes;
     req.op = mem::Op::Read;
-    if (!port_->canSend(req)) {
+    if (!port_->canSend()) {
         return std::nullopt;
     }
     port_->send(req, now);
@@ -118,7 +118,7 @@ BlockSweeper::writeWord(Addr va, Word value, Tick now)
     req.size = wordBytes;
     req.op = mem::Op::Write;
     req.wdata[0] = value;
-    if (!port_->canSend(req)) {
+    if (!port_->canSend()) {
         return false;
     }
     port_->send(req, now);
@@ -179,7 +179,7 @@ BlockSweeper::finishBlock(Tick now)
     req.op = mem::Op::Write;
     req.wdata[0] = freeHead_;
     req.wdata[1] = BlockTableEntry::makeSummary(freeCells_, hasLive_);
-    if (!port_->canSend(req)) {
+    if (!port_->canSend()) {
         return;
     }
     port_->send(req, now);
@@ -307,10 +307,7 @@ BlockSweeper::cycleClass(Tick now) const
     }
     // The state machine runs every cycle here; progress hinges on the
     // memory port accepting its reads/writes.
-    mem::MemRequest probe;
-    probe.size = wordBytes;
-    return port_->canSend(probe) ? CycleClass::Busy
-                                 : CycleClass::StallBus;
+    return port_->canSend() ? CycleClass::Busy : CycleClass::StallBus;
 }
 
 void

@@ -207,6 +207,18 @@ HwgcDevice::join()
         sys.declareWakeupInputs(ptwCache_.get(), {});
     }
 
+    // Class caching for the cycle profiler: a unit's classifier reads
+    // its wakeup inputs, state its entry points poke, and its memory
+    // port only on cycles it ticks — except that a sweeper also asks
+    // whether the reclamation unit (whose done() reads every sweeper)
+    // still has blocks to hand out.
+    for (Clocked *c : units_) {
+        sys.declareClassInputs(c, {});
+    }
+    for (auto &sweeper : reclamation_->sweepers()) {
+        sys.declareClassInputs(sweeper.get(), {reclamation_.get()});
+    }
+
     // Each group carries its children (the TLBs) along.
     const std::string &p = statsPrefix_;
     stats_.add(p + ".rootReader", rootReader_->stats());

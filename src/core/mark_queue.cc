@@ -178,7 +178,7 @@ MarkQueue::tick(Tick now)
             (spillTail_ % spillCapacityEntries_) * entryBytes();
         req.size = lineBytes;
         req.op = mem::Op::Write;
-        if (port_->canSend(req)) {
+        if (port_->canSend()) {
             for (unsigned i = 0; i < granule; ++i) {
                 const Word entry = outQ_.front();
                 outQ_.pop_front();
@@ -219,7 +219,7 @@ MarkQueue::tick(Tick now)
             (spillHead_ % spillCapacityEntries_) * entryBytes();
         req.size = lineBytes;
         req.op = mem::Op::Read;
-        if (port_->canSend(req)) {
+        if (port_->canSend()) {
             ++spillReads_;
             readInFlight_ = true;
             port_->send(req, now);
@@ -290,10 +290,8 @@ MarkQueue::cycleClass(Tick now) const
         spillTail_ - spillHead_ >= granule &&
         inQ_.size() + granule <= config_.spillQueueEntries;
     if (wants_write || wants_read) {
-        mem::MemRequest probe;
-        probe.size = lineBytes;
-        return port_->canSend(probe) ? CycleClass::Busy
-                                     : CycleClass::StallBus;
+        return port_->canSend() ? CycleClass::Busy
+                                : CycleClass::StallBus;
     }
     if (spillHead_ == spillTail_ && !readInFlight_ && !outQ_.empty() &&
         inQ_.size() < config_.spillQueueEntries) {

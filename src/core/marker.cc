@@ -110,7 +110,7 @@ Marker::finishSlots(Tick now)
             wb.op = mem::Op::Write;
             wb.wdata[0] = slot.newHeader;
             wb.tag = std::uint64_t(&slot - slots_.data());
-            if (!port_->canSend(wb)) {
+            if (!port_->canSend()) {
                 continue;
             }
             port_->send(wb, now);
@@ -139,7 +139,7 @@ Marker::issueRead(Addr ref, Addr pa, Tick now)
     req.size = wordBytes;
     req.op = mem::Op::Read;
     req.tag = std::uint64_t(idx);
-    if (!port_->canSend(req)) {
+    if (!port_->canSend()) {
         return false;
     }
     Slot &slot = slots_[idx];
@@ -182,9 +182,7 @@ Marker::issue(Tick now)
     if (findFreeSlot() < 0) {
         return;
     }
-    mem::MemRequest probe;
-    probe.size = wordBytes;
-    if (!port_->canSend(probe)) {
+    if (!port_->canSend()) {
         return;
     }
 
@@ -258,9 +256,7 @@ Marker::nextWakeup(Tick now) const
     // Every issue path needs the memory port; probe it once. While it
     // is full, retry ticks are no-ops: the port drains inside a
     // bus/cache tick and every executed cycle re-polls all wakeups.
-    mem::MemRequest probe;
-    probe.size = wordBytes;
-    const bool can_send = port_->canSend(probe);
+    const bool can_send = port_->canSend();
 
     for (const auto &slot : slots_) {
         if (slot.state != SlotState::Finish) {
@@ -310,32 +306,63 @@ Marker::nextWakeup(Tick now) const
 CycleClass
 Marker::cycleClass(Tick now) const
 {
-    if (nextWakeup(now) <= now) {
-        return CycleClass::Busy;
-    }
-    // Not due: attribute the stall, most-downstream blockage first.
-    // Each branch mirrors one "continue" in nextWakeup(): whatever
-    // kept that wakeup from firing is what this cycle waited on.
-    const bool slot_free = findFreeSlot() >= 0;
+    (void)now;
+    // One pass over the slots and one over the waiters. Any action a
+    // tick could take (a due condition of nextWakeup()) makes the
+    // cycle Busy; otherwise whatever kept each action from firing is
+    // what this cycle waited on, the most downstream blockage first.
+    const bool can_send = port_->canSend();
+    bool slot_free = false;
+    std::optional<CycleClass> finish_stall;
     for (const auto &slot : slots_) {
+        if (slot.state == SlotState::Free) {
+            slot_free = true;
+            continue;
+        }
         if (slot.state != SlotState::Finish) {
             continue;
         }
-        // A finish slot that could retire would be due; it is blocked
-        // on the memory port (write-back) or the trace queue (push).
-        return slot.needWriteback ? CycleClass::StallBus
-                                  : CycleClass::StallDownstreamFull;
-    }
-    for (const auto &waiter : waiters_) {
-        if (waiter.valid && waiter.ready) {
-            // A translated reference that cannot issue: every slot is
-            // held by an in-flight status-word read, or the port is
-            // full.
-            return slot_free ? CycleClass::StallBus
-                             : CycleClass::StallMarkbit;
+        // A write-back retires through the memory port, a trace push
+        // (or a plain free) through the trace queue.
+        if (slot.needWriteback ? can_send
+                               : !slot.needTracePush ||
+                                     traceQueue_.canPush()) {
+            return CycleClass::Busy;
+        }
+        if (!finish_stall) {
+            finish_stall = slot.needWriteback
+                ? CycleClass::StallBus
+                : CycleClass::StallDownstreamFull;
         }
     }
-    if (markQueue_.canDequeue()) {
+    bool ready_waiter = false;
+    for (const auto &waiter : waiters_) {
+        if (!waiter.valid) {
+            continue;
+        }
+        if (waiter.ready) {
+            if (slot_free && can_send) {
+                return CycleClass::Busy; // Parked reference can issue.
+            }
+            ready_waiter = true;
+        } else if (!waiter.walkRequested && ptw_.canRequest(ptwPort_)) {
+            return CycleClass::Busy; // A walk can be launched.
+        }
+    }
+    const bool can_dequeue = markQueue_.canDequeue();
+    if (can_dequeue && waitersActive_ < waiters_.size() && slot_free &&
+        can_send) {
+        return CycleClass::Busy; // Pulls a reference from the queue.
+    }
+    if (finish_stall) {
+        return *finish_stall;
+    }
+    if (ready_waiter) {
+        // A translated reference that cannot issue: every slot is
+        // held by an in-flight status-word read, or the port is full.
+        return slot_free ? CycleClass::StallBus : CycleClass::StallMarkbit;
+    }
+    if (can_dequeue) {
         if (waitersActive_ >= waiters_.size()) {
             return CycleClass::StallPtw; // TLB-walk serialization.
         }

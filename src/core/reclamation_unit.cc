@@ -119,7 +119,7 @@ ReclamationUnit::tick(Tick now)
     req.paddr = *pa;
     req.size = BlockTableEntry::words * wordBytes;
     req.op = mem::Op::Read;
-    if (!readerPort_->canSend(req)) {
+    if (!readerPort_->canSend()) {
         return;
     }
     readerPort_->send(req, now);
@@ -170,10 +170,8 @@ ReclamationUnit::cycleClass(Tick now) const
         if (readerTranslator_.walkPending()) {
             return CycleClass::StallPtw;
         }
-        mem::MemRequest probe;
-        probe.size = BlockTableEntry::words * wordBytes;
-        return readerPort_->canSend(probe) ? CycleClass::Busy
-                                           : CycleClass::StallBus;
+        return readerPort_->canSend() ? CycleClass::Busy
+                                      : CycleClass::StallBus;
     }
     return CycleClass::StallDownstreamFull; // Sweepers still draining.
 }

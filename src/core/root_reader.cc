@@ -95,7 +95,7 @@ RootReader::tick(Tick now)
     req.paddr = *pa;
     req.size = size;
     req.op = mem::Op::Read;
-    if (!port_->canSend(req)) {
+    if (!port_->canSend()) {
         return;
     }
     port_->send(req, now);
@@ -133,10 +133,8 @@ RootReader::cycleClass(Tick now) const
         // Issuing (or launching a walk); the TLB itself is not
         // probed here — lookup() updates LRU/stat state and the
         // classifier must stay purely observational.
-        mem::MemRequest probe;
-        probe.size = wordBytes;
-        return port_->canSend(probe) ? CycleClass::Busy
-                                     : CycleClass::StallBus;
+        return port_->canSend() ? CycleClass::Busy
+                                : CycleClass::StallBus;
     }
     if (!pending_.empty()) {
         return CycleClass::StallDownstreamFull; // Mark queue full.

@@ -69,6 +69,10 @@ Soc::seal()
     // state.
     system_.declareWakeupInputs(bus_.get(), {memory_.get()});
     system_.declareWakeupInputs(memory_.get(), {});
+    // The memory classifies by its own queues alone. The bus declares
+    // no class inputs: its class turns when a queued head's request
+    // latency elapses, with nothing ticking.
+    system_.declareClassInputs(memory_.get(), {});
     for (HwgcDevice *device : devices_) {
         if (!device->config().decoupledTracer) {
             // Coupled-pipeline ablation: the tracer also polls the

@@ -119,9 +119,8 @@ Tracer::issueReady() const
 bool
 Tracer::trySend(const mem::MemRequest &req, Tick now)
 {
-    if (!port_->canSend(req)) {
+    if (!port_->canSend()) {
         portRefused_ = true;
-        refusedReq_ = req;
         return false;
     }
     port_->send(req, now);
@@ -429,7 +428,7 @@ Tracer::fastForward(Tick from, Tick to)
         return;
     }
     if (portRefused_) {
-        panic_if(port_->canSend(refusedReq_),
+        panic_if(port_->canSend(),
                  "%s: skipped cycles [%llu, %llu) its port would have "
                  "accepted", name().c_str(), (unsigned long long)from,
                  (unsigned long long)to);

@@ -56,7 +56,7 @@ class Tracer : public Clocked,
     bool
     portBlocked() const
     {
-        return portRefused_ && !port_->canSend(refusedReq_);
+        return portRefused_ && !port_->canSend();
     }
 
     // MemResponder interface.
@@ -179,7 +179,6 @@ class Tracer : public Clocked,
      * @{
      */
     bool portRefused_ = false;
-    mem::MemRequest refusedReq_;
     std::array<unsigned, 2> probeSlots_{}; //!< TLB slots hit, in order.
     unsigned numProbes_ = 0;
     /** @} */

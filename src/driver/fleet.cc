@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "workload/quantile.h"
 
@@ -342,7 +343,32 @@ FleetLab::runUntilCycle(Tick stop_at)
 void
 FleetLab::run()
 {
+    // Driver-level checkpoint wiring (--checkpoint-* /
+    // HWGC_CHECKPOINT_*). The devices share one SoC, so the fleet
+    // checkpoints the whole of it, at quantum boundaries.
+    telemetry::Options &opts = telemetry::options();
+    if (!opts.checkpointIn.empty()) {
+        // One image resumes one run, as for a standalone device.
+        restoreCheckpoint(std::exchange(opts.checkpointIn, ""));
+    }
+    const std::string out = opts.checkpointOut;
+    if (!out.empty() && opts.checkpointAt != 0) {
+        runUntilCycle(opts.checkpointAt);
+        if (done()) {
+            warn("checkpoint: the fleet finished at cycle %llu, before "
+                 "--checkpoint-at=%llu; '%s' not written",
+                 (unsigned long long)now(),
+                 (unsigned long long)opts.checkpointAt, out.c_str());
+        } else if (writeCheckpoint(out)) {
+            inform("checkpoint: wrote '%s' at cycle %llu", out.c_str(),
+                   (unsigned long long)now());
+        }
+    }
     runUntilCycle(maxTick);
+    if (!out.empty() && opts.checkpointAt == 0 && writeCheckpoint(out)) {
+        inform("checkpoint: wrote '%s' at cycle %llu", out.c_str(),
+               (unsigned long long)now());
+    }
 }
 
 const std::vector<TenantStats> &

@@ -121,7 +121,14 @@ class FleetLab
     FleetLab(const FleetConfig &config,
              const std::vector<TenantParams> &tenants);
 
-    /** Services the fleet until every tenant completed its GCs. */
+    /**
+     * Services the fleet until every tenant completed its GCs,
+     * honouring the checkpoint options: --checkpoint-in= restores
+     * its image first (once per process); --checkpoint-out= with
+     * --checkpoint-at= writes the image at the first quantum boundary
+     * at or after that cycle and runs on, and --checkpoint-out= alone
+     * writes it at the end.
+     */
     void run();
 
     /**

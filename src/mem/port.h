@@ -26,7 +26,7 @@ class MemPort
     virtual ~MemPort() = default;
 
     /** True if one more request can be sent this cycle. */
-    virtual bool canSend(const MemRequest &req) const = 0;
+    virtual bool canSend() const = 0;
 
     /** Sends a request; caller must have checked canSend. */
     virtual void send(MemRequest req, Tick now) = 0;
@@ -48,7 +48,7 @@ class BusPort : public MemPort
     }
 
     bool
-    canSend(const MemRequest &) const override
+    canSend() const override
     {
         return bus_.canAccept(client_);
     }

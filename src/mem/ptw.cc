@@ -50,7 +50,7 @@ Ptw::issueLevel(Tick now)
     req.size = wordBytes;
     req.op = Op::Read;
     req.tag = level_;
-    if (port_->canSend(req)) {
+    if (port_->canSend()) {
         port_->send(req, now);
         ++pteFetches_;
         awaitingResponse_ = true;
@@ -187,10 +187,8 @@ Ptw::cycleClass(Tick now) const
             return CycleClass::StallDram; // PTE fetch in flight.
         }
         if (level_ < walkPlan_.levels) {
-            MemRequest probe;
-            probe.size = wordBytes;
-            return port_->canSend(probe) ? CycleClass::Busy
-                                         : CycleClass::StallBus;
+            return port_->canSend() ? CycleClass::Busy
+                                    : CycleClass::StallBus;
         }
     }
     // Latching or starting a queued walk, or delivering completions

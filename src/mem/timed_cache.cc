@@ -25,7 +25,7 @@ struct TimedCache::UpstreamPort : public MemPort
     }
 
     bool
-    canSend(const MemRequest &) const override
+    canSend() const override
     {
         return queue.size() < owner_.params_.portQueueDepth;
     }
@@ -33,7 +33,7 @@ struct TimedCache::UpstreamPort : public MemPort
     void
     send(MemRequest req, Tick now) override
     {
-        panic_if(!canSend(req), "cache port '%s' overflow",
+        panic_if(!canSend(), "cache port '%s' overflow",
                  label_.c_str());
         panic_if(!validTransfer(req.paddr, req.size),
                  "cache port '%s': invalid transfer", label_.c_str());
@@ -166,7 +166,7 @@ TimedCache::tick(Tick now)
         wb.op = Op::Write;
         wb.tag = writebackTag;
         wb.timingOnly = true;
-        if (fillPort_->canSend(wb)) {
+        if (fillPort_->canSend()) {
             fillPort_->send(wb, now);
             writebackQueue_.pop_front();
             ++outstandingWritebacks_;
@@ -228,7 +228,7 @@ TimedCache::tick(Tick now)
         fill.op = Op::Read;
         fill.tag = std::uint64_t(free_slot - mshrs_.data());
         fill.timingOnly = true;
-        if (!fillPort_->canSend(fill)) {
+        if (!fillPort_->canSend()) {
             continue; // Downstream full: stall.
         }
         ++misses_;
@@ -315,10 +315,8 @@ TimedCache::cycleClass(Tick now) const
         if (!mshr_free) {
             return CycleClass::StallDram; // Every MSHR awaits a fill.
         }
-        MemRequest probe;
-        probe.size = lineBytes;
-        return fillPort_->canSend(probe) ? CycleClass::Busy
-                                         : CycleClass::StallBus;
+        return fillPort_->canSend() ? CycleClass::Busy
+                                    : CycleClass::StallBus;
     }
     if (!dueResponses_.empty()) {
         return CycleClass::Busy; // Hit-latency pipeline delivering.

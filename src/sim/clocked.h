@@ -160,6 +160,15 @@ class Clocked
      * mutate anything: the profiler is an observer, and enabling it
      * cannot change simulated results.
      *
+     * The profiler re-classifies a component only when its class can
+     * have changed (System::declareClassInputs). So a classifier of a
+     * component that declared class inputs may read another
+     * component's state only through a declared input — one of its
+     * wakeup inputs or class-only inputs — or through a port whose
+     * reads it makes only on cycles it ticks, and must not depend on
+     * @p now; the dense kernel, which re-classifies every component
+     * on every cycle, is the reference an audit holds it to.
+     *
      * The default covers components without internal stall structure:
      * idle when not busy, busy when due to tick, otherwise waiting on
      * a producer. Components that model backpressure, memory traffic
@@ -292,6 +301,8 @@ class System
         components_.push_back(c);
         wake_.push_back(maxTick);
         succ_.push_back(0);
+        classSucc_.push_back(0);
+        reach_.clear(); // Recomputed on the next reclassify().
     }
 
     /**
@@ -317,14 +328,76 @@ class System
             panic_if(src == nullptr || src->system_ != this,
                      "wakeup input not registered");
             succ_[src->sysIndex_] |= std::uint64_t(1) << dst->sysIndex_;
+            classSucc_[src->sysIndex_] |= std::uint64_t(1)
+                << dst->sysIndex_;
         }
+        reach_.clear();
+    }
+
+    /**
+     * Opts @p dst into class caching for the cycle profiler, which
+     * otherwise re-classifies every component on every cycle it
+     * observes. Declared, @p dst's cycleClass() is taken to change
+     * only when something *touches* it: it ticks or is poked, or a
+     * component it reads is touched — one of its wakeup inputs, or
+     * one of the class-only inputs @p srcs its classifier reads but
+     * its wakeup does not (a sweeper reading whether the reclamation
+     * unit is busy). Touches propagate along these edges: a
+     * component reachable from a touched one is touched too. A
+     * component whose class moves with time alone (the bus, whose
+     * queued heads become ready without anything ticking) must not
+     * declare. The dense kernel touches everything on every cycle,
+     * so it is the reference the event kernel's profile must match.
+     */
+    void
+    declareClassInputs(Clocked *dst, std::initializer_list<Clocked *> srcs)
+    {
+        panic_if(dst == nullptr || dst->system_ != this,
+                 "declareClassInputs for unregistered component");
+        classDeclared_ |= std::uint64_t(1) << dst->sysIndex_;
+        for (Clocked *src : srcs) {
+            panic_if(src == nullptr || src->system_ != this,
+                     "class input not registered");
+            classSucc_[src->sysIndex_] |= std::uint64_t(1)
+                << dst->sysIndex_;
+        }
+        reach_.clear();
+    }
+
+    /**
+     * The components whose cycleClass() may differ from its value at
+     * the previous call: everything touched since then (@p ticked,
+     * every component poked, and what those reach over the wakeup and
+     * class edges of declareClassInputs()), plus every component that
+     * declared no class inputs. Under the dense kernel, every
+     * component. Consumes the pokes it reports.
+     */
+    std::uint64_t
+    reclassify(std::uint64_t ticked)
+    {
+        const std::uint64_t touched = ticked | poked_;
+        poked_ = 0;
+        if (mode_ == KernelMode::Dense) {
+            return registeredMask();
+        }
+        if (reach_.empty()) {
+            computeReach();
+        }
+        std::uint64_t stale = ~classDeclared_;
+        for (std::uint64_t t = touched & registeredMask(); t != 0;
+             t &= t - 1) {
+            stale |= reach_[std::size_t(__builtin_ctzll(t))];
+        }
+        return stale & registeredMask();
     }
 
     /** Invalidates @p c's cached wakeup (see Clocked::pokeWakeup). */
     void
     poke(const Clocked &c)
     {
-        dirty_ |= std::uint64_t(1) << c.sysIndex_;
+        const std::uint64_t bit = std::uint64_t(1) << c.sysIndex_;
+        dirty_ |= bit;
+        poked_ |= bit;
     }
 
     /** Selects the kernel (callers may switch between runs). */
@@ -485,6 +558,33 @@ class System
         return cycles > maxTick - now_ ? maxTick : now_ + cycles;
     }
 
+    std::uint64_t
+    registeredMask() const
+    {
+        return components_.size() >= 64
+            ? ~std::uint64_t(0)
+            : (std::uint64_t(1) << components_.size()) - 1;
+    }
+
+    /** Fills reach_: each component's transitive class successors,
+     *  itself included. */
+    void
+    computeReach()
+    {
+        reach_.assign(components_.size(), 0);
+        for (std::size_t i = 0; i < components_.size(); ++i) {
+            std::uint64_t seen = std::uint64_t(1) << i;
+            for (std::uint64_t todo = seen; todo != 0;) {
+                const auto j = std::size_t(__builtin_ctzll(todo));
+                todo &= todo - 1;
+                const std::uint64_t fresh = classSucc_[j] & ~seen;
+                seen |= fresh;
+                todo |= fresh;
+            }
+            reach_[i] = seen;
+        }
+    }
+
     bool
     anyBusy() const
     {
@@ -512,8 +612,9 @@ class System
     runLoop(Tick limit, Tick stop_at, bool stop_when_idle)
     {
         // Anything may have been reconfigured between runs (phase
-        // starts, resets): every cached wakeup is stale.
+        // starts, resets): every cached wakeup and class is stale.
         dirty_ = ~std::uint64_t(0);
+        poked_ = ~std::uint64_t(0);
         const bool dense = mode_ == KernelMode::Dense;
         while (now_ < limit) {
             if (now_ >= stop_at) {
@@ -619,11 +720,7 @@ class System
         // re-poll every stale component and clamp the jump before
         // committing it. Bits stay set: the next executed pass
         // re-polls (and clears) them through the normal path.
-        const std::uint64_t registered =
-            components_.size() >= 64
-                ? ~std::uint64_t(0)
-                : (std::uint64_t(1) << components_.size()) - 1;
-        for (std::uint64_t stale = dirty_ & registered; stale != 0;
+        for (std::uint64_t stale = dirty_ & registeredMask(); stale != 0;
              stale &= stale - 1) {
             const auto i = std::size_t(__builtin_ctzll(stale));
             target = std::min(target,
@@ -688,6 +785,15 @@ class System
     std::vector<std::uint64_t> succ_; //!< Per-src mask of dependents.
     std::uint64_t declared_ = 0; //!< Components with declared inputs.
     std::uint64_t dirty_ = ~std::uint64_t(0); //!< Stale wakeup caches.
+    /** Components poked since reclassify() last looked (all of them
+     *  after a reconfiguration between runs). */
+    std::uint64_t poked_ = ~std::uint64_t(0);
+    /** Per-src mask of components whose class reads it (succ_ plus
+     *  the class-only inputs). */
+    std::vector<std::uint64_t> classSucc_;
+    std::uint64_t classDeclared_ = 0; //!< Components caching a class.
+    /** Transitive closure of classSucc_ (empty = recompute). */
+    std::vector<std::uint64_t> reach_;
     double watchdogSecs_ = 0; //!< Progress watchdog limit (0 = off).
     std::function<void()> watchdogReporter_; //!< Pre-abort dump hook.
     std::chrono::steady_clock::time_point watchdogStart_;

@@ -32,29 +32,69 @@ CycleProfiler::CycleProfiler(System &system, std::string stats_prefix)
     // total, so the vector must never reallocate.
     comps_.reserve(system_.components().size());
     for (const Clocked *c : system_.components()) {
+        mask_ |= std::uint64_t(1) << comps_.size();
         comps_.emplace_back(c, labels);
-        groups_.add(prefix_ + ".profile." + c->name(),
-                    *comps_.back().group);
+        PerComponent &pc = comps_.back();
+        pc.group->setPreDump([this] { publish(); });
+        groups_.add(prefix_ + ".profile." + c->name(), *pc.group);
     }
 }
 
 void
-CycleProfiler::accrue(Tick now, std::uint64_t weight)
+CycleProfiler::observe(Tick now, std::uint64_t stale, std::uint64_t weight)
 {
-    observed_ += weight;
-    for (auto &pc : comps_) {
-        const auto cls = std::size_t(pc.clocked->cycleClass(now));
-        pc.total.add(cls, weight);
-        if (currentPhase_ >= 0) {
-            pc.phase[std::size_t(currentPhase_)]->add(cls, weight);
+    for (stale &= mask_; stale != 0; stale &= stale - 1) {
+        PerComponent &pc = comps_[std::size_t(__builtin_ctzll(stale))];
+        const CycleClass cls = pc.clocked->cycleClass(now);
+        if (cls != pc.cls) {
+            closeRun(pc);
+            pc.cls = cls;
         }
     }
+    observed_ += weight;
+}
+
+void
+CycleProfiler::closeRun(PerComponent &pc)
+{
+    const std::uint64_t n = observed_ - pc.since;
+    if (n == 0) {
+        return;
+    }
+    pc.total.add(std::size_t(pc.cls), n);
+    if (currentPhase_ >= 0) {
+        pc.phase[std::size_t(currentPhase_)]->add(std::size_t(pc.cls), n);
+    }
+    pc.since = observed_;
+}
+
+void
+CycleProfiler::publish()
+{
+    for (auto &pc : comps_) {
+        closeRun(pc);
+    }
+}
+
+std::uint64_t
+CycleProfiler::count(const PerComponent &pc, int phase_idx,
+                     CycleClass c) const
+{
+    const stats::Vector &v =
+        phase_idx < 0 ? pc.total : *pc.phase[std::size_t(phase_idx)];
+    std::uint64_t n = v.value(std::size_t(c));
+    if (pc.cls == c && (phase_idx < 0 || phase_idx == currentPhase_)) {
+        n += observed_ - pc.since;
+    }
+    return n;
 }
 
 void
 CycleProfiler::cycleExecuted(Tick now, std::uint64_t active_mask)
 {
-    accrue(now, 1);
+    // The ticked mask under the event kernel; reclassify() takes
+    // every component under the dense one, whose mask is busy().
+    observe(now, system_.reclassify(active_mask), 1);
     if (chain_ != nullptr) {
         chain_->cycleExecuted(now, active_mask);
     }
@@ -69,8 +109,9 @@ CycleProfiler::fastForwarded(Tick from, Tick to)
     // gap ends where one could (the bus wakes when a bucket first
     // covers a ready head). So one classification, weighted by the
     // gap's width, is exactly what per-cycle classification would
-    // have produced.
-    accrue(from, to - from);
+    // have produced — and a component the gap start does not
+    // re-classify keeps the class of the pass before it.
+    observe(from, system_.reclassify(0), to - from);
     if (chain_ != nullptr) {
         chain_->fastForwarded(from, to);
     }
@@ -79,6 +120,7 @@ CycleProfiler::fastForwarded(Tick from, Tick to)
 void
 CycleProfiler::beginPhase(const std::string &name)
 {
+    publish(); // The open runs belong to the phase (or none) before.
     int idx = phaseIndex(name);
     if (idx < 0) {
         // First time this phase runs: give every component a vector.
@@ -112,6 +154,7 @@ CycleProfiler::endPhase()
     if (currentPhase_ < 0) {
         return;
     }
+    publish();
     auto &tw = TraceWriter::global();
     if (tw.enabled()) {
         for (std::size_t c = 0; c < numCycleClasses; ++c) {
@@ -133,13 +176,14 @@ CycleProfiler::componentName(std::size_t i) const
 std::uint64_t
 CycleProfiler::cycles(std::size_t i, CycleClass c) const
 {
-    return comps_.at(i).total.value(std::size_t(c));
+    return count(comps_.at(i), -1, c);
 }
 
 std::uint64_t
 CycleProfiler::accounted(std::size_t i) const
 {
-    return comps_.at(i).total.total();
+    const PerComponent &pc = comps_.at(i);
+    return pc.total.total() + (observed_ - pc.since);
 }
 
 std::uint64_t
@@ -174,9 +218,7 @@ CycleProfiler::aggregateIn(int phase_idx, CycleClass c) const
 {
     std::uint64_t sum = 0;
     for (const auto &pc : comps_) {
-        const stats::Vector &v =
-            phase_idx < 0 ? pc.total : *pc.phase[std::size_t(phase_idx)];
-        sum += v.value(std::size_t(c));
+        sum += count(pc, phase_idx, c);
     }
     return sum;
 }
@@ -263,20 +305,14 @@ CycleProfiler::report(std::FILE *out, std::size_t top_n) const
         std::fprintf(out, "  [%s]\n",
                      p < 0 ? "run total" : phaseNames_[p].c_str());
         std::uint64_t agg[numCycleClasses] = {};
-        for (const auto &pc : comps_) {
-            const stats::Vector &v =
-                p < 0 ? pc.total : *pc.phase[std::size_t(p)];
-            for (std::size_t c = 0; c < numCycleClasses; ++c) {
-                agg[c] += v.value(c);
-            }
+        for (std::size_t c = 0; c < numCycleClasses; ++c) {
+            agg[c] = aggregateIn(p, CycleClass(c));
         }
         printLine("(aggregated)", agg);
         for (const auto &pc : comps_) {
-            const stats::Vector &v =
-                p < 0 ? pc.total : *pc.phase[std::size_t(p)];
             std::uint64_t row[numCycleClasses];
             for (std::size_t c = 0; c < numCycleClasses; ++c) {
-                row[c] = v.value(c);
+                row[c] = count(pc, p, CycleClass(c));
             }
             printLine(pc.clocked->name(), row);
         }

@@ -3,18 +3,24 @@
  * Top-down cycle-accounting profiler (DESIGN.md §10).
  *
  * A CycleProfiler is a KernelObserver that, for every cycle the
- * kernel executes or fast-forwards over, asks each registered
- * component to classify where that cycle went
- * (Clocked::cycleClass()) and accrues the answer into per-component
- * stats::Vectors — one for the whole run plus one per GC phase. The
- * accounting identity
+ * kernel executes or fast-forwards over, attributes each registered
+ * component's cycle to a class (Clocked::cycleClass()) and accrues it
+ * into per-component stats::Vectors — one for the whole run plus one
+ * per GC phase. The accounting identity
  *
  *     busy + Σ stalls + idle == observed cycles
  *
  * holds per component by construction: every observed cycle is
- * classified exactly once (fast-forward gaps classify once at the gap
+ * attributed exactly once (fast-forward gaps classify once at the gap
  * start and weight by the gap width, which is exact because every
  * component's class is constant across a gap — see fastForwarded()).
+ *
+ * Classification is incremental: a pass re-classifies only the
+ * components whose class can have changed (System::reclassify()), and
+ * every other component keeps accruing its last class as an open run.
+ * The runs are published into the vectors at phase boundaries and
+ * before any read, so the vectors equal those of classifying every
+ * component on every observed cycle, as the dense kernel does.
  *
  * Everything here is observational. Classification reads const state
  * only, the accrued vectors live outside checkpoints, stats resets and
@@ -99,6 +105,10 @@ class CycleProfiler : public KernelObserver
     /** Cycles this profiler observed (executed + fast-forwarded). */
     std::uint64_t observedCycles() const { return observed_; }
 
+    /** The class component @p i was attributed for the last observed
+     *  cycle or gap (an audit compares it with a fresh cycleClass()). */
+    CycleClass lastClass(std::size_t i) const { return comps_.at(i).cls; }
+
     /** Whole-run cycles of class @p c summed over all components. */
     std::uint64_t aggregate(CycleClass c) const;
 
@@ -133,10 +143,29 @@ class CycleProfiler : public KernelObserver
         /** One vector per entry of phaseNames_, same order. Owned
          *  behind unique_ptr: the group keeps raw pointers. */
         std::vector<std::unique_ptr<stats::Vector>> phase;
+        /** The open run: cycles observed since observed_ was @p since
+         *  are of class @p cls and not yet in the vectors. */
+        CycleClass cls = CycleClass::Idle;
+        std::uint64_t since = 0;
     };
 
-    /** Classifies every component once and accrues @p weight. */
-    void accrue(Tick now, std::uint64_t weight);
+    /**
+     * Re-classifies the components in @p stale at @p now, closing
+     * the run of each whose class changed, then counts @p weight
+     * observed cycles.
+     */
+    void observe(Tick now, std::uint64_t stale, std::uint64_t weight);
+
+    /** Adds @p pc's open run to its vectors and restarts it empty. */
+    void closeRun(PerComponent &pc);
+
+    /** Closes every open run, so the vectors are exact. */
+    void publish();
+
+    /** Cycles of class @p c of @p pc in phase @p phase_idx (-1 =
+     *  whole run), the open run included. */
+    std::uint64_t count(const PerComponent &pc, int phase_idx,
+                        CycleClass c) const;
 
     /** aggregate() over phase @p phase_idx (-1 = whole run). */
     std::uint64_t aggregateIn(int phase_idx, CycleClass c) const;
@@ -149,8 +178,11 @@ class CycleProfiler : public KernelObserver
     std::vector<std::string> phaseNames_;
     int currentPhase_ = -1; //!< Index into phaseNames_, -1 = none.
     std::uint64_t observed_ = 0;
+    std::uint64_t mask_ = 0; //!< The System bits of comps_.
     KernelObserver *chain_ = nullptr;
-    StatsGroups groups_; //!< The components' "profile" groups.
+    /** The components' "profile" groups. Declared last: retiring them
+     *  runs their pre-dump hook, which publishes from comps_. */
+    StatsGroups groups_;
 };
 
 } // namespace hwgc::telemetry

@@ -12,6 +12,7 @@
 #define HWGC_SIM_STATS_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -278,6 +279,24 @@ class Group
         }
     }
 
+    /**
+     * Names a callback that brings the group's statistics up to date
+     * before they are read, for an owner that accrues them lazily
+     * (gem5's preDumpStats). dump() and the telemetry exporters call
+     * it; it must not change what a statistic means, only when its
+     * value is written.
+     */
+    void setPreDump(std::function<void()> fn) { preDump_ = std::move(fn); }
+
+    /** Runs the callback of setPreDump(), if any. */
+    void
+    preDump() const
+    {
+        if (preDump_) {
+            preDump_();
+        }
+    }
+
     /** Writes a human-readable listing of all registered stats. */
     void dump(std::ostream &os) const;
 
@@ -309,6 +328,7 @@ class Group
     std::vector<TimeSeries *> timeSeries_;
     std::vector<Stat> order_; //!< Every statistic, in declaration order.
     std::vector<Group *> children_;
+    std::function<void()> preDump_;
 };
 
 inline Scalar::Scalar(Group &group, std::string name)

@@ -124,6 +124,7 @@ jsonNumber(double v)
 std::string
 renderGroupJson(const stats::Group &group)
 {
+    group.preDump();
     std::ostringstream os;
     os << "{";
 

@@ -462,6 +462,69 @@ TEST(FleetCheckpoint, RestoreCrossesKernels)
     std::remove(path.c_str());
 }
 
+/** Restores the process-global telemetry options on scope exit. */
+struct OptionsGuard
+{
+    telemetry::Options saved = telemetry::options();
+    ~OptionsGuard() { telemetry::options() = saved; }
+};
+
+TEST(FleetCheckpoint, OptionsSaveAndResumeMatchAnUninterruptedRun)
+{
+    OptionsGuard guard;
+    telemetry::Options &opts = telemetry::options();
+    const std::string path = tmpPath("fleet_ckpt_options.hwgc");
+    auto config = tinyConfig(2);
+    config.hwgc.kernel = KernelMode::Event;
+    auto fleet_run = [&] {
+        telemetry::StatsRegistry::global().clearRetired();
+        driver::FleetLab lab(config, tinyTenants(4));
+        lab.run();
+        return measureSig(lab);
+    };
+    const FleetSig ref = fleet_run();
+
+    // --checkpoint-out= --checkpoint-at= writes at the first quantum
+    // boundary at or after the cycle, and the run goes on unperturbed.
+    opts.checkpointOut = path;
+    opts.checkpointAt = 600'000;
+    expectSameSig(ref, fleet_run());
+    {
+        driver::FleetLab probe(config, tinyTenants(4));
+        probe.restoreCheckpoint(path);
+        EXPECT_EQ(probe.now(), 600'064u); // 586 quanta of 1024.
+        EXPECT_FALSE(probe.done());
+    }
+
+    // --checkpoint-in= resumes there, once, and ends where the
+    // uninterrupted run did.
+    opts.checkpointOut.clear();
+    opts.checkpointAt = 0;
+    opts.checkpointIn = path;
+    expectSameSig(ref, fleet_run());
+    EXPECT_EQ(opts.checkpointIn, "");
+
+    // --checkpoint-out= alone writes the finished fleet.
+    opts.checkpointOut = path;
+    fleet_run();
+    driver::FleetLab probe(config, tinyTenants(4));
+    probe.restoreCheckpoint(path);
+    EXPECT_EQ(probe.now(), ref.finalCycle);
+    EXPECT_TRUE(probe.done());
+    std::remove(path.c_str());
+}
+
+TEST(FleetCheckpointDeathTest, MissingImageFailsNamingItsPath)
+{
+    EXPECT_DEATH(
+        {
+            telemetry::options().checkpointIn = "/nonexistent/none.ckpt";
+            driver::FleetLab lab(tinyConfig(1), tinyTenants(1));
+            lab.run();
+        },
+        "/nonexistent/none.ckpt");
+}
+
 TEST(FleetCheckpointDeathTest, RejectsMismatchedConfiguration)
 {
     const std::string path = tmpPath("fleet_ckpt_mismatch.hwgc");

@@ -161,7 +161,7 @@ TEST_F(BusTest, BusPortWrapsClient)
     BusPort port(bus_, &c, "port");
     mem_.writeWord(0x300, 9);
     MemRequest req = read(0x300);
-    ASSERT_TRUE(port.canSend(req));
+    ASSERT_TRUE(port.canSend());
     port.send(req, now_);
     run(100);
     ASSERT_EQ(c.responses.size(), 1u);

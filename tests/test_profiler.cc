@@ -4,9 +4,9 @@
  *
  *  1. The accounting identity `busy + Σstalls + idle == observed
  *     cycles` holds for every component on every modeled
- *     configuration of the determinism matrix, under all three
- *     kernels — classification is a pure function of architectural
- *     state, so no kernel can over- or under-count.
+ *     configuration of the determinism matrix, under both kernels —
+ *     classification is a pure function of architectural state, so
+ *     no kernel can over- or under-count.
  *  2. Profiling is observational: a profiled run is bit-identical to
  *     an unprofiled run in cycle counts and every core statistic.
  *  3. Attribution tracks the machine: a config whose bottleneck is
@@ -14,12 +14,19 @@
  *     stall class to the matching cause.
  *  4. The progress watchdog dumps diagnostics and aborts instead of
  *     hanging when a run exceeds its host-time budget.
+ *  5. The class contract: under the event kernel, the profiler's
+ *     incremental classification attributes every component the
+ *     class a fresh cycleClass() returns, on every observed cycle.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cinttypes>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "driver/gc_lab.h"
 #include "instance_ids.h"
@@ -287,6 +294,142 @@ TEST(WatchdogDeathTest, AbortsAndReportsWhenBudgetExceeded)
             lab.run();
         },
         "watchdog");
+}
+
+// ---------------------------------------------------------------------
+// (5) The class contract behind incremental classification.
+// ---------------------------------------------------------------------
+
+/**
+ * Classifies every component on every observed cycle and weights a
+ * fast-forward gap by its width — the profile as the dense kernel
+ * attributes it. Chained behind the device's profiler, it sees each
+ * pass after the profiler attributed it, and records the first
+ * component whose fresh class differs from the profiler's.
+ */
+class ClassAudit : public KernelObserver
+{
+  public:
+    ClassAudit(const System &system,
+               const telemetry::CycleProfiler &profiler)
+        : comps_(system.components()), profiler_(profiler),
+          counts_(comps_.size())
+    {}
+
+    void
+    cycleExecuted(Tick now, std::uint64_t) override
+    {
+        check(now, 1);
+    }
+
+    void
+    fastForwarded(Tick from, Tick to) override
+    {
+        check(from, to - from);
+    }
+
+    /** Empty if every attribution matched, else the first miss. */
+    const std::string &firstMismatch() const { return mismatch_; }
+
+    /** Cycles of class @p c the audit counted for component @p i. */
+    std::uint64_t
+    cycles(std::size_t i, CycleClass c) const
+    {
+        return counts_[i][std::size_t(c)];
+    }
+
+  private:
+    void
+    check(Tick now, std::uint64_t weight)
+    {
+        for (std::size_t i = 0; i < comps_.size(); ++i) {
+            const CycleClass fresh = comps_[i]->cycleClass(now);
+            counts_[i][std::size_t(fresh)] += weight;
+            const CycleClass cached = profiler_.lastClass(i);
+            if (fresh != cached && mismatch_.empty()) {
+                char buf[160];
+                std::snprintf(buf, sizeof buf,
+                              "cycle %" PRIu64 ": %s is %s, the profiler "
+                              "attributed %s",
+                              std::uint64_t(now), comps_[i]->name().c_str(),
+                              cycleClassName(fresh),
+                              cycleClassName(cached));
+                mismatch_ = buf;
+            }
+        }
+    }
+
+    std::vector<Clocked *> comps_;
+    const telemetry::CycleProfiler &profiler_;
+    std::vector<std::array<std::uint64_t, numCycleClasses>> counts_;
+    std::string mismatch_;
+};
+
+/** One pause of @p profile on @p config under the event kernel, the
+ *  profiler audited cycle by cycle. */
+void
+expectAuditClean(const workload::BenchmarkProfile &profile,
+                 core::HwgcConfig config = {})
+{
+    OptionsGuard guard;
+    telemetry::options().profile = true;
+    config.kernel = KernelMode::Event;
+    driver::LabConfig lab_config;
+    lab_config.runSw = false;
+    lab_config.hwgc = config;
+    lab_config.heap.layout = config.layout;
+    telemetry::StatsRegistry::global().clearRetired();
+    driver::GcLab lab(profile, lab_config);
+    telemetry::CycleProfiler &prof = *lab.device().profiler();
+    ClassAudit audit(lab.device().system(), prof);
+    prof.setChain(&audit);
+    lab.run(1);
+
+    EXPECT_EQ(audit.firstMismatch(), "");
+    for (std::size_t i = 0; i < prof.numComponents(); ++i) {
+        for (std::size_t c = 0; c < numCycleClasses; ++c) {
+            EXPECT_EQ(prof.cycles(i, CycleClass(c)),
+                      audit.cycles(i, CycleClass(c)))
+                << prof.componentName(i) << " "
+                << cycleClassName(CycleClass(c));
+        }
+    }
+}
+
+TEST(ProfilerAudit, AvroraHeap)
+{
+    expectAuditClean(workload::dacapoProfile("avrora"));
+}
+
+TEST(ProfilerAudit, LuindexHeap)
+{
+    expectAuditClean(workload::dacapoProfile("luindex"));
+}
+
+TEST(ProfilerAudit, XalanHeap)
+{
+    expectAuditClean(workload::dacapoProfile("xalan"));
+}
+
+TEST(ProfilerAudit, BandwidthThrottle)
+{
+    core::HwgcConfig config;
+    config.bus.throttleBytesPerCycle = 1.0;
+    expectAuditClean(workload::dacapoProfile("avrora"), config);
+}
+
+TEST(ProfilerAudit, SharedCache)
+{
+    core::HwgcConfig config;
+    config.sharedCache = true;
+    expectAuditClean(workload::dacapoProfile("avrora"), config);
+}
+
+TEST(ProfilerAudit, TibLayout)
+{
+    core::HwgcConfig config;
+    config.layout = runtime::Layout::Tib;
+    expectAuditClean(workload::dacapoProfile("avrora"), config);
 }
 
 } // namespace
