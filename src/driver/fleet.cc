@@ -352,22 +352,26 @@ FleetLab::run()
         restoreCheckpoint(std::exchange(opts.checkpointIn, ""));
     }
     const std::string out = opts.checkpointOut;
+    const auto write = [this, &out] {
+        if (writeCheckpoint(out)) {
+            inform("checkpoint: wrote '%s' at cycle %llu", out.c_str(),
+                   (unsigned long long)now());
+        }
+    };
     if (!out.empty() && opts.checkpointAt != 0) {
         runUntilCycle(opts.checkpointAt);
-        if (done()) {
+        if (!done()) {
+            write();
+        } else {
             warn("checkpoint: the fleet finished at cycle %llu, before "
                  "--checkpoint-at=%llu; '%s' not written",
                  (unsigned long long)now(),
                  (unsigned long long)opts.checkpointAt, out.c_str());
-        } else if (writeCheckpoint(out)) {
-            inform("checkpoint: wrote '%s' at cycle %llu", out.c_str(),
-                   (unsigned long long)now());
         }
     }
     runUntilCycle(maxTick);
-    if (!out.empty() && opts.checkpointAt == 0 && writeCheckpoint(out)) {
-        inform("checkpoint: wrote '%s' at cycle %llu", out.c_str(),
-               (unsigned long long)now());
+    if (!out.empty() && opts.checkpointAt == 0) {
+        write();
     }
 }
 
