@@ -20,6 +20,7 @@
 #include "driver/fleet.h"
 #include "driver/gc_lab.h"
 #include "instance_ids.h"
+#include "options_guard.h"
 #include "sim/telemetry.h"
 
 namespace hwgc
@@ -114,13 +115,6 @@ struct MatrixResult
     std::uint64_t marked = 0;
     std::uint64_t freed = 0;
     std::string statsJson; //!< Normalized full registry export.
-};
-
-/** Restores the process-global telemetry options on scope exit. */
-struct OptionsGuard
-{
-    telemetry::Options saved = telemetry::options();
-    ~OptionsGuard() { telemetry::options() = saved; }
 };
 
 MatrixResult

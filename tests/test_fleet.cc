@@ -20,6 +20,7 @@
 
 #include "driver/fleet.h"
 #include "instance_ids.h"
+#include "options_guard.h"
 #include "sim/logging.h"
 #include "sim/telemetry.h"
 #include "tmp_path.h"
@@ -461,13 +462,6 @@ TEST(FleetCheckpoint, RestoreCrossesKernels)
     EXPECT_EQ(restored.now(), final_cycle);
     std::remove(path.c_str());
 }
-
-/** Restores the process-global telemetry options on scope exit. */
-struct OptionsGuard
-{
-    telemetry::Options saved = telemetry::options();
-    ~OptionsGuard() { telemetry::options() = saved; }
-};
 
 TEST(FleetCheckpoint, OptionsSaveAndResumeMatchAnUninterruptedRun)
 {

@@ -30,6 +30,7 @@
 
 #include "driver/gc_lab.h"
 #include "instance_ids.h"
+#include "options_guard.h"
 #include "sim/cycle_class.h"
 #include "sim/profiler.h"
 #include "sim/telemetry.h"
@@ -38,13 +39,6 @@ namespace hwgc
 {
 namespace
 {
-
-/** Restores the process-global telemetry options on scope exit. */
-struct OptionsGuard
-{
-    telemetry::Options saved = telemetry::options();
-    ~OptionsGuard() { telemetry::options() = saved; }
-};
 
 /** Runs the smoke profile with the profiler attached and returns the
  *  lab so the caller can interrogate the profiler before teardown. */

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/hwgc_device.h"
+#include "options_guard.h"
 #include "sim/cycle_class.h"
 #include "sim/profiler.h"
 #include "sim/telemetry.h"
@@ -36,13 +37,6 @@ namespace
 {
 
 using core::HwgcConfig;
-
-/** Restores the process-global telemetry options on scope exit. */
-struct OptionsGuard
-{
-    telemetry::Options saved = telemetry::options();
-    ~OptionsGuard() { telemetry::options() = saved; }
-};
 
 /** A heap + device built for one shape/seed (same rig as test_hwgc). */
 struct Rig
