@@ -8,12 +8,10 @@
 #ifndef HWGC_BENCH_BENCH_UTIL_H
 #define HWGC_BENCH_BENCH_UTIL_H
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,16 +198,10 @@ class BenchRecord
         }
         text += attribution_.empty() ? "}\n}\n" : "\n  }\n}\n";
 
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        fatal_if(f == nullptr, "bench: cannot write '%s': %s",
-                 path.c_str(), std::strerror(errno));
-        const std::size_t written =
-            std::fwrite(text.data(), 1, text.size(), f);
-        const bool bad = written != text.size() ||
-                         std::fflush(f) != 0 || std::ferror(f) != 0;
-        const int close_err = std::fclose(f);
-        fatal_if(bad || close_err != 0, "bench: error writing '%s': %s",
-                 path.c_str(), std::strerror(errno));
+        std::string error;
+        fatal_if(!writeWholeFile(path, text, error),
+                 "bench: cannot write '%s': %s", path.c_str(),
+                 error.c_str());
         std::printf("bench record: %s\n", path.c_str());
     }
 

@@ -164,52 +164,47 @@ writeResultJson(const std::string &path, const std::string &label,
                 const fuzz::FarmMeta &meta, const PauseRecord &rec,
                 double setup_ms, double pause_ms)
 {
-    std::FILE *f = path == "-" ? stdout : std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "fuzz_driver: cannot write '%s'\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    const auto u64 = [](std::uint64_t v) {
-        return std::to_string(v);
+    std::string text = "{\n";
+    const auto field = [&text](const char *name, const std::string &value) {
+        text += std::string("  \"") + name + "\": " + value + ",\n";
     };
-    std::fprintf(f,
-                 "{\n"
-                 "  \"label\": \"%s\",\n"
-                 "  \"mode\": \"%s\",\n"
-                 "  \"config\": \"%s\",\n"
-                 "  \"seed\": %s,\n"
-                 "  \"warmPauses\": %s,\n"
-                 "  \"snapshotLiveObjects\": %s,\n"
-                 "  \"markCycles\": %s,\n"
-                 "  \"sweepCycles\": %s,\n"
-                 "  \"gcCycles\": %s,\n"
-                 "  \"objectsMarked\": %s,\n"
-                 "  \"refsTraced\": %s,\n"
-                 "  \"cellsFreed\": %s,\n"
-                 "  \"markedCount\": %s,\n"
-                 "  \"markDigest\": \"0x%016llx\",\n"
-                 "  \"freedObjects\": %s,\n"
-                 "  \"liveAfter\": %s,\n"
-                 "  \"setupHostMs\": %.3f,\n"
-                 "  \"pauseHostMs\": %.3f,\n"
-                 "  \"totalHostMs\": %.3f\n"
-                 "}\n",
-                 telemetry::jsonEscape(label).c_str(), mode.c_str(),
-                 telemetry::jsonEscape(spec).c_str(), u64(meta.seed).c_str(),
-                 u64(meta.warmPauses).c_str(),
-                 u64(meta.liveObjects).c_str(),
-                 u64(rec.mark.cycles).c_str(), u64(rec.sweep.cycles).c_str(),
-                 u64(rec.mark.cycles + rec.sweep.cycles).c_str(),
-                 u64(rec.mark.objectsMarked).c_str(),
-                 u64(rec.mark.refsTraced).c_str(),
-                 u64(rec.sweep.cellsFreed).c_str(),
-                 u64(rec.markedCount).c_str(),
-                 (unsigned long long)rec.markDigest,
-                 u64(rec.freedObjects).c_str(), u64(rec.liveAfter).c_str(),
-                 setup_ms, pause_ms, setup_ms + pause_ms);
-    if (f != stdout) {
-        std::fclose(f);
+    const auto quoted = [](const std::string &s) {
+        return "\"" + telemetry::jsonEscape(s) + "\"";
+    };
+    const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
+    field("label", quoted(label));
+    field("mode", quoted(mode));
+    field("config", quoted(spec));
+    field("seed", u64(meta.seed));
+    field("warmPauses", u64(meta.warmPauses));
+    field("snapshotLiveObjects", u64(meta.liveObjects));
+    field("markCycles", u64(rec.mark.cycles));
+    field("sweepCycles", u64(rec.sweep.cycles));
+    field("gcCycles", u64(rec.mark.cycles + rec.sweep.cycles));
+    field("objectsMarked", u64(rec.mark.objectsMarked));
+    field("refsTraced", u64(rec.mark.refsTraced));
+    field("cellsFreed", u64(rec.sweep.cellsFreed));
+    field("markedCount", u64(rec.markedCount));
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "\"0x%016llx\"",
+                  (unsigned long long)rec.markDigest);
+    field("markDigest", buf);
+    field("freedObjects", u64(rec.freedObjects));
+    field("liveAfter", u64(rec.liveAfter));
+    std::snprintf(buf, sizeof buf,
+                  "  \"setupHostMs\": %.3f,\n  \"pauseHostMs\": %.3f,\n"
+                  "  \"totalHostMs\": %.3f\n}\n",
+                  setup_ms, pause_ms, setup_ms + pause_ms);
+    text += buf;
+    if (path == "-") {
+        std::fwrite(text.data(), 1, text.size(), stdout);
+        return;
+    }
+    std::string error;
+    if (!writeWholeFile(path, text, error)) {
+        std::fprintf(stderr, "fuzz_driver: cannot write '%s': %s\n",
+                     path.c_str(), error.c_str());
+        std::exit(2);
     }
 }
 

@@ -565,113 +565,25 @@ HwgcDevice::resetStats()
     traceQueue_->resetStats();
 }
 
-namespace
-{
-
-/** Appends ",<name>=v1/v2/..." (doubles round-trip: 17 digits). */
-template <typename... Ts>
-void
-signatureField(std::ostringstream &os, const char *name,
-               const Ts &...values)
-{
-    os << ',' << name << '=';
-    const char *sep = "";
-    ((os << sep << values, sep = "/"), ...);
-}
-
-} // namespace
-
-std::string
-HwgcDevice::configSignature() const
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "mq=%u,spill=%u/%u,comp=%d,slots=%u,waiters=%u,mbc=%u,tq=%u,"
-        "pend=%u,utlb=%u,layout=%d,dec=%d,tags=%u,sweep=%u,stlb=%u,"
-        "shared=%d,mem=%d",
-        config_.markQueueEntries, config_.spillQueueEntries,
-        config_.spillThrottle, int(config_.compressRefs),
-        config_.markerSlots, config_.markerWalkWaiters,
-        config_.markBitCacheEntries, config_.tracerQueueEntries,
-        config_.tracerPendingRefs, config_.unitTlbEntries,
-        int(config_.layout), int(config_.decoupledTracer),
-        config_.tracerTagSlots, config_.numSweepers,
-        config_.sweeperTlbEntries, int(config_.sharedCache),
-        int(config_.memModel));
-    std::ostringstream os;
-    os.precision(17);
-    os << buf;
-    for (const auto &[name, p] :
-         {std::pair{"ucache", config_.sharedCacheParams},
-          std::pair{"pcache", config_.ptwCacheParams}}) {
-        signatureField(os, name, p.sizeBytes, p.assoc, p.hitLatency,
-                       p.mshrs, p.portQueueDepth, p.writebackDepth);
-    }
-    const mem::PtwParams &w = config_.ptw;
-    signatureField(os, "ptw", w.l2TlbEntries, w.l2TlbLatency, w.queueDepth);
-    const mem::DramParams &d = config_.dram;
-    signatureField(os, "dram", d.banks, d.rowBytes, d.tCAS, d.tRCD, d.tRP,
-                   d.tRAS, d.maxReads, d.maxWrites, d.busBytesPerCycle,
-                   d.frontendLatency, int(d.scheduler),
-                   int(d.pagePolicy), d.bandwidthBucket);
-    const mem::IdealMemParams &i = config_.ideal;
-    signatureField(os, "ideal", i.latency, i.busBytesPerCycle,
-                   i.maxInFlight, i.bandwidthBucket, i.perRequestOverhead);
-    const mem::InterconnectParams &b = config_.bus;
-    signatureField(os, "bus", b.clientQueueDepth, b.grantsPerCycle,
-                   b.requestLatency, b.responseLatency,
-                   b.throttleBytesPerCycle);
-    return os.str();
-}
-
-void
-HwgcDevice::serialize(checkpoint::Archive &ar)
-{
-    panic_if(!ownedSoc_,
-             "a shared SoC is checkpointed by its owner, not per device");
-    // The configuration fingerprint goes first so a mismatched file
-    // fails with "configurations differ" before any state parsing.
-    std::string sig = configSignature();
-    ar.chunk("config", sig);
-    if (ar.loading()) {
-        fatal_if(sig != configSignature(),
-                 "checkpoint '%s' was written by a different device "
-                 "configuration\n  file: %s\n  this: %s",
-                 ar.origin().c_str(), sig.c_str(),
-                 configSignature().c_str());
-    }
-    ar.chunk("regs", regs_);
-    ownedSoc_->serialize(ar);
-    if (!ar.loading()) {
-        return;
-    }
-    fatal_if(!ar.deserializer().atEnd(),
-             "checkpoint '%s': trailing data after the last expected "
-             "chunk — the saving and restoring configurations differ",
-             ar.origin().c_str());
-    DPRINTF(system().now(), "Device",
-            "%s: restored checkpoint '%s' at cycle %llu (status %llu)",
-            statsPrefix_.c_str(), ar.origin().c_str(),
-            (unsigned long long)system().now(),
-            (unsigned long long)regs_.status);
-}
-
 bool
 HwgcDevice::writeCheckpoint(const std::string &path)
 {
-    checkpoint::Serializer ser;
-    checkpoint::Archive ar(ser);
-    serialize(ar);
-    return ser.writeFile(path);
+    panic_if(!ownedSoc_, "a shared SoC is checkpointed by its owner");
+    return checkpoint::save(
+        path, [this](checkpoint::Archive &ar) { soc_.serialize(ar); });
 }
 
 void
 HwgcDevice::restoreCheckpoint(const std::string &path)
 {
-    checkpoint::Deserializer des = checkpoint::Deserializer::fromFile(path);
-    checkpoint::Archive ar(des);
-    serialize(ar);
+    panic_if(!ownedSoc_, "a shared SoC is checkpointed by its owner");
+    checkpoint::load(
+        path, [this](checkpoint::Archive &ar) { soc_.serialize(ar); });
+    DPRINTF(system().now(), "Device",
+            "%s: restored checkpoint '%s' at cycle %llu (status %llu)",
+            statsPrefix_.c_str(), path.c_str(),
+            (unsigned long long)system().now(),
+            (unsigned long long)regs_.status);
 }
 
 void
@@ -725,7 +637,7 @@ HwgcDevice::writeCrashDump()
     // even when the failure struck mid-tick.
     telemetry::RunMetadata meta;
     meta.binary = "crash-dump";
-    meta.config = configSignature();
+    meta.config = soc_.configSignature();
     meta.simCycles = system().now();
     telemetry::StatsRegistry::global().exportJsonFile(
         base + ".stats.json", meta);
@@ -752,7 +664,7 @@ HwgcDevice::writeWatchdogReport()
     }
     telemetry::RunMetadata meta;
     meta.binary = "watchdog-dump";
-    meta.config = configSignature();
+    meta.config = soc_.configSignature();
     meta.simCycles = system().now();
     std::ostringstream os;
     telemetry::StatsRegistry::global().exportJson(os, meta);

@@ -149,26 +149,22 @@ class HwgcDevice
      * @name Checkpointing (DESIGN.md §9)
      *
      * A checkpoint captures the complete architectural state of the
-     * device and its memory side at an inter-cycle boundary: the MMIO
-     * registers and phase status, the kernel clock, every registered
-     * component's queues/registers/statistics, the trace queue, and
-     * the functional memory image. Restoring into an identically
+     * device and its memory side at an inter-cycle boundary: its
+     * SoC's part (Soc::serialize()). Restoring into an identically
      * configured device resumes the run bit-identically — same final
      * cycle count, same statistics — under either kernel (the kernel
      * mode is a host knob, not state). Standalone devices only: a
-     * shared Soc is checkpointed by its owner (FleetLab).
+     * shared Soc is checkpointed by its owner (FleetLab), and a fleet
+     * device panics.
      * @{
      */
-
-    /** Saves or restores the full device state; a restore into a
-     *  different configuration fatal()s. */
-    void serialize(checkpoint::Archive &ar);
 
     /** Saves a checkpoint to @p path; returns false (warn) on I/O
      *  error. */
     bool writeCheckpoint(const std::string &path);
 
-    /** Restores the checkpoint at @p path; unreadable/corrupt fatals. */
+    /** Restores the checkpoint at @p path; an unreadable, corrupt or
+     *  differently configured image is fatal. */
     void restoreCheckpoint(const std::string &path);
 
     /**
@@ -201,16 +197,6 @@ class HwgcDevice
     const HwgcConfig &config() const { return config_; }
     System &system() { return soc_.system(); }
     /** @} */
-
-    /**
-     * Architectural configuration fingerprint embedded in every
-     * checkpoint: every HwgcConfig field that shapes simulation, the
-     * bus, memory, PTW and cache parameters included. Deliberately
-     * excludes the kernel mode — it changes host execution only, so a
-     * checkpoint saved under one kernel restores under the other —
-     * and `devices`, which a device ignores.
-     */
-    std::string configSignature() const;
 
     /**
      * The dotted path this device's stats groups registered under in

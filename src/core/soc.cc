@@ -6,10 +6,30 @@
 
 #include "soc.h"
 
+#include <cstdio>
+#include <sstream>
+#include <utility>
+
 #include "core/hwgc_device.h"
 
 namespace hwgc::core
 {
+
+namespace
+{
+
+/** Appends ",<name>=v1/v2/..." (doubles round-trip: 17 digits). */
+template <typename... Ts>
+void
+signatureField(std::ostringstream &os, const char *name,
+               const Ts &...values)
+{
+    os << ',' << name << '=';
+    const char *sep = "";
+    ((os << sep << values, sep = "/"), ...);
+}
+
+} // namespace
 
 std::unique_ptr<mem::MemDevice>
 makeMemDevice(const HwgcConfig &config, mem::PhysMem &mem,
@@ -85,9 +105,71 @@ Soc::seal()
     stats_.add(statsPrefix_ + ".memory", memory_->stats());
 }
 
+std::string
+Soc::configSignature() const
+{
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "mq=%u,spill=%u/%u,comp=%d,slots=%u,waiters=%u,mbc=%u,tq=%u,"
+        "pend=%u,utlb=%u,layout=%d,dec=%d,tags=%u,sweep=%u,stlb=%u,"
+        "shared=%d,mem=%d",
+        config_.markQueueEntries, config_.spillQueueEntries,
+        config_.spillThrottle, int(config_.compressRefs),
+        config_.markerSlots, config_.markerWalkWaiters,
+        config_.markBitCacheEntries, config_.tracerQueueEntries,
+        config_.tracerPendingRefs, config_.unitTlbEntries,
+        int(config_.layout), int(config_.decoupledTracer),
+        config_.tracerTagSlots, config_.numSweepers,
+        config_.sweeperTlbEntries, int(config_.sharedCache),
+        int(config_.memModel));
+    std::ostringstream os;
+    os.precision(17);
+    os << buf;
+    for (const auto &[name, p] :
+         {std::pair{"ucache", config_.sharedCacheParams},
+          std::pair{"pcache", config_.ptwCacheParams}}) {
+        signatureField(os, name, p.sizeBytes, p.assoc, p.hitLatency,
+                       p.mshrs, p.portQueueDepth, p.writebackDepth);
+    }
+    const mem::PtwParams &w = config_.ptw;
+    signatureField(os, "ptw", w.l2TlbEntries, w.l2TlbLatency, w.queueDepth);
+    const mem::DramParams &d = config_.dram;
+    signatureField(os, "dram", d.banks, d.rowBytes, d.tCAS, d.tRCD, d.tRP,
+                   d.tRAS, d.maxReads, d.maxWrites, d.busBytesPerCycle,
+                   d.frontendLatency, int(d.scheduler),
+                   int(d.pagePolicy), d.bandwidthBucket);
+    const mem::IdealMemParams &i = config_.ideal;
+    signatureField(os, "ideal", i.latency, i.busBytesPerCycle,
+                   i.maxInFlight, i.bandwidthBucket, i.perRequestOverhead);
+    const mem::InterconnectParams &b = config_.bus;
+    signatureField(os, "bus", b.clientQueueDepth, b.grantsPerCycle,
+                   b.requestLatency, b.responseLatency,
+                   b.throttleBytesPerCycle);
+    return os.str();
+}
+
 void
 Soc::serialize(checkpoint::Archive &ar)
 {
+    // The configuration fingerprint goes first so a mismatched file
+    // fails with "configurations differ" before any state parsing.
+    std::string sig = configSignature();
+    ar.chunk("config", sig);
+    if (ar.loading()) {
+        fatal_if(sig != configSignature(),
+                 "checkpoint '%s' was written by a different device "
+                 "configuration\n  file: %s\n  this: %s",
+                 ar.origin().c_str(), sig.c_str(),
+                 configSignature().c_str());
+    }
+
+    // The register files load after an owner's retargeting
+    // configure() calls, so the saved values are the ones that stand.
+    for (HwgcDevice *device : devices_) {
+        ar.chunk(device->namePrefix() + "regs", device->regs());
+    }
+
     ar.chunk("kernel", system_);
 
     // One chunk per Clocked component, named by instance name, in

@@ -77,11 +77,22 @@ class Soc
     /** @} */
 
     /**
+     * Architectural configuration fingerprint: every HwgcConfig field
+     * that shapes simulation, the bus, memory, PTW and cache
+     * parameters included. Deliberately excludes the kernel mode — it
+     * changes host execution only, so a checkpoint saved under one
+     * kernel restores under the other — and `devices`, which no SoC
+     * reads.
+     */
+    std::string configSignature() const;
+
+    /**
      * Saves or restores the SoC part of a checkpoint (DESIGN.md §9):
-     * the kernel chunk, one chunk per component in registration
-     * order, each joined device's trace queue, and the functional
-     * memory image. The owner archives its own chunks
-     * (configuration, registers, driver state) in front.
+     * `config` (the signature, checked on loading), each device's
+     * MMIO registers (`regs`, or `hwgc<i>.regs` when shared),
+     * `kernel`, one chunk per component in registration order, each
+     * device's trace queue, and `physmem`. A shared SoC's owner
+     * (FleetLab) archives its own chunks in front.
      */
     void serialize(checkpoint::Archive &ar);
 

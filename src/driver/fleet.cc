@@ -412,17 +412,18 @@ std::string
 FleetLab::configSignature() const
 {
     std::ostringstream os;
+    os.precision(17);
     os << "fleet{devices=" << config_.devices
        << ",tenants=" << tenants_.size()
        << ",policy=" << gcPolicyName(config_.policy)
        << ",quantum=" << config_.quantum
        << ",gcs=" << config_.gcsPerTenant
-       << ",stride=" << config_.tenantStride << ",dev{"
-       << devices_[0].device->configSignature() << "}";
+       << ",stride=" << config_.tenantStride;
     for (const Tenant &t : tenants_) {
         os << ",t{" << t.params.name << ":" << t.params.seed << ":"
            << t.params.gcPeriodCycles << ":" << t.params.deadlineMs
-           << ":" << t.params.paceBytesPerCycle << "}";
+           << ":" << t.params.paceBytesPerCycle << ":"
+           << t.params.churnPerGC << "}";
     }
     os << "}";
     return os.str();
@@ -452,11 +453,9 @@ FleetLab::serialize(checkpoint::Archive &ar)
             stats_[t].gcs = ten.gcsDone;
         }
     }
-    std::vector<core::MmioRegs> regs;
     for (Device &dev : devices_) {
-        regs.push_back(dev.device->regs());
         ar(dev.tenant, dev.phase, dev.triggerAt, dev.dispatchAt,
-           dev.sweepStartAt, regs.back());
+           dev.sweepStartAt);
     }
     ar.endChunk();
 
@@ -471,7 +470,9 @@ FleetLab::serialize(checkpoint::Archive &ar)
         // the mark queue's spill region are configure()-time wiring,
         // not serialized state, and both retarget calls insist on
         // empty queues (true on a freshly constructed fleet, not after
-        // the SoC chunks load a mid-phase image).
+        // the SoC chunks load a mid-phase image). The registers
+        // configure() programs here are then overwritten by the saved
+        // ones in the SoC part.
         for (Device &dev : devices_) {
             if (dev.tenant != noTenant) {
                 dev.device->configure(*tenants_[dev.tenant].heap);
@@ -481,38 +482,20 @@ FleetLab::serialize(checkpoint::Archive &ar)
     }
 
     soc_.serialize(ar);
-    if (!ar.loading()) {
-        return;
-    }
-    fatal_if(!ar.deserializer().atEnd(),
-             "fleet checkpoint '%s': trailing data after the last "
-             "expected chunk — the saving and restoring "
-             "configurations differ",
-             ar.origin().c_str());
-
-    // The interim configure() above recomputed registers from
-    // pre-restore heap state; the saved values are authoritative.
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-        devices_[d].device->regs() = regs[d];
-    }
 }
 
 bool
 FleetLab::writeCheckpoint(const std::string &path)
 {
-    checkpoint::Serializer ser;
-    checkpoint::Archive ar(ser);
-    serialize(ar);
-    return ser.writeFile(path);
+    return checkpoint::save(
+        path, [this](checkpoint::Archive &ar) { serialize(ar); });
 }
 
 void
 FleetLab::restoreCheckpoint(const std::string &path)
 {
-    checkpoint::Deserializer des =
-        checkpoint::Deserializer::fromFile(path);
-    checkpoint::Archive ar(des);
-    serialize(ar);
+    checkpoint::load(
+        path, [this](checkpoint::Archive &ar) { serialize(ar); });
 }
 
 } // namespace hwgc::driver

@@ -168,10 +168,9 @@ class FleetLab
      * @name Checkpointing (DESIGN.md §12)
      *
      * Captures the whole fleet at an inter-cycle boundary: driver
-     * state (trigger schedule, pending queue, per-device assignment
-     * and MMIO registers, pause windows), the shared kernel, every
-     * component, every tenant's runtime heap view and builder RNG,
-     * and the functional memory image once. Restore into an
+     * state (trigger schedule, pending queue, per-device assignment,
+     * pause windows), every tenant's runtime heap view and builder,
+     * then the shared SoC's part (Soc::serialize()). Restore into an
      * identically configured FleetLab resumes bit-identically under
      * any kernel. Only legal between runUntilCycle() slices.
      * @{
@@ -181,7 +180,7 @@ class FleetLab
     void restoreCheckpoint(const std::string &path);
     /** @} */
 
-    /** Configuration fingerprint embedded in fleet checkpoints. */
+    /** The `fleetcfg` fingerprint: fleet shape and tenant fields. */
     std::string configSignature() const;
 
   private:

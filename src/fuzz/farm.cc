@@ -58,32 +58,32 @@ saveFarmSnapshot(const std::string &path, FarmMeta meta,
                  workload::GraphParams params, runtime::Heap &heap,
                  workload::GraphBuilder &builder, mem::PhysMem &mem)
 {
-    checkpoint::Serializer ser;
-    checkpoint::Archive ar(ser);
-    serializeFarm(ar, meta, params, mem.size(), [&](std::uint64_t) {
-        return std::tie(mem, heap, builder);
-    });
-    fatal_if(!ser.writeFile(path), "farm: cannot write snapshot '%s'",
-             path.c_str());
+    const bool written =
+        checkpoint::save(path, [&](checkpoint::Archive &ar) {
+            serializeFarm(ar, meta, params, mem.size(), [&](std::uint64_t) {
+                return std::tie(mem, heap, builder);
+            });
+        });
+    fatal_if(!written, "farm: cannot write snapshot '%s'", path.c_str());
 }
 
 FarmUniverse
 loadFarmSnapshot(const std::string &path)
 {
-    checkpoint::Deserializer des = checkpoint::Deserializer::fromFile(path);
-    checkpoint::Archive ar(des);
     FarmUniverse u;
     // Construct the universe before touching the image: the Heap
     // constructor maps the metadata regions and formats memory, all of
     // which the physmem chunk (restored last) overwrites with the
     // snapshotted bytes — including the page-table entries the
     // restored pagesAllocated count refers to.
-    serializeFarm(ar, u.meta, u.params, 0, [&u](std::uint64_t mem_bytes) {
-        u.mem = std::make_unique<mem::PhysMem>(mem_bytes);
-        u.heap = std::make_unique<runtime::Heap>(*u.mem);
-        u.builder =
-            std::make_unique<workload::GraphBuilder>(*u.heap, u.params);
-        return std::tie(*u.mem, *u.heap, *u.builder);
+    checkpoint::load(path, [&u](checkpoint::Archive &ar) {
+        serializeFarm(ar, u.meta, u.params, 0, [&u](std::uint64_t bytes) {
+            u.mem = std::make_unique<mem::PhysMem>(bytes);
+            u.heap = std::make_unique<runtime::Heap>(*u.mem);
+            u.builder =
+                std::make_unique<workload::GraphBuilder>(*u.heap, u.params);
+            return std::tie(*u.mem, *u.heap, *u.builder);
+        });
     });
     return u;
 }

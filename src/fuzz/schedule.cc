@@ -320,16 +320,13 @@ loadFile(const std::string &path, Schedule &out, std::string *err)
 bool
 saveFile(const std::string &path, const Schedule &schedule)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-        warn("fuzz: cannot write schedule '%s'", path.c_str());
+    std::string error;
+    if (!writeWholeFile(path, toText(schedule), error)) {
+        warn("fuzz: cannot write schedule '%s': %s", path.c_str(),
+             error.c_str());
         return false;
     }
-    const std::string text = toText(schedule);
-    const std::size_t written =
-        std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return written == text.size();
+    return true;
 }
 
 } // namespace hwgc::fuzz

@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -58,7 +57,7 @@ namespace hwgc::checkpoint
 /** Format magic and version; bump the version on any layout change. */
 inline constexpr char magic[8] = {'H', 'W', 'G', 'C',
                                   'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t formatVersion = 7;
+inline constexpr std::uint32_t formatVersion = 8;
 
 /** Serializes state into the chunked checkpoint image. */
 class Serializer
@@ -124,33 +123,6 @@ class Serializer
         panic_if(chunkStart_ != npos,
                  "checkpoint: image() with an open chunk");
         return buf_;
-    }
-
-    /**
-     * Writes the image to @p path. Returns false (with a warning)
-     * on any I/O failure, a full disk at the final flush or close
-     * included — the crash-dump path must not fatal() again while
-     * already handling a fatal error.
-     */
-    bool
-    writeFile(const std::string &path) const
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        if (f == nullptr) {
-            warn("checkpoint: cannot open '%s' for writing",
-                 path.c_str());
-            return false;
-        }
-        const std::string &data = image();
-        const bool bad =
-            std::fwrite(data.data(), 1, data.size(), f) != data.size() ||
-            std::fflush(f) != 0 || std::ferror(f) != 0;
-        if (std::fclose(f) != 0 || bad) {
-            warn("checkpoint: error writing '%s': %s", path.c_str(),
-                 std::strerror(errno));
-            return false;
-        }
-        return true;
     }
 
   private:
@@ -412,14 +384,6 @@ class Archive
 
     /** True when restoring state, false when saving it. */
     bool loading() const { return des_ != nullptr; }
-
-    /** The image being read (loading only). */
-    Deserializer &
-    deserializer()
-    {
-        panic_if(des_ == nullptr, "checkpoint: saving has no reader");
-        return *des_;
-    }
 
     /** The image's name for messages ("<save>" while saving). */
     const std::string &
@@ -717,6 +681,47 @@ class Archive
     Serializer *ser_ = nullptr;
     Deserializer *des_ = nullptr;
 };
+
+/**
+ * Saves one image: runs @p archive over a saving Archive and writes
+ * the result to @p path. Returns false (with a warning) on any I/O
+ * failure, a full disk at the final flush or close included — the
+ * crash-dump path must not fatal() again while already handling a
+ * fatal error.
+ */
+template <typename ArchiveFn>
+bool
+save(const std::string &path, ArchiveFn &&archive)
+{
+    Serializer ser;
+    Archive ar(ser);
+    archive(ar);
+    std::string error;
+    if (!writeWholeFile(path, ser.image(), error)) {
+        warn("checkpoint: cannot write '%s': %s", path.c_str(),
+             error.c_str());
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Loads one image: runs @p archive over the file at @p path. An
+ * unreadable or corrupt file is fatal, and so are bytes after the
+ * last chunk @p archive reads, for every kind of image.
+ */
+template <typename ArchiveFn>
+void
+load(const std::string &path, ArchiveFn &&archive)
+{
+    Deserializer des = Deserializer::fromFile(path);
+    Archive ar(des);
+    archive(ar);
+    fatal_if(!des.atEnd(),
+             "checkpoint '%s': trailing data after the last expected "
+             "chunk — the saving and restoring configurations differ",
+             path.c_str());
+}
 
 /**
  * The functional-memory image, shared by the device checkpoint and

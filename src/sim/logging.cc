@@ -5,7 +5,9 @@
 
 #include "logging.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -117,6 +119,28 @@ warnImpl(const char *fmt, ...)
     va_start(ap, fmt);
     vreport("warn: ", fmt, ap);
     va_end(ap);
+}
+
+bool
+writeWholeFile(const std::string &path, const std::string &data,
+               std::string &error)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr) {
+        error = std::strerror(errno);
+        return false;
+    }
+    errno = 0;
+    const bool written =
+        std::fwrite(data.data(), 1, data.size(), f) == data.size() &&
+        std::fflush(f) == 0 && std::ferror(f) == 0;
+    const int cause = errno; // The first failure names the cause.
+    if (std::fclose(f) == 0 && written) {
+        return true;
+    }
+    const int err = !written ? cause : errno;
+    error = std::strerror(err != 0 ? err : EIO);
+    return false;
 }
 
 void

@@ -8,6 +8,7 @@
  *  - fatal():  a user/configuration error; exits cleanly with code 1.
  *  - warn():   functionality that may be incorrect but continues.
  *  - inform(): neutral status output.
+ * Also the one checked whole-file writer.
  */
 
 #ifndef HWGC_SIM_LOGGING_H
@@ -46,6 +47,15 @@ unsigned addCrashHook(void (*hook)(void *ctx), void *ctx);
 /** Unregisters a hook by the id addCrashHook() returned (no-op if it
  *  already ran or was removed). */
 void removeCrashHook(unsigned id);
+
+/**
+ * Writes @p data as the whole file @p path: opens, writes, flushes,
+ * checks the error flag and closes. Returns false with errno's text
+ * in @p error on any failure (a full disk at the final flush
+ * included); the caller warns or fatal()s.
+ */
+bool writeWholeFile(const std::string &path, const std::string &data,
+                    std::string &error);
 
 /** Prints a warning; the simulation continues. */
 void warnImpl(const char *fmt, ...)

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -51,43 +52,30 @@ namespace
 
 /**
  * Strict u64 option parse: a value strtoull would silently truncate
- * (trailing junk, a negative sign, overflow) keeps @p fallback with a
- * warning instead of becoming a surprise cycle count.
+ * or misread (empty, trailing junk, a negative sign, overflow) is a
+ * fatal error naming @p source and the value, never a surprise cycle
+ * count or a silently ignored flag.
  */
 std::uint64_t
-parseU64Option(const char *text, const char *source,
-               std::uint64_t fallback)
+parseU64Option(const char *text, const char *source)
 {
-    if (text == nullptr || *text == '\0') {
-        warn("%s: empty value ignored", source);
-        return fallback;
-    }
     char *end = nullptr;
     errno = 0;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        text[0] == '-') {
-        warn("%s: unparseable value '%s' ignored", source, text);
-        return fallback;
-    }
+    fatal_if(end == text || *end != '\0' || errno == ERANGE ||
+                 text[0] == '-',
+             "%s: '%s' is not a non-negative integer", source, text);
     return v;
 }
 
 /** Strict non-negative double parse (same contract as the u64 one). */
 double
-parseDoubleOption(const char *text, const char *source, double fallback)
+parseDoubleOption(const char *text, const char *source)
 {
-    if (text == nullptr || *text == '\0') {
-        warn("%s: empty value ignored", source);
-        return fallback;
-    }
     char *end = nullptr;
-    errno = 0;
     const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE || v < 0.0) {
-        warn("%s: unparseable value '%s' ignored", source, text);
-        return fallback;
-    }
+    fatal_if(end == text || *end != '\0' || !std::isfinite(v) || v < 0.0,
+             "%s: '%s' is not a non-negative number", source, text);
     return v;
 }
 
@@ -230,7 +218,7 @@ const OptionSpec optionSpecs[] = {
      [](Options &o, const char *v, const char *) { o.traceOut = v; }},
     {"--stats-interval", "HWGC_STATS_INTERVAL", true,
      [](Options &o, const char *v, const char *source) {
-         o.statsInterval = parseU64Option(v, source, o.statsInterval);
+         o.statsInterval = parseU64Option(v, source);
      }},
     // HWGC_DEBUG is applied by a static initializer in logging.cc.
     {"--debug-flags", nullptr, true,
@@ -253,7 +241,7 @@ const OptionSpec optionSpecs[] = {
      }},
     {"--checkpoint-at", "HWGC_CHECKPOINT_AT", true,
      [](Options &o, const char *v, const char *source) {
-         o.checkpointAt = parseU64Option(v, source, o.checkpointAt);
+         o.checkpointAt = parseU64Option(v, source);
      }},
     {"--profile", "HWGC_PROFILE", false,
      [](Options &o, const char *v, const char *) {
@@ -261,7 +249,7 @@ const OptionSpec optionSpecs[] = {
      }},
     {"--watchdog-secs", "HWGC_WATCHDOG_SECS", true,
      [](Options &o, const char *v, const char *source) {
-         o.watchdogSecs = parseDoubleOption(v, source, o.watchdogSecs);
+         o.watchdogSecs = parseDoubleOption(v, source);
      }},
     {"--bench-out", "HWGC_BENCH_OUT", true,
      [](Options &o, const char *v, const char *) { o.benchOut = v; }},
@@ -452,18 +440,10 @@ StatsRegistry::exportJsonFile(const std::string &path,
         std::fwrite(text.data(), 1, text.size(), stdout);
         return;
     }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    fatal_if(f == nullptr,
+    std::string error;
+    fatal_if(!writeWholeFile(path, text, error),
              "telemetry: cannot write stats JSON to '%s': %s",
-             path.c_str(), std::strerror(errno));
-    const std::size_t written =
-        std::fwrite(text.data(), 1, text.size(), f);
-    const bool bad = written != text.size() || std::fflush(f) != 0 ||
-                     std::ferror(f) != 0;
-    const int close_err = std::fclose(f);
-    fatal_if(bad || close_err != 0,
-             "telemetry: error writing stats JSON to '%s': %s",
-             path.c_str(), std::strerror(errno));
+             path.c_str(), error.c_str());
 }
 
 void
@@ -745,13 +725,6 @@ Session::Session(int &argc, char **argv)
     meta_.binary = argc > 0 ? argv[0] : "";
     applyEnv();
     parseArgs(argc, argv);
-    start();
-}
-
-Session::Session(std::string binary_name)
-{
-    meta_.binary = std::move(binary_name);
-    applyEnv();
     start();
 }
 

@@ -419,9 +419,6 @@ class Session
     /** Parses environment and argv (stripping telemetry arguments). */
     Session(int &argc, char **argv);
 
-    /** Environment-only variant for argument-less binaries. */
-    explicit Session(std::string binary_name);
-
     ~Session();
 
     Session(const Session &) = delete;

@@ -23,13 +23,13 @@ GraphBuilder::GraphBuilder(runtime::Heap &heap,
 void
 GraphBuilder::serialize(checkpoint::Archive &ar)
 {
-    std::uint64_t seed = params_.seed;
-    ar(seed);
-    if (ar.loading()) {
-        fatal_if(seed != params_.seed,
-                 "builder snapshot '%s' was taken under a different seed",
-                 ar.origin().c_str());
-    }
+    // The whole shape first: the same stream under other parameters
+    // draws a different graph.
+    GraphParams file = params_;
+    ar(file);
+    fatal_if(ar.loading() && file != params_,
+             "builder snapshot '%s' was taken under different GraphParams",
+             ar.origin().c_str());
     ar(rng_, built_, liveSet_, hotSet_);
 }
 

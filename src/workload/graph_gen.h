@@ -71,7 +71,9 @@ struct GraphParams
 
     std::uint64_t seed = 1;
 
-    /** Archives every field, in declaration order (farm snapshots). */
+    bool operator==(const GraphParams &) const = default;
+
+    /** Archives every field, in declaration order. */
     void
     serialize(checkpoint::Archive &ar)
     {
@@ -108,12 +110,13 @@ class GraphBuilder
     std::uint64_t objectsBuilt() const { return built_; }
 
     /**
-     * Saves or restores the builder state (farm snapshots): the RNG
-     * stream and the live/hot candidate lists, so a restored builder
-     * continues mutate() bit-identically to the one that was
-     * snapshotted. Loading must run on a builder constructed with the
-     * same GraphParams (seed-checked) over a heap whose state was
-     * restored from the same snapshot.
+     * Saves or restores the builder state (farm snapshots, fleet
+     * checkpoints): its GraphParams, the RNG stream and the live/hot
+     * candidate lists, so a restored builder continues mutate()
+     * bit-identically to the one that was snapshotted. Loading must
+     * run on a builder constructed with the same GraphParams (any
+     * difference is fatal) over a heap whose state was restored from
+     * the same snapshot.
      */
     void serialize(checkpoint::Archive &ar);
 

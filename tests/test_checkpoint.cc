@@ -574,10 +574,10 @@ TEST(Checkpoint, WriteFileReportsAFullDisk)
     }
     // A small image fits the stdio buffer, so only the final flush
     // meets the full disk.
-    checkpoint::Serializer ser;
     std::uint64_t word = 42;
-    checkpoint::Archive(ser).chunk("word", word);
-    EXPECT_FALSE(ser.writeFile("/dev/full"));
+    EXPECT_FALSE(checkpoint::save("/dev/full", [&](checkpoint::Archive &ar) {
+        ar.chunk("word", word);
+    }));
 }
 
 // ---------------------------------------------------------------------
@@ -687,6 +687,46 @@ TEST(Checkpoint, FleetMidServiceRoundTrip)
     }
 }
 
+TEST(Checkpoint, FleetImageLayout)
+{
+    // A fleet image is the fleet's own chunks, then the SoC part: the
+    // device configuration and every device's registers, in front of
+    // the kernel, as in a standalone image.
+    const auto config = fleetTestConfig();
+    const auto tenants = fleetTestTenants();
+    const std::string path = tmpPath("fleet-layout.ckpt");
+    driver::FleetLab lab(config, tenants);
+    ASSERT_TRUE(lab.writeCheckpoint(path));
+
+    std::vector<std::string> names;
+    std::uint64_t driver_bytes = 0;
+    for (const auto &chunk : checkpoint::Deserializer::listChunks(path)) {
+        names.push_back(chunk.name);
+        if (chunk.name == "driver") {
+            driver_bytes = chunk.size;
+        }
+    }
+    const std::vector<std::string> expected = {
+        "fleetcfg", "driver", "heap0", "builder0", "heap1", "builder1",
+        "heap2", "builder2", "config", "hwgc0.regs", "hwgc1.regs",
+        "kernel"};
+    ASSERT_GT(names.size(), expected.size());
+    EXPECT_EQ(std::vector<std::string>(names.begin(),
+                                       names.begin() + expected.size()),
+              expected);
+    EXPECT_EQ(names.back(), "physmem");
+    EXPECT_EQ(std::count(names.begin(), names.end(), "regs"), 0);
+
+    // A fresh fleet's driver chunk holds an empty pending queue (its
+    // count); per tenant the RNG (4 words), next trigger, GCs done,
+    // queued flag, an empty pause list (its count) and two cycle
+    // totals; per device its tenant, phase and three timestamps —
+    // and no register words.
+    const std::uint64_t words =
+        1 + 10 * tenants.size() + 5 * config.devices;
+    EXPECT_EQ(driver_bytes, 8 * words);
+}
+
 // ---------------------------------------------------------------------
 // File format: the chunk directory is self-describing (the
 // heap_inspector post-mortem view), and every corruption mode is a
@@ -768,6 +808,22 @@ TEST(CheckpointDeathTest, RejectsTrailingGarbage)
     spew(path, data + std::string(16, '\x7f'));
     EXPECT_EXIT(rig.device->restoreCheckpoint(path),
                 ::testing::ExitedWithCode(1), "trailing data");
+}
+
+TEST(CheckpointDeathTest, FleetRejectsTrailingGarbage)
+{
+    const std::string path = tmpPath("fleet-trailing.ckpt");
+    {
+        driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
+        ASSERT_TRUE(lab.writeCheckpoint(path));
+    }
+    spew(path, slurp(path) + std::string(16, '\x7f'));
+    EXPECT_EXIT(
+        {
+            driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
+            lab.restoreCheckpoint(path);
+        },
+        ::testing::ExitedWithCode(1), "trailing data");
 }
 
 TEST(CheckpointDeathTest, RejectsDifferentConfiguration)

@@ -539,6 +539,47 @@ TEST(FleetCheckpointDeathTest, RejectsMismatchedConfiguration)
     std::remove(path.c_str());
 }
 
+/** Saves a 2-tenant fleet mid-service to @p path. */
+void
+saveMidService(const std::string &path)
+{
+    driver::FleetLab saver(tinyConfig(2), tinyTenants(2));
+    saver.runUntilCycle(400'000);
+    ASSERT_FALSE(saver.done());
+    ASSERT_TRUE(saver.writeCheckpoint(path));
+}
+
+TEST(FleetCheckpointDeathTest, RejectsADifferentTenantChurn)
+{
+    // Churn shapes every post-GC mutation, so a restore under another
+    // value would finish at a cycle the saving fleet never reaches.
+    const std::string path = tmpPath("fleet_ckpt_churn.hwgc");
+    saveMidService(path);
+    auto tenants = tinyTenants(2);
+    tenants[1].churnPerGC = 0.9;
+    EXPECT_DEATH(
+        {
+            driver::FleetLab lab(tinyConfig(2), tenants);
+            lab.restoreCheckpoint(path);
+        },
+        "different configuration");
+}
+
+TEST(FleetCheckpointDeathTest, RejectsADifferentTenantGraph)
+{
+    const std::string path = tmpPath("fleet_ckpt_graph.hwgc");
+    saveMidService(path);
+    auto tenants = tinyTenants(2);
+    tenants[0].graph.avgRefs += 1.0;
+    EXPECT_DEATH(
+        {
+            driver::FleetLab lab(tinyConfig(2), tenants);
+            lab.restoreCheckpoint(path);
+        },
+        "builder snapshot '.*fleet_ckpt_graph.hwgc' was taken under "
+        "different GraphParams");
+}
+
 // ---------------------------------------------------------------------
 // Crash-hook registry: one hook per session, LIFO, all of them run.
 // ---------------------------------------------------------------------

@@ -158,6 +158,16 @@ TEST(FuzzSchedule, FileRoundTrip)
                                 &err));
 }
 
+TEST(FuzzSchedule, SaveFileReportsAFullDisk)
+{
+    if (::access("/dev/full", W_OK) != 0) {
+        GTEST_SKIP() << "/dev/full is not writable here";
+    }
+    // A schedule fits the stdio buffer, so only the final flush meets
+    // the full disk.
+    EXPECT_FALSE(fuzz::saveFile("/dev/full", fuzz::generate(5)));
+}
+
 // ---------------------------------------------------------------------
 // (2) Config specs.
 // ---------------------------------------------------------------------
@@ -547,6 +557,26 @@ TEST(FuzzFarmDeathTest, RejectsTruncatedSnapshot)
     out.close();
 
     EXPECT_DEATH(fuzz::loadFarmSnapshot(bad), "");
+}
+
+TEST(FuzzFarmDeathTest, RejectsTrailingData)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path = tmpPath("trailing.farm");
+    workload::GraphParams params;
+    params.liveObjects = 60;
+    params.garbageObjects = 20;
+    params.seed = 3;
+    mem::PhysMem mem;
+    runtime::Heap heap(mem);
+    workload::GraphBuilder builder(heap, params);
+    builder.build();
+    fuzz::saveFarmSnapshot(path, {}, params, heap, builder, mem);
+    std::ofstream(path, std::ios::binary | std::ios::app)
+        << std::string(16, '\x7f');
+
+    EXPECT_EXIT(fuzz::loadFarmSnapshot(path), ::testing::ExitedWithCode(1),
+                "trailing data");
 }
 
 TEST(FuzzFarmDeathTest, SnapshotWriteFailureIsFatalNamingThePath)

@@ -10,16 +10,72 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "driver/gc_lab.h"
+#include "sim/telemetry.h"
 
 namespace hwgc
 {
 namespace
 {
+
+// ---------------------------------------------------------------------
+// Option parsing: a numeric value that does not parse is rejected
+// where it enters, naming the flag or variable and the value.
+// ---------------------------------------------------------------------
+
+/** Parses the command line "prog @p arg". */
+void
+parseOneArg(std::string arg)
+{
+    char prog[] = "prog";
+    char *argv[] = {prog, arg.data(), nullptr};
+    int argc = 2;
+    telemetry::parseArgs(argc, argv);
+}
+
+TEST(OptionsDeathTest, BadNumericFlagsFailNamingFlagAndValue)
+{
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+        const char *want; //!< "integer" or "number".
+    };
+    const Case cases[] = {
+        {"--stats-interval", "5e6", "integer"},
+        {"--stats-interval", "-5", "integer"},
+        {"--stats-interval", "", "integer"},
+        {"--checkpoint-at", "5e6", "integer"},
+        {"--checkpoint-at", "-5", "integer"},
+        {"--checkpoint-at", "", "integer"},
+        {"--watchdog-secs", "2s", "number"},
+        {"--watchdog-secs", "-5", "number"},
+        {"--watchdog-secs", "", "number"},
+    };
+    for (const Case &c : cases) {
+        const std::string arg = std::string(c.flag) + "=" + c.value;
+        SCOPED_TRACE(arg);
+        EXPECT_EXIT(parseOneArg(arg), ::testing::ExitedWithCode(1),
+                    std::string(c.flag) + ": '" + c.value +
+                        "' is not a non-negative " + c.want);
+    }
+}
+
+TEST(OptionsDeathTest, BadNumericVariableFailsNamingIt)
+{
+    EXPECT_EXIT(
+        {
+            ::setenv("HWGC_CHECKPOINT_AT", "5e6", 1);
+            telemetry::applyEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "HWGC_CHECKPOINT_AT: '5e6' is not a non-negative integer");
+}
 
 // ---------------------------------------------------------------------
 // Registry mechanics.
