@@ -15,10 +15,12 @@
  *   $ ./build/examples/heap_inspector --profile [benchmark]
  *
  * Post-mortem mode: point it at a checkpoint file — typically the
- * "<path>.crash.<pid>" dump the device writes on a fatal error when
+ * "<path>.crash.<pid>" dump a SoC writes on a fatal error when
  * --checkpoint-out= is armed — and it prints the chunk directory, the
- * device configuration signature, the MMIO/phase state, and the saved
- * kernel clock instead of running a GC.
+ * device configuration signature, one MMIO/phase status line per
+ * device, and the saved kernel clock instead of running a GC. Any
+ * image reads: a standalone device's, a fleet's (whose own chunks
+ * come in front of the SoC part) or a fuzz crash dump.
  *
  *   $ ./build/examples/heap_inspector --post-mortem run.ckpt.crash.1234
  */
@@ -55,31 +57,44 @@ postMortem(const std::string &path)
     std::printf("  %-28s %10llu B\n", "(payload total)",
                 (unsigned long long)total);
 
-    // The leading chunks have a fixed layout; decode them.
+    // The SoC part has a fixed layout; an owner's own chunks (a
+    // fleet's) come before it.
     Deserializer des = Deserializer::fromFile(path);
+    std::size_t next = 0;
+    while (next < chunks.size() && chunks[next].name != "config") {
+        des.skipChunk();
+        ++next;
+    }
     des.beginChunk("config");
     const std::string signature = des.getString();
     des.endChunk();
     std::printf("\ndevice configuration: %s\n", signature.c_str());
 
+    // One register chunk per device before `kernel`: "regs", or
+    // "hwgc<i>.regs" in a shared SoC.
     using hwgc::core::MmioRegs;
-    MmioRegs regs;
-    hwgc::checkpoint::Archive(des).chunk("regs", regs);
-    const char *status_name =
-        regs.status == MmioRegs::Marking    ? "Marking"
-        : regs.status == MmioRegs::Sweeping ? "Sweeping"
-        : regs.status == MmioRegs::Idle     ? "Idle"
-                                            : "?";
-    std::printf("mmio: status=%s pageTable=%#llx hwgcSpace=%#llx "
-                "roots=%llu blockTable=%#llx blocks=%llu "
-                "spill=%#llx+%llu\n",
-                status_name, (unsigned long long)regs.pageTableBase,
-                (unsigned long long)regs.hwgcSpaceBase,
-                (unsigned long long)regs.rootCount,
-                (unsigned long long)regs.blockTableBase,
-                (unsigned long long)regs.blockCount,
-                (unsigned long long)regs.spillBase,
-                (unsigned long long)regs.spillBytes);
+    for (++next; next < chunks.size() && chunks[next].name != "kernel";
+         ++next) {
+        const std::string &name = chunks[next].name;
+        MmioRegs regs;
+        hwgc::checkpoint::Archive(des).chunk(name, regs);
+        const char *status_name =
+            regs.status == MmioRegs::Marking    ? "Marking"
+            : regs.status == MmioRegs::Sweeping ? "Sweeping"
+            : regs.status == MmioRegs::Idle     ? "Idle"
+                                                : "?";
+        std::printf("%smmio: status=%s pageTable=%#llx hwgcSpace=%#llx "
+                    "roots=%llu blockTable=%#llx blocks=%llu "
+                    "spill=%#llx+%llu\n",
+                    name.substr(0, name.rfind("regs")).c_str(), status_name,
+                    (unsigned long long)regs.pageTableBase,
+                    (unsigned long long)regs.hwgcSpaceBase,
+                    (unsigned long long)regs.rootCount,
+                    (unsigned long long)regs.blockTableBase,
+                    (unsigned long long)regs.blockCount,
+                    (unsigned long long)regs.spillBase,
+                    (unsigned long long)regs.spillBytes);
+    }
 
     des.beginChunk("kernel");
     const std::uint64_t now = des.getU64();

@@ -1,14 +1,11 @@
 /**
  * @file
- * Device assembly: ports, units, phase control and checkpoints.
+ * Device assembly: ports, units and phase control.
  */
 
 #include "hwgc_device.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
-#include <utility>
 #include <vector>
 
 #include "runtime/heap_layout.h"
@@ -25,7 +22,6 @@ HwgcDevice::HwgcDevice(mem::PhysMem &mem,
 {
     join();
     soc_.seal();
-    attachObservers();
 }
 
 HwgcDevice::HwgcDevice(Soc &soc, const mem::PageTable &page_table)
@@ -103,30 +99,18 @@ HwgcDevice::join()
         namePrefix_ + "reclamation", config_, blockReaderPort_,
         sweeperPorts_, *ptw_);
 
-    // Wire responders now that the units exist.
-    auto wire = [this, &bus](mem::MemPort *port,
-                             mem::MemResponder *responder) {
-        if (auto *bp = dynamic_cast<mem::BusPort *>(port)) {
-            bus.setClientResponder(bp->clientId(), responder);
-        } else if (sharedCache_) {
-            sharedCache_->setPortResponder(port, responder);
-        } else {
-            panic("unknown port kind");
-        }
-    };
-    wire(markerPort_, marker_.get());
-    wire(tracerPort_, tracer_.get());
-    wire(spillPort_, markQueue_.get());
-    wire(readerPort_, rootReader_.get());
-    wire(blockReaderPort_, reclamation_.get());
+    // Bind each port to its unit now that the units exist. The marker
+    // and the tracer sleep while their port is full, so they own
+    // theirs: the port pokes them when a pop frees a slot.
+    markerPort_->bind(marker_.get(), marker_.get());
+    tracerPort_->bind(tracer_.get(), tracer_.get());
+    spillPort_->bind(markQueue_.get(), nullptr);
+    readerPort_->bind(rootReader_.get(), nullptr);
+    blockReaderPort_->bind(reclamation_.get(), nullptr);
     for (unsigned i = 0; i < config_.numSweepers; ++i) {
-        wire(sweeperPorts_[i], reclamation_->sweepers()[i].get());
+        sweeperPorts_[i]->bind(reclamation_->sweepers()[i].get(), nullptr);
     }
-    if (config_.sharedCache) {
-        sharedCache_->setPortResponder(ptw_port, ptw_.get());
-    } else {
-        ptwCache_->setPortResponder(ptw_port, ptw_.get());
-    }
+    ptw_port->bind(ptw_.get(), nullptr);
 
     // Clock the units. Evaluation order: consumers before producers
     // is not required (queues decouple); Soc::seal() adds the bus and
@@ -180,18 +164,6 @@ HwgcDevice::join()
     }
     markQueue_->setConsumer(marker_.get());
     markQueue_->setProducer(tracer_.get());
-    // The marker and the tracer sleep while their memory port is
-    // full, so the port's owner pokes them when a pop frees a slot.
-    auto own_port = [this, &bus](mem::MemPort *port, const Clocked *unit) {
-        if (config_.sharedCache) {
-            sharedCache_->setPortOwner(port, unit);
-        } else {
-            bus.setClientOwner(
-                static_cast<mem::BusPort *>(port)->clientId(), unit);
-        }
-    };
-    own_port(markerPort_, marker_.get());
-    own_port(tracerPort_, tracer_.get());
     sys.declareWakeupInputs(rootReader_.get(), {ptw_.get()});
     sys.declareWakeupInputs(reclamation_.get(), {ptw_.get()});
     for (auto &sweeper : reclamation_->sweepers()) {
@@ -240,71 +212,9 @@ HwgcDevice::join()
     }
 }
 
-void
-HwgcDevice::attachObservers()
-{
-    // Attach kernel observers only when a telemetry sink is on, so
-    // the default cost is one null-pointer compare per executed cycle.
-    System &sys = soc_.system();
-    const telemetry::Options &opts = telemetry::options();
-    if (telemetry::TraceWriter::global().enabled() ||
-        opts.statsInterval != 0) {
-        std::vector<std::string> names;
-        for (const Clocked *c : sys.components()) {
-            names.push_back(c->name());
-        }
-        sysTracer_ = std::make_unique<telemetry::SystemTracer>(
-            std::move(names), statsPrefix_ + ".");
-        sysTracer_->addCounter("markQueue.depth", [this] {
-            return double(markQueue_->depth());
-        });
-        sysTracer_->addCounter("traceQueue.depth", [this] {
-            return double(traceQueue_->size());
-        });
-        sysTracer_->addRateCounter("bus.utilization", [this] {
-            return double(soc_.bus().busBusyCycles());
-        });
-        if (mem::Dram *dram = soc_.dram()) {
-            sysTracer_->addRateCounter("dram.bytesPerCycle", [dram] {
-                return double(dram->bytesRead().value() +
-                              dram->bytesWritten().value());
-            });
-        }
-        if (sharedCache_) {
-            sysTracer_->addCounter("unitcache.mshrs", [this] {
-                return double(sharedCache_->mshrsInUse());
-            });
-        }
-        if (ptwCache_) {
-            sysTracer_->addCounter("ptwcache.mshrs", [this] {
-                return double(ptwCache_->mshrsInUse());
-            });
-        }
-    }
-
-    // The System holds one observer pointer; with both sinks active
-    // the profiler observes first and forwards to the tracer.
-    if (opts.profile) {
-        profiler_ = std::make_unique<telemetry::CycleProfiler>(
-            sys, statsPrefix_);
-        profiler_->setChain(sysTracer_.get());
-        sys.setObserver(profiler_.get());
-    } else if (sysTracer_) {
-        sys.setObserver(sysTracer_.get());
-    }
-}
-
 HwgcDevice::~HwgcDevice()
 {
-    if (crashHookId_ != 0) {
-        removeCrashHook(crashHookId_);
-    }
-    if (sysTracer_) {
-        sysTracer_->flush(system().now());
-    }
-    if (sysTracer_ || profiler_) {
-        system().setObserver(nullptr);
-    }
+    soc_.detachObservers();
 }
 
 void
@@ -324,32 +234,10 @@ HwgcDevice::configure(const runtime::Heap &heap)
     ptw_->setPageTable(heap.pageTable());
     markQueue_->setSpillRegion(regs_.spillBase, regs_.spillBytes);
 
-    if (!ownedSoc_) {
-        // Checkpoint arming and the watchdog act on the whole shared
-        // SoC; the fleet driver owns both.
-        return;
-    }
-
-    // Driver-level checkpoint wiring (--checkpoint-* / HWGC_CHECKPOINT_*).
-    telemetry::Options &opts = telemetry::options();
-    if (!opts.checkpointOut.empty() && checkpointOut_.empty()) {
-        armCheckpoint(opts.checkpointOut, opts.checkpointAt);
-    }
-    if (!opts.checkpointIn.empty()) {
-        // One image resumes one run: restoring consumes the option, so
-        // the next pause's configure() continues the restored run
-        // instead of loading the image again.
-        restoreCheckpoint(std::exchange(opts.checkpointIn, ""));
-    }
-
-    // Progress watchdog (--watchdog-secs= / HWGC_WATCHDOG_SECS): a
-    // wedged run dumps its live bottleneck report and stats to stderr
-    // before aborting; the panic also fires any armed crash hook, so
-    // the "<path>.crash.<pid>" post-mortem path is shared with real
-    // panics.
-    if (opts.watchdogSecs > 0.0) {
-        system().setWatchdog(opts.watchdogSecs,
-                             [this] { writeWatchdogReport(); });
+    if (ownedSoc_) {
+        // A standalone run resumes at its first configure()
+        // (--checkpoint-in=); a shared SoC's owner resumes it.
+        ownedSoc_->resume();
     }
 }
 
@@ -358,24 +246,14 @@ HwgcDevice::runUntil(const char *phase)
 {
     const Tick start = system().now();
     for (;;) {
-        // An armed --checkpoint-at= pauses the kernel at that exact
+        // A due --checkpoint-at= image pauses the kernel at that exact
         // inter-cycle boundary, mid-phase; the split run is
         // bit-identical to an uninterrupted one (see
         // System::runUntilIdleStop).
-        Tick stop = maxTick;
-        if (!checkpointOut_.empty() && checkpointAt_ != 0 &&
-            !checkpointAtDone_) {
-            stop = checkpointAt_;
-        }
         const System::StopReason reason =
-            system().runUntilIdleStop(stop);
+            system().runUntilIdleStop(soc_.checkpointDue());
         if (reason == System::StopReason::Stopped) {
-            checkpointAtDone_ = true;
-            if (writeCheckpoint(checkpointOut_)) {
-                inform("checkpoint: wrote '%s' at cycle %llu",
-                       checkpointOut_.c_str(),
-                       (unsigned long long)system().now());
-            }
+            soc_.writeDueCheckpoint();
             continue;
         }
         panic_if(reason == System::StopReason::Budget,
@@ -438,13 +316,14 @@ HwgcDevice::runMark()
             statsPrefix_.c_str(), resuming ? "resume" : "start",
             (unsigned long long)regs_.rootCount);
     startMark();
-    if (profiler_) {
-        profiler_->beginPhase("mark");
+    telemetry::CycleProfiler *profiler = soc_.profiler();
+    if (profiler) {
+        profiler->beginPhase("mark");
     }
 
     const Tick cycles = runUntil("mark");
-    if (profiler_) {
-        profiler_->endPhase();
+    if (profiler) {
+        profiler->endPhase();
     }
     HwPhaseResult result = finishMark();
     result.cycles = cycles;
@@ -453,9 +332,7 @@ HwgcDevice::runMark()
     DPRINTF(end, "Device", "%s: mark phase done, %llu marked",
             statsPrefix_.c_str(),
             (unsigned long long)result.objectsMarked);
-    if (sysTracer_) {
-        sysTracer_->flush(end);
-    }
+    soc_.flushTrace();
     telemetry::TraceWriter &tw = telemetry::TraceWriter::global();
     if (tw.enabled()) {
         const Tick roots_done = rootReader_->doneAt();
@@ -463,7 +340,7 @@ HwgcDevice::runMark()
                         roots_done != 0 ? roots_done : end);
         tw.completeSpan(statsPrefix_, "mark", start, end);
     }
-    writePhaseCheckpoint();
+    soc_.writeSettledCheckpoint();
     return result;
 }
 
@@ -502,13 +379,14 @@ HwgcDevice::runSweep()
             statsPrefix_.c_str(), resuming ? "resume" : "start",
             (unsigned long long)regs_.blockCount);
     startSweep();
-    if (profiler_) {
-        profiler_->beginPhase("sweep");
+    telemetry::CycleProfiler *profiler = soc_.profiler();
+    if (profiler) {
+        profiler->beginPhase("sweep");
     }
 
     const Tick cycles = runUntil("sweep");
-    if (profiler_) {
-        profiler_->endPhase();
+    if (profiler) {
+        profiler->endPhase();
     }
     HwPhaseResult result = finishSweep();
     result.cycles = cycles;
@@ -517,14 +395,12 @@ HwgcDevice::runSweep()
     DPRINTF(end, "Device", "%s: sweep phase done, %llu freed",
             statsPrefix_.c_str(),
             (unsigned long long)result.cellsFreed);
-    if (sysTracer_) {
-        sysTracer_->flush(end);
-    }
+    soc_.flushTrace();
     telemetry::TraceWriter &tw = telemetry::TraceWriter::global();
     if (tw.enabled()) {
         tw.completeSpan(statsPrefix_, "sweep", start, end);
     }
-    writePhaseCheckpoint();
+    soc_.writeSettledCheckpoint();
     return result;
 }
 
@@ -563,112 +439,6 @@ HwgcDevice::resetStats()
         c->resetStats();
     }
     traceQueue_->resetStats();
-}
-
-bool
-HwgcDevice::writeCheckpoint(const std::string &path)
-{
-    panic_if(!ownedSoc_, "a shared SoC is checkpointed by its owner");
-    return checkpoint::save(
-        path, [this](checkpoint::Archive &ar) { soc_.serialize(ar); });
-}
-
-void
-HwgcDevice::restoreCheckpoint(const std::string &path)
-{
-    panic_if(!ownedSoc_, "a shared SoC is checkpointed by its owner");
-    checkpoint::load(
-        path, [this](checkpoint::Archive &ar) { soc_.serialize(ar); });
-    DPRINTF(system().now(), "Device",
-            "%s: restored checkpoint '%s' at cycle %llu (status %llu)",
-            statsPrefix_.c_str(), path.c_str(),
-            (unsigned long long)system().now(),
-            (unsigned long long)regs_.status);
-}
-
-void
-HwgcDevice::armCheckpoint(const std::string &path, Tick at)
-{
-    checkpointOut_ = path;
-    checkpointAt_ = at;
-    checkpointAtDone_ = false;
-    if (checkpointOut_.empty()) {
-        if (crashHookId_ != 0) {
-            removeCrashHook(crashHookId_);
-            crashHookId_ = 0;
-        }
-        return;
-    }
-    // One registry slot per armed device: a fleet arms several
-    // sessions and a panic must dump every one of them, not just the
-    // most recently armed (the old single-slot hook's failure mode).
-    if (crashHookId_ == 0) {
-        crashHookId_ = addCrashHook(&HwgcDevice::crashHook, this);
-    }
-}
-
-void
-HwgcDevice::writePhaseCheckpoint()
-{
-    // The after-every-pause mode (--checkpoint-out= without
-    // --checkpoint-at=): the file always holds the latest post-phase
-    // state, so a crashed or aborted multi-pause run can resume from
-    // its last completed pause.
-    if (checkpointOut_.empty() || checkpointAt_ != 0) {
-        return;
-    }
-    writeCheckpoint(checkpointOut_);
-}
-
-void
-HwgcDevice::crashHook(void *ctx)
-{
-    static_cast<HwgcDevice *>(ctx)->writeCrashDump();
-}
-
-void
-HwgcDevice::writeCrashDump()
-{
-    // Artifact names carry the pid so parallel fuzz/farm workers (and
-    // concurrent --watchdog-secs panics) never clobber each other.
-    const std::string base =
-        checkpoint::crashArtifactBase(checkpointOut_);
-    // The stats dump first: it only reads counters, so it succeeds
-    // even when the failure struck mid-tick.
-    telemetry::RunMetadata meta;
-    meta.binary = "crash-dump";
-    meta.config = soc_.configSignature();
-    meta.simCycles = system().now();
-    telemetry::StatsRegistry::global().exportJsonFile(
-        base + ".stats.json", meta);
-    inform("crash dump: wrote '%s.stats.json'", base.c_str());
-    // Best-effort architectural snapshot. A mid-tick failure can make
-    // component state unserializable (the save() invariants fire); the
-    // hook is cleared before it runs, so that second failure cannot
-    // recurse — the original diagnostic is already on stderr.
-    if (writeCheckpoint(base)) {
-        inform("crash dump: wrote '%s'", base.c_str());
-    }
-}
-
-void
-HwgcDevice::writeWatchdogReport()
-{
-    std::fprintf(stderr,
-                 "watchdog: %s made no progress (cycle %llu); live "
-                 "state follows\n",
-                 statsPrefix_.c_str(),
-                 (unsigned long long)system().now());
-    if (profiler_) {
-        profiler_->report(stderr);
-    }
-    telemetry::RunMetadata meta;
-    meta.binary = "watchdog-dump";
-    meta.config = soc_.configSignature();
-    meta.simCycles = system().now();
-    std::ostringstream os;
-    telemetry::StatsRegistry::global().exportJson(os, meta);
-    std::fputs(os.str().c_str(), stderr);
 }
 
 } // namespace hwgc::core

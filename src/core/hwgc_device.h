@@ -28,7 +28,6 @@
 #include "mem/timed_cache.h"
 #include "runtime/heap.h"
 #include "sim/checkpoint.h"
-#include "sim/profiler.h"
 #include "sim/telemetry.h"
 
 namespace hwgc::core
@@ -146,41 +145,13 @@ class HwgcDevice
     void resetStats();
 
     /**
-     * @name Checkpointing (DESIGN.md §9)
-     *
-     * A checkpoint captures the complete architectural state of the
-     * device and its memory side at an inter-cycle boundary: its
-     * SoC's part (Soc::serialize()). Restoring into an identically
-     * configured device resumes the run bit-identically — same final
-     * cycle count, same statistics — under either kernel (the kernel
-     * mode is a host knob, not state). Standalone devices only: a
-     * shared Soc is checkpointed by its owner (FleetLab), and a fleet
-     * device panics.
-     * @{
+     * The SoC this device sits behind, which owns the run:
+     * checkpoints, the crash dump, the watchdog and the observers
+     * (DESIGN.md §9, §10). A standalone device's configure() resumes
+     * it (--checkpoint-in=); runMark()/runSweep() write its armed
+     * images at the exact --checkpoint-at= cycle and after each phase.
      */
-
-    /** Saves a checkpoint to @p path; returns false (warn) on I/O
-     *  error. */
-    bool writeCheckpoint(const std::string &path);
-
-    /** Restores the checkpoint at @p path; an unreadable, corrupt or
-     *  differently configured image is fatal. */
-    void restoreCheckpoint(const std::string &path);
-
-    /**
-     * Arms checkpoint output: the device writes @p path after every
-     * completed GC phase, or — when @p at is nonzero — once, at the
-     * first inter-cycle boundary at or after device cycle @p at (even
-     * mid-phase). Arming also installs a crash hook that dumps
-     * "<path>.crash.<pid>" plus "<path>.crash.<pid>.stats.json" on
-     * any panic()/fatal() for post-mortem inspection
-     * (examples/heap_inspector); the pid suffix keeps artifacts from
-     * parallel fuzz/farm workers collision-free.
-     * configure() arms automatically from --checkpoint-out= /
-     * HWGC_CHECKPOINT_OUT; an empty @p path disarms.
-     */
-    void armCheckpoint(const std::string &path, Tick at = 0);
-    /** @} */
+    Soc &soc() { return soc_; }
 
     /** @name Component access for benches and tests @{ */
     Marker &marker() { return *marker_; }
@@ -190,10 +161,10 @@ class HwgcDevice
     RootReader &rootReader() { return *rootReader_; }
     ReclamationUnit &reclamation() { return *reclamation_; }
     mem::Interconnect &bus() { return soc_.bus(); }
-    mem::MemDevice &memory() { return soc_.memory(); }
     mem::Ptw &ptw() { return *ptw_; }
     mem::Dram *dram() { return soc_.dram(); }
     mem::TimedCache *sharedCache() { return sharedCache_.get(); }
+    mem::TimedCache *ptwCache() { return ptwCache_.get(); }
     const HwgcConfig &config() const { return config_; }
     System &system() { return soc_.system(); }
     /** @} */
@@ -212,17 +183,16 @@ class HwgcDevice
     const std::string &namePrefix() const { return namePrefix_; }
 
     /**
-     * The cycle-accounting profiler, or nullptr unless
-     * telemetry::options().profile was set before a standalone
-     * device was constructed (--profile / HWGC_PROFILE). Fleet
-     * devices attach no observers. See DESIGN.md §10.
+     * Its SoC's cycle-accounting profiler, or nullptr unless
+     * telemetry::options().profile was set before the SoC was sealed
+     * (--profile / HWGC_PROFILE). See DESIGN.md §10.
      */
-    telemetry::CycleProfiler *profiler() { return profiler_.get(); }
+    telemetry::CycleProfiler *profiler() { return soc_.profiler(); }
 
   private:
     /** Steps the system until the given phase-done predicate holds
-     *  and the memory side has drained, pausing at an armed
-     *  --checkpoint-at= boundary to write the checkpoint. */
+     *  and the memory side has drained, pausing at the SoC's due
+     *  --checkpoint-at= cycle to write the image. */
     Tick runUntil(const char *phase);
 
     /** Joins soc_: builds and registers the units and their stats
@@ -231,19 +201,6 @@ class HwgcDevice
 
     /** True when the units and the device-side caches are idle. */
     bool unitsDrained() const;
-
-    /** Attaches the tracer and profiler observers (standalone). */
-    void attachObservers();
-
-    /** Writes the armed checkpoint after a completed phase. */
-    void writePhaseCheckpoint();
-
-    /** The panic()/fatal() hook target (see armCheckpoint()). */
-    static void crashHook(void *ctx);
-    void writeCrashDump();
-
-    /** Watchdog reporter: live bottleneck report + stats to stderr. */
-    void writeWatchdogReport();
 
     HwgcConfig config_;
     /** The private SoC of a standalone device; null in a fleet. */
@@ -274,15 +231,6 @@ class HwgcDevice
 
     std::string statsPrefix_;
     telemetry::StatsGroups stats_;
-    std::unique_ptr<telemetry::SystemTracer> sysTracer_;
-    std::unique_ptr<telemetry::CycleProfiler> profiler_;
-
-    /** @name Armed checkpoint output (see armCheckpoint()) @{ */
-    std::string checkpointOut_;
-    Tick checkpointAt_ = 0;
-    bool checkpointAtDone_ = false;
-    unsigned crashHookId_ = 0; //!< addCrashHook() id (0 = not armed).
-    /** @} */
 };
 
 } // namespace hwgc::core

@@ -1,7 +1,7 @@
 /**
  * @file
- * SoC assembly, shared by a standalone device, a fleet and the fuzz
- * differ's device arrays.
+ * SoC assembly and run ownership, shared by a standalone device, a
+ * fleet and the fuzz differ's device arrays.
  */
 
 #include "soc.h"
@@ -60,6 +60,18 @@ Soc::Soc(mem::PhysMem &mem, const HwgcConfig &config, Scope scope)
         telemetry::options().kernel.value_or(KernelMode::Event)));
     statsPrefix_ = telemetry::StatsRegistry::global().uniquePrefix(
         scope_ == Scope::Device ? "system.hwgc" : "system.fleet");
+    crashHookId_ = addCrashHook(&Soc::crashHook, this);
+}
+
+Soc::~Soc()
+{
+    removeCrashHook(crashHookId_);
+    if (checkpointDue() != maxTick) {
+        warn("checkpoint: the run ended at cycle %llu, before "
+             "--checkpoint-at=%llu; '%s' not written",
+             (unsigned long long)system_.now(),
+             (unsigned long long)checkpointAt_, checkpointOut_.c_str());
+    }
 }
 
 Soc::Slot
@@ -78,10 +90,11 @@ Soc::join(HwgcDevice &device)
 }
 
 void
-Soc::seal()
+Soc::seal(std::function<void(checkpoint::Archive &)> owner_chunks)
 {
     panic_if(sealed_, "SoC sealed twice");
     sealed_ = true;
+    ownerChunks_ = std::move(owner_chunks);
     // Memory devices last, so same-cycle requests are seen next cycle.
     system_.add(bus_.get());
     system_.add(memory_.get());
@@ -103,6 +116,93 @@ Soc::seal()
     }
     stats_.add(statsPrefix_ + ".bus", bus_->stats());
     stats_.add(statsPrefix_ + ".memory", memory_->stats());
+
+    // The run options (--checkpoint-* / --watchdog-secs= / --profile /
+    // --stats-interval= and the trace sink, or their HWGC_* variables).
+    const telemetry::Options &opts = telemetry::options();
+    armCheckpoint(opts.checkpointOut, opts.checkpointAt);
+    if (opts.watchdogSecs > 0.0) {
+        // A wedged run dumps its live report before the panic, which
+        // also fires the crash hook.
+        system_.setWatchdog(opts.watchdogSecs,
+                            [this] { writeWatchdogReport(); });
+    }
+    attachObservers(opts);
+}
+
+void
+Soc::attachObservers(const telemetry::Options &opts)
+{
+    // Attach kernel observers only when a telemetry sink is on, so
+    // the default cost is one null-pointer compare per executed cycle.
+    if (telemetry::TraceWriter::global().enabled() ||
+        opts.statsInterval != 0) {
+        std::vector<std::string> names;
+        for (const Clocked *c : system_.components()) {
+            names.push_back(c->name());
+        }
+        activity_ = std::make_unique<telemetry::SystemTracer>(
+            std::move(names), statsPrefix_ + ".", opts.statsInterval);
+        for (HwgcDevice *d : devices_) {
+            const std::string &p = d->namePrefix();
+            activity_->addCounter(p + "markQueue.depth", [d] {
+                return double(d->markQueue().depth());
+            });
+            activity_->addCounter(p + "traceQueue.depth", [d] {
+                return double(d->traceQueue().size());
+            });
+        }
+        activity_->addRateCounter("bus.utilization", [this] {
+            return double(bus_->busBusyCycles());
+        });
+        if (mem::Dram *dram = dram_) {
+            activity_->addRateCounter("dram.bytesPerCycle", [dram] {
+                return double(dram->bytesRead().value() +
+                              dram->bytesWritten().value());
+            });
+        }
+        for (HwgcDevice *d : devices_) {
+            for (const auto &[label, cache] :
+                 {std::pair{"unitcache.mshrs", d->sharedCache()},
+                  std::pair{"ptwcache.mshrs", d->ptwCache()}}) {
+                if (cache != nullptr) {
+                    activity_->addCounter(
+                        d->namePrefix() + label,
+                        [cache] { return double(cache->mshrsInUse()); });
+                }
+            }
+        }
+    }
+
+    // The System holds one observer pointer; with both sinks active
+    // the profiler observes first and forwards to the tracer.
+    if (opts.profile) {
+        profiler_ = std::make_unique<telemetry::CycleProfiler>(
+            system_, statsPrefix_);
+        profiler_->setChain(activity_.get());
+        system_.setObserver(profiler_.get());
+    } else if (activity_) {
+        system_.setObserver(activity_.get());
+    }
+}
+
+void
+Soc::flushTrace()
+{
+    if (activity_) {
+        activity_->flush(system_.now());
+    }
+}
+
+void
+Soc::detachObservers()
+{
+    flushTrace();
+    activity_.reset();
+    if (profiler_) {
+        profiler_->setChain(nullptr);
+    }
+    system_.setObserver(nullptr);
 }
 
 std::string
@@ -152,6 +252,10 @@ Soc::configSignature() const
 void
 Soc::serialize(checkpoint::Archive &ar)
 {
+    if (ownerChunks_) {
+        ownerChunks_(ar);
+    }
+
     // The configuration fingerprint goes first so a mismatched file
     // fails with "configurations differ" before any state parsing.
     std::string sig = configSignature();
@@ -187,6 +291,128 @@ Soc::serialize(checkpoint::Archive &ar)
     ar.beginChunk("physmem");
     checkpoint::physMem(ar, mem_);
     ar.endChunk();
+}
+
+bool
+Soc::writeCheckpoint(const std::string &path)
+{
+    return checkpoint::save(
+        path, [this](checkpoint::Archive &ar) { serialize(ar); });
+}
+
+void
+Soc::restoreCheckpoint(const std::string &path)
+{
+    checkpoint::load(
+        path, [this](checkpoint::Archive &ar) { serialize(ar); });
+    DPRINTF(system_.now(), "Device",
+            "%s: restored checkpoint '%s' at cycle %llu",
+            statsPrefix_.c_str(), path.c_str(),
+            (unsigned long long)system_.now());
+}
+
+void
+Soc::resume()
+{
+    const std::string in =
+        std::exchange(telemetry::options().checkpointIn, "");
+    if (!in.empty()) {
+        restoreCheckpoint(in);
+    }
+}
+
+void
+Soc::armCheckpoint(const std::string &path, Tick at)
+{
+    checkpointOut_ = path;
+    checkpointAt_ = at;
+    checkpointAtDone_ = false;
+}
+
+Tick
+Soc::checkpointDue() const
+{
+    return !checkpointOut_.empty() && checkpointAt_ != 0 &&
+            !checkpointAtDone_
+        ? checkpointAt_
+        : maxTick;
+}
+
+void
+Soc::writeDueCheckpoint()
+{
+    checkpointAtDone_ = true;
+    if (writeCheckpoint(checkpointOut_)) {
+        inform("checkpoint: wrote '%s' at cycle %llu",
+               checkpointOut_.c_str(), (unsigned long long)system_.now());
+    }
+}
+
+void
+Soc::writeSettledCheckpoint()
+{
+    // The file always holds the latest settled state, so a crashed or
+    // aborted multi-pause run can resume from its last settled point.
+    if (!checkpointOut_.empty() && checkpointAt_ == 0) {
+        writeCheckpoint(checkpointOut_);
+    }
+}
+
+telemetry::RunMetadata
+Soc::liveMetadata(const char *binary) const
+{
+    telemetry::RunMetadata meta;
+    meta.binary = binary;
+    meta.config = configSignature();
+    meta.simCycles = system_.now();
+    return meta;
+}
+
+void
+Soc::crashHook(void *ctx)
+{
+    static_cast<Soc *>(ctx)->writeCrashDump();
+}
+
+void
+Soc::writeCrashDump()
+{
+    if (checkpointOut_.empty()) {
+        return; // Not armed.
+    }
+    // Artifact names carry the pid so parallel workers (and
+    // concurrent --watchdog-secs panics) never clobber each other.
+    const std::string base =
+        checkpoint::crashArtifactBase(checkpointOut_);
+    // The stats dump first: it only reads counters, so it succeeds
+    // even when the failure struck mid-tick.
+    telemetry::StatsRegistry::global().exportJsonFile(
+        base + ".stats.json", liveMetadata("crash-dump"));
+    inform("crash dump: wrote '%s.stats.json'", base.c_str());
+    // Best-effort architectural snapshot. A mid-tick failure can make
+    // component state unserializable (the save() invariants fire); the
+    // hook is cleared before it runs, so that second failure cannot
+    // recurse — the original diagnostic is already on stderr.
+    if (writeCheckpoint(base)) {
+        inform("crash dump: wrote '%s'", base.c_str());
+    }
+}
+
+void
+Soc::writeWatchdogReport()
+{
+    std::fprintf(stderr,
+                 "watchdog: %s made no progress (cycle %llu); live "
+                 "state follows\n",
+                 statsPrefix_.c_str(),
+                 (unsigned long long)system_.now());
+    if (profiler_) {
+        profiler_->report(stderr);
+    }
+    std::ostringstream os;
+    telemetry::StatsRegistry::global().exportJson(
+        os, liveMetadata("watchdog-dump"));
+    std::fputs(os.str().c_str(), stderr);
 }
 
 } // namespace hwgc::core

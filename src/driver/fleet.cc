@@ -86,16 +86,11 @@ FleetLab::FleetLab(const FleetConfig &config,
             bus.setClientGroup(c, d);
         }
     }
-    soc_.seal();
+    soc_.seal([this](checkpoint::Archive &ar) { serialize(ar); });
 
     stats_.resize(tenants_.size());
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
         stats_[t].name = tenants_[t].params.name;
-    }
-
-    const double watchdog = telemetry::options().watchdogSecs;
-    if (watchdog > 0.0) {
-        soc_.system().setWatchdog(watchdog);
     }
 }
 
@@ -343,36 +338,15 @@ FleetLab::runUntilCycle(Tick stop_at)
 void
 FleetLab::run()
 {
-    // Driver-level checkpoint wiring (--checkpoint-* /
-    // HWGC_CHECKPOINT_*). The devices share one SoC, so the fleet
-    // checkpoints the whole of it, at quantum boundaries.
-    telemetry::Options &opts = telemetry::options();
-    if (!opts.checkpointIn.empty()) {
-        // One image resumes one run, as for a standalone device.
-        restoreCheckpoint(std::exchange(opts.checkpointIn, ""));
+    // The SoC writes the images; the fleet picks the quantum boundary
+    // of a due one and its own finish as the settled point.
+    soc_.resume();
+    runUntilCycle(soc_.checkpointDue());
+    if (!done()) {
+        soc_.writeDueCheckpoint();
+        runUntilCycle(maxTick);
     }
-    const std::string out = opts.checkpointOut;
-    const auto write = [this, &out] {
-        if (writeCheckpoint(out)) {
-            inform("checkpoint: wrote '%s' at cycle %llu", out.c_str(),
-                   (unsigned long long)now());
-        }
-    };
-    if (!out.empty() && opts.checkpointAt != 0) {
-        runUntilCycle(opts.checkpointAt);
-        if (!done()) {
-            write();
-        } else {
-            warn("checkpoint: the fleet finished at cycle %llu, before "
-                 "--checkpoint-at=%llu; '%s' not written",
-                 (unsigned long long)now(),
-                 (unsigned long long)opts.checkpointAt, out.c_str());
-        }
-    }
-    runUntilCycle(maxTick);
-    if (!out.empty() && opts.checkpointAt == 0) {
-        write();
-    }
+    soc_.writeSettledCheckpoint();
 }
 
 const std::vector<TenantStats> &
@@ -480,22 +454,6 @@ FleetLab::serialize(checkpoint::Archive &ar)
             }
         }
     }
-
-    soc_.serialize(ar);
-}
-
-bool
-FleetLab::writeCheckpoint(const std::string &path)
-{
-    return checkpoint::save(
-        path, [this](checkpoint::Archive &ar) { serialize(ar); });
-}
-
-void
-FleetLab::restoreCheckpoint(const std::string &path)
-{
-    checkpoint::load(
-        path, [this](checkpoint::Archive &ar) { serialize(ar); });
 }
 
 } // namespace hwgc::driver

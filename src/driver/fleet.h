@@ -122,12 +122,11 @@ class FleetLab
              const std::vector<TenantParams> &tenants);
 
     /**
-     * Services the fleet until every tenant completed its GCs,
-     * honouring the checkpoint options: --checkpoint-in= restores
-     * its image first (once per process); --checkpoint-out= with
-     * --checkpoint-at= writes the image at the first quantum boundary
-     * at or after that cycle and runs on, and --checkpoint-out= alone
-     * writes it at the end.
+     * Services the fleet until every tenant completed its GCs. Its
+     * SoC resumes first (--checkpoint-in=, once per process); an
+     * armed --checkpoint-at= image is written at the first quantum
+     * boundary at or after that cycle and the run goes on, and an
+     * image armed without a cycle is written when the fleet finishes.
      */
     void run();
 
@@ -152,6 +151,9 @@ class FleetLab
     const std::vector<TenantStats> &stats() const { return stats_; }
 
     /** @name Component access @{ */
+    /** The shared SoC, which owns the run: checkpoints, the crash
+     *  dump, the watchdog and the observers (DESIGN.md §12). */
+    core::Soc &soc() { return soc_; }
     System &system() { return soc_.system(); }
     Tick now() const { return soc_.system().now(); }
     unsigned numDevices() const { return unsigned(devices_.size()); }
@@ -159,25 +161,8 @@ class FleetLab
     core::HwgcDevice &device(unsigned i) { return *devices_[i].device; }
     runtime::Heap &heap(unsigned t) { return *tenants_[t].heap; }
     mem::Interconnect &bus() { return soc_.bus(); }
-    mem::MemDevice &memory() { return soc_.memory(); }
     const GcScheduler &scheduler() const { return *scheduler_; }
     std::uint64_t totalGcs() const;
-    /** @} */
-
-    /**
-     * @name Checkpointing (DESIGN.md §12)
-     *
-     * Captures the whole fleet at an inter-cycle boundary: driver
-     * state (trigger schedule, pending queue, per-device assignment,
-     * pause windows), every tenant's runtime heap view and builder,
-     * then the shared SoC's part (Soc::serialize()). Restore into an
-     * identically configured FleetLab resumes bit-identically under
-     * any kernel. Only legal between runUntilCycle() slices.
-     * @{
-     */
-    void serialize(checkpoint::Archive &ar);
-    bool writeCheckpoint(const std::string &path);
-    void restoreCheckpoint(const std::string &path);
     /** @} */
 
     /** The `fleetcfg` fingerprint: fleet shape and tenant fields. */
@@ -185,6 +170,17 @@ class FleetLab
 
   private:
     static constexpr unsigned noTenant = ~0u;
+
+    /**
+     * The fleet's own chunks, which its SoC archives in front of the
+     * SoC part of every image (DESIGN.md §12): `fleetcfg`, the driver
+     * state (trigger schedule, pending queue, per-device assignment,
+     * pause windows), and every tenant's runtime heap view and
+     * builder. A restore into an identically configured FleetLab
+     * resumes bit-identically under any kernel. Images are taken
+     * between runUntilCycle() slices only.
+     */
+    void serialize(checkpoint::Archive &ar);
 
     /** Per-tenant runtime state. */
     struct Tenant

@@ -135,17 +135,8 @@ class HwUniverse
         return true;
     }
 
-    /**
-     * The device to crash-checkpoint on divergence, or nullptr for
-     * fleet shapes: fleet-mode devices are checkpointed by their
-     * driver, not per device, so the artifact writer skips the
-     * architectural snapshot there (the schedule + repro line still
-     * reproduce the universe exactly).
-     */
-    core::HwgcDevice *checkpointDevice()
-    {
-        return device_.get();
-    }
+    /** The SoC to crash-checkpoint on divergence, in either shape. */
+    core::Soc &soc() { return device_ ? device_->soc() : *soc_; }
 
   private:
     /**
@@ -345,8 +336,7 @@ runSchedule(const Schedule &schedule, const FuzzOptions &options)
 
     const auto fail = [&](const std::string &config,
                           const std::string &kernel, int op,
-                          const std::string &what,
-                          core::HwgcDevice *device) {
+                          const std::string &what, core::Soc *soc) {
         result.ok = false;
         result.configName = config;
         result.kernelName = kernel;
@@ -364,10 +354,10 @@ runSchedule(const Schedule &schedule, const FuzzOptions &options)
             options.artifactDir.empty() ? "." : options.artifactDir;
         result.schedulePath = dir + "/fuzz-" + seed_tag + ".sched";
         saveFile(result.schedulePath, schedule);
-        if (device != nullptr) {
+        if (soc != nullptr) {
             result.crashPath = checkpoint::crashArtifactBase(
                 dir + "/fuzz-" + seed_tag + ".ckpt");
-            device->writeCheckpoint(result.crashPath);
+            soc->writeCheckpoint(result.crashPath);
         }
         std::string spec;
         for (const ConfigPoint &point : grid) {
@@ -440,7 +430,7 @@ runSchedule(const Schedule &schedule, const FuzzOptions &options)
                 const bool inject = inject_here && collect_idx == 0;
                 if (!universe.collect(inject, digest, error)) {
                     return fail(point.name, kc.name, int(i), error,
-                                universe.checkpointDevice());
+                                &universe.soc());
                 }
 
                 // (b) HW vs the software-collector witness.
@@ -456,7 +446,7 @@ runSchedule(const Schedule &schedule, const FuzzOptions &options)
                        << sw.freedObjects << ", live " << digest.liveAfter
                        << "/sw " << sw.liveAfter;
                     return fail(point.name, kc.name, int(i), os.str(),
-                                universe.checkpointDevice());
+                                &universe.soc());
                 }
 
                 // (a) bit-identical across kernels within the config...
@@ -465,7 +455,7 @@ runSchedule(const Schedule &schedule, const FuzzOptions &options)
                 } else if (!compareKernelDigest(kernel_ref[collect_idx],
                                                 digest, error)) {
                     return fail(point.name, kc.name, int(i), error,
-                                universe.checkpointDevice());
+                                &universe.soc());
                 }
 
                 // ...and functionally identical across configs.
@@ -474,7 +464,7 @@ runSchedule(const Schedule &schedule, const FuzzOptions &options)
                 } else if (!compareFunctional(func_ref[collect_idx],
                                               digest, error)) {
                     return fail(point.name, kc.name, int(i), error,
-                                universe.checkpointDevice());
+                                &universe.soc());
                 }
 
                 ++collect_idx;

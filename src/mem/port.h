@@ -6,8 +6,8 @@
  * A unit sends requests through a MemPort without knowing whether the
  * port leads directly to the system interconnect (the partitioned
  * design of Fig 18b) or into a shared cache (the initial design of
- * Fig 18a). Responses come back through the MemResponder the port was
- * constructed with.
+ * Fig 18a). Responses come back through the MemResponder the port is
+ * bound to.
  */
 
 #ifndef HWGC_MEM_PORT_H
@@ -30,6 +30,14 @@ class MemPort
 
     /** Sends a request; caller must have checked canSend. */
     virtual void send(MemRequest req, Tick now) = 0;
+
+    /**
+     * Binds the port's far side to its unit: @p responder receives
+     * the responses, and @p owner (nullptr for none) — the component
+     * whose nextWakeup() polls canSend() — is poked when the port
+     * frees a slot, the only event that raises canSend().
+     */
+    virtual void bind(MemResponder *responder, const Clocked *owner) = 0;
 };
 
 /** A port wired directly to an Interconnect client slot. */
@@ -58,6 +66,13 @@ class BusPort : public MemPort
     {
         req.client = client_;
         bus_.sendRequest(req, now);
+    }
+
+    void
+    bind(MemResponder *responder, const Clocked *owner) override
+    {
+        bus_.setClientResponder(client_, responder);
+        bus_.setClientOwner(client_, owner);
     }
 
     /** The interconnect client id (for per-client stats lookups). */

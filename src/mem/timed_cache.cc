@@ -43,6 +43,13 @@ struct TimedCache::UpstreamPort : public MemPort
         ++requests;
     }
 
+    void
+    bind(MemResponder *responder, const Clocked *owner) override
+    {
+        responder_ = responder;
+        wakeOwner_ = owner;
+    }
+
     TimedCache &owner_;
     unsigned index_;
     MemResponder *responder_;
@@ -73,30 +80,6 @@ TimedCache::addPort(MemResponder *responder, std::string label)
     ports_.push_back(std::make_unique<UpstreamPort>(
         *this, unsigned(ports_.size()), responder, std::move(label)));
     return ports_.back().get();
-}
-
-void
-TimedCache::setPortResponder(MemPort *port, MemResponder *responder)
-{
-    for (auto &p : ports_) {
-        if (p.get() == port) {
-            p->responder_ = responder;
-            return;
-        }
-    }
-    panic("setPortResponder: unknown port");
-}
-
-void
-TimedCache::setPortOwner(MemPort *port, const Clocked *owner)
-{
-    for (auto &p : ports_) {
-        if (p.get() == port) {
-            p->wakeOwner_ = owner;
-            return;
-        }
-    }
-    panic("setPortOwner: unknown port");
 }
 
 void

@@ -55,20 +55,11 @@ class TimedCache : public Clocked, public MemResponder
     /**
      * Adds an upstream port. The returned port is owned by the cache,
      * and its request count is the cache statistic
-     * "requests::<label>".
+     * "requests::<label>"; MemPort::bind() rewires it (the lookup
+     * stage's pop is what frees a slot).
      * @param responder Receiver of completions (nullptr to discard).
      */
     MemPort *addPort(MemResponder *responder, std::string label);
-
-    /** Rewires an upstream port's responder. */
-    void setPortResponder(MemPort *port, MemResponder *responder);
-
-    /**
-     * Registers the component whose nextWakeup() polls this port's
-     * canSend(); its cached wakeup is poked when the lookup stage
-     * pops the port's queue (the only event that raises canSend).
-     */
-    void setPortOwner(MemPort *port, const Clocked *owner);
 
     // MemResponder interface (fill responses from downstream).
     void onResponse(const MemResponse &resp, Tick now) override;

@@ -275,6 +275,24 @@ class Deserializer
         std::uint64_t size = 0;
     };
 
+    /** Passes over the next chunk unread (a reader's way past the
+     *  chunks it does not decode); returns its directory entry. */
+    ChunkInfo
+    skipChunk()
+    {
+        fatal_if(chunkEnd_ != npos,
+                 "checkpoint '%s': skipChunk() inside chunk",
+                 origin_.c_str());
+        ChunkInfo info;
+        info.name = chunkName();
+        info.size = rawU64();
+        fatal_if(info.size > buf_.size() - pos_,
+                 "checkpoint '%s': chunk '%s' truncated", origin_.c_str(),
+                 info.name.c_str());
+        pos_ += info.size;
+        return info;
+    }
+
     /** Lists every chunk in @p path without restoring anything. */
     static std::vector<ChunkInfo>
     listChunks(const std::string &path)
@@ -282,14 +300,7 @@ class Deserializer
         Deserializer des = fromFile(path);
         std::vector<ChunkInfo> chunks;
         while (!des.atEnd()) {
-            ChunkInfo info;
-            info.name = des.chunkName();
-            info.size = des.rawU64();
-            fatal_if(info.size > des.buf_.size() - des.pos_,
-                     "checkpoint '%s': chunk '%s' truncated",
-                     path.c_str(), info.name.c_str());
-            des.pos_ += info.size;
-            chunks.push_back(std::move(info));
+            chunks.push_back(des.skipChunk());
         }
         return chunks;
     }
@@ -764,19 +775,15 @@ physMem(Archive &ar, PhysMemT &mem)
 }
 
 /**
- * Collision-safe crash-artifact base: "<out>.crash.<pid>[.<tag>]".
- * Parallel fuzz/farm workers and --watchdog-secs panics all dump
- * through this path, so artifacts from concurrent processes (and a
- * caller-supplied tag such as the fuzz seed) never clobber each other.
+ * Collision-safe crash-artifact base: "<out>.crash.<pid>". Parallel
+ * fuzz/farm workers and --watchdog-secs panics all dump through this
+ * path, so artifacts from concurrent processes never clobber each
+ * other.
  */
 inline std::string
-crashArtifactBase(const std::string &out, const std::string &tag = "")
+crashArtifactBase(const std::string &out)
 {
-    std::string base = out + ".crash." + std::to_string(::getpid());
-    if (!tag.empty()) {
-        base += "." + tag;
-    }
-    return base;
+    return out + ".crash." + std::to_string(::getpid());
 }
 
 } // namespace hwgc::checkpoint

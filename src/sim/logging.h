@@ -36,7 +36,7 @@ namespace hwgc
  * before the process terminates, on any panic() or fatal(). Used by
  * the checkpoint layer to write an automatic crash dump for
  * post-mortem inspection. Any number of hooks may be registered (one
- * per armed device in a fleet); all of them run, most recent first.
+ * per live core::Soc); all of them run, most recent first.
  * Each hook is removed from the registry before it is invoked, so a
  * failure *inside* a hook cannot recurse into it — the remaining
  * hooks still run for their own sessions.

@@ -591,17 +591,15 @@ TraceWriter::instant(const std::string &track, const std::string &name,
 // ---------------------------------------------------------------------
 
 SystemTracer::SystemTracer(std::vector<std::string> component_names,
-                           std::string track_prefix)
+                           std::string track_prefix, Tick stats_interval)
     : names_(std::move(component_names)), prefix_(std::move(track_prefix)),
-      spans_(names_.size())
+      spans_(names_.size()),
+      // Counter tracks default to 1k-cycle sampling when no interval
+      // was requested; snapshots stay off unless explicitly enabled.
+      counterInterval_(stats_interval != 0 ? stats_interval : 1000),
+      nextSample_(counterInterval_), snapshotInterval_(stats_interval),
+      nextSnapshot_(stats_interval)
 {
-    snapshotInterval_ = options().statsInterval;
-    // Counter tracks default to 1k-cycle sampling when no interval was
-    // requested; snapshots stay off unless explicitly enabled.
-    counterInterval_ =
-        snapshotInterval_ != 0 ? snapshotInterval_ : 1000;
-    nextSample_ = counterInterval_;
-    nextSnapshot_ = snapshotInterval_;
 }
 
 void

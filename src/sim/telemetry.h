@@ -77,16 +77,17 @@ struct Options
     /** @name Checkpointing (see sim/checkpoint.h, DESIGN.md §9) @{ */
 
     /**
-     * Checkpoint to restore ("" off). The first configure() of a
-     * standalone device restores it and clears this field, so the
-     * image is loaded once per process and later pauses continue
-     * the restored run.
+     * Checkpoint to restore ("" off). The first core::Soc whose owner
+     * resumes (a standalone device's first configure(), a fleet's
+     * run()) restores it and clears this field, so the image is
+     * loaded once per process and later pauses continue the restored
+     * run.
      */
     std::string checkpointIn;
 
     /**
      * Checkpoint file to write ("" off). Arming this also installs a
-     * crash hook: on panic()/fatal() the device writes
+     * crash hook: on panic()/fatal() the SoC writes
      * "<path>.crash.<pid>" plus a "<path>.crash.<pid>.stats.json"
      * registry dump for post-mortem inspection
      * (examples/heap_inspector). The pid suffix keeps concurrent
@@ -95,9 +96,9 @@ struct Options
     std::string checkpointOut;
 
     /**
-     * Device cycle at which to write the checkpoint. 0 means "after
-     * every completed GC pause" (the warmup-reuse mode: the file
-     * always holds the latest post-sweep state).
+     * Cycle at which to write the checkpoint. 0 means "at every
+     * settled point" (a device's phase ends, a fleet's finish: the
+     * file always holds the latest settled state).
      */
     Tick checkpointAt = 0;
     /** @} */
@@ -332,8 +333,8 @@ class TraceWriter
  *    (gaps up to mergeGap cycles are coalesced to bound event count);
  *  - counter tracks: registered samplers evaluated every
  *    counterInterval executed cycles and at fast-forward boundaries;
- *  - registry snapshots: StatsRegistry::snapshot() paced at
- *    options().statsInterval cycles.
+ *  - registry snapshots: StatsRegistry::snapshot() paced at the
+ *    --stats-interval= period.
  *
  * The tracer only reads state through const accessors; it never calls
  * into components.
@@ -346,9 +347,12 @@ class SystemTracer : public KernelObserver
      *        (index == bit position of the activity mask).
      * @param track_prefix Prepended to every track/counter name so
      *        multiple instrumented systems stay distinguishable.
+     * @param stats_interval Registry snapshot and counter period in
+     *        cycles (--stats-interval=); 0 takes no snapshots and
+     *        samples counters every 1000 cycles.
      */
     SystemTracer(std::vector<std::string> component_names,
-                 std::string track_prefix);
+                 std::string track_prefix, Tick stats_interval);
 
     /** Registers a sampled counter track (absolute value). */
     void addCounter(std::string name, std::function<double()> sample);

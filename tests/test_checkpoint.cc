@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -21,11 +22,13 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/hwgc_device.h"
 #include "driver/fleet.h"
 #include "instance_ids.h"
+#include "options_guard.h"
 #include "sim/checkpoint.h"
 #include "sim/telemetry.h"
 #include "tmp_path.h"
@@ -247,7 +250,7 @@ expectMidPhaseRoundTrip(const HwgcConfig &config,
                 const FinalState run = scopedRun(
                     graph, withKernel(config, save_case.kernel), layout,
                     [&](Rig &writer) {
-                        writer.device->armCheckpoint(path, phase.at);
+                        writer.device->soc().armCheckpoint(path, phase.at);
                     });
                 EXPECT_EQ(ref.now, run.now);
                 EXPECT_EQ(ref.markCycles, run.markCycles);
@@ -261,13 +264,13 @@ expectMidPhaseRoundTrip(const HwgcConfig &config,
                 const FinalState run = scopedRun(
                     graph, withKernel(config, load_case.kernel), layout,
                     [&](Rig &reader) {
-                        reader.device->restoreCheckpoint(path);
+                        reader.device->soc().restoreCheckpoint(path);
                         EXPECT_EQ(reader.device->system().now(), phase.at);
                         EXPECT_EQ(reader.device->regs().status,
                                   phase.status);
                         expectResaveIdentical(
                             path, [&](const std::string &p) {
-                                return reader.device->writeCheckpoint(p);
+                                return reader.device->soc().writeCheckpoint(p);
                             });
                     });
                 EXPECT_EQ(ref.now, run.now);
@@ -375,7 +378,7 @@ saveWhileWalking(Rig &rig, Tick from, unsigned count, const std::string &tag)
         if (rig.device->ptw().busy()) {
             const std::string path =
                 tmpPath(tag + "-" + std::to_string(c) + ".ckpt");
-            EXPECT_TRUE(rig.device->writeCheckpoint(path));
+            EXPECT_TRUE(rig.device->soc().writeCheckpoint(path));
             images.push_back({c, path});
         }
     }
@@ -439,12 +442,12 @@ expectWalkInFlightRoundTrips(const HwgcConfig &config)
         const FinalState run = scopedRun(
             graph, withKernel(config, KernelMode::Event), layout,
             [&](Rig &reader) {
-                reader.device->restoreCheckpoint(image.path);
+                reader.device->soc().restoreCheckpoint(image.path);
                 EXPECT_EQ(reader.device->system().now(), image.at);
                 EXPECT_TRUE(reader.device->ptw().busy());
                 expectResaveIdentical(image.path,
                                       [&](const std::string &p) {
-                    return reader.device->writeCheckpoint(p);
+                    return reader.device->soc().writeCheckpoint(p);
                 });
             });
         EXPECT_EQ(ref.now, run.now);
@@ -495,11 +498,11 @@ TEST(Checkpoint, PhaseCheckpointResumesNextPause)
     {
         telemetry::StatsRegistry::global().clearRetired();
         Rig original(graph, config);
-        original.device->armCheckpoint(path);
+        original.device->soc().armCheckpoint(path);
         const auto pause1 = original.device->collect();
         ASSERT_GT(pause1.cellsFreed, 0u);
         // Freeze the post-pause-1 file before pause 2 overwrites it.
-        original.device->armCheckpoint("");
+        original.device->soc().armCheckpoint("");
         pause1_now = original.device->system().now();
         runSecondPause(original);
         original_now = original.device->system().now();
@@ -508,7 +511,7 @@ TEST(Checkpoint, PhaseCheckpointResumesNextPause)
 
     telemetry::StatsRegistry::global().clearRetired();
     Rig restored(graph, config);
-    restored.device->restoreCheckpoint(path);
+    restored.device->soc().restoreCheckpoint(path);
     EXPECT_EQ(restored.device->system().now(), pause1_now);
     EXPECT_EQ(restored.device->regs().status, core::MmioRegs::Idle);
     runSecondPause(restored);
@@ -544,7 +547,7 @@ TEST(Checkpoint, CheckpointInRestoresOnce)
     {
         telemetry::StatsRegistry::global().clearRetired();
         Rig original(graph, config);
-        original.device->armCheckpoint(path, at);
+        original.device->soc().armCheckpoint(path, at);
         ASSERT_GT(original.device->runMark().cycles, at);
         original.device->runSweep();
         pause1_now = original.device->system().now();
@@ -670,17 +673,17 @@ TEST(Checkpoint, FleetMidServiceRoundTrip)
         ASSERT_FALSE(writer.done()) << "checkpoint after the service "
                                        "horizon tests nothing";
         ckpt_at = writer.now();
-        ASSERT_TRUE(writer.writeCheckpoint(path));
+        ASSERT_TRUE(writer.soc().writeCheckpoint(path));
         writer.run();
         expectSameFleetFinal(ref, fleetFinal(writer));
     }
     {
         telemetry::StatsRegistry::global().clearRetired();
         driver::FleetLab restored(config, tenants);
-        restored.restoreCheckpoint(path);
+        restored.soc().restoreCheckpoint(path);
         EXPECT_EQ(restored.now(), ckpt_at);
         expectResaveIdentical(path, [&](const std::string &p) {
-            return restored.writeCheckpoint(p);
+            return restored.soc().writeCheckpoint(p);
         });
         restored.run();
         expectSameFleetFinal(ref, fleetFinal(restored));
@@ -696,7 +699,7 @@ TEST(Checkpoint, FleetImageLayout)
     const auto tenants = fleetTestTenants();
     const std::string path = tmpPath("fleet-layout.ckpt");
     driver::FleetLab lab(config, tenants);
-    ASSERT_TRUE(lab.writeCheckpoint(path));
+    ASSERT_TRUE(lab.soc().writeCheckpoint(path));
 
     std::vector<std::string> names;
     std::uint64_t driver_bytes = 0;
@@ -728,6 +731,96 @@ TEST(Checkpoint, FleetImageLayout)
 }
 
 // ---------------------------------------------------------------------
+// An armed --checkpoint-at= the run never reaches is reported when the
+// SoC's owner is done with it, whatever the shape.
+// ---------------------------------------------------------------------
+
+/** Runs @p shape with --checkpoint-out= armed at a cycle no run
+ *  reaches: the SoC warns, naming the cycle and the path, and writes
+ *  nothing. */
+template <typename Shape>
+void
+expectUnreachedCheckpointWarns(Shape &&shape)
+{
+    OptionsGuard guard;
+    const std::string path = tmpPath("unreached.ckpt");
+    telemetry::options().checkpointOut = path;
+    telemetry::options().checkpointAt = 99'999'999'999;
+    ::testing::internal::CaptureStderr();
+    shape();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("before --checkpoint-at=99999999999; '" + path +
+                       "' not written"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(Checkpoint, UnreachedCheckpointAtWarnsForADevice)
+{
+    expectUnreachedCheckpointWarns([] {
+        Rig rig(testGraph(3, 64), HwgcConfig{});
+        rig.device->collect();
+    });
+}
+
+TEST(Checkpoint, UnreachedCheckpointAtWarnsForAFleet)
+{
+    expectUnreachedCheckpointWarns([] {
+        driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
+        lab.run();
+    });
+}
+
+TEST(Checkpoint, UnreachedCheckpointAtWarnsForASharedSoc)
+{
+    // The fuzz differ's devices=N shape: joined devices, no driver.
+    expectUnreachedCheckpointWarns([] {
+        mem::PhysMem mem;
+        runtime::Heap heap(mem);
+        core::Soc soc(mem, HwgcConfig{});
+        core::HwgcDevice first(soc, heap.pageTable());
+        core::HwgcDevice second(soc, heap.pageTable());
+        soc.seal();
+    });
+}
+
+TEST(Checkpoint, PostMortemReadsAFleetImage)
+{
+    // heap_inspector --post-mortem passes over the fleet's own chunks
+    // and prints one status line per device from the SoC part.
+    const std::string path = tmpPath("postmortem-fleet.ckpt");
+    driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
+    lab.runUntilCycle(200'000);
+    ASSERT_TRUE(lab.soc().writeCheckpoint(path));
+
+    const std::string command = std::string(HWGC_HEAP_INSPECTOR) +
+        " --post-mortem '" + path + "' 2>&1";
+    std::FILE *pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << command;
+    std::string out;
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
+        out.append(buf, n);
+    }
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+    static const char *const status_names[] = {"Idle", "Marking",
+                                               "Sweeping"};
+    for (unsigned d = 0; d < lab.numDevices(); ++d) {
+        const std::string line = "\nhwgc" + std::to_string(d) +
+            ".mmio: status=" + status_names[lab.device(d).regs().status] +
+            " ";
+        EXPECT_NE(out.find(line), std::string::npos) << out;
+    }
+    EXPECT_NE(out.find("\nkernel: cycle=" + std::to_string(lab.now()) +
+                       " "),
+              std::string::npos)
+        << out;
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
 // File format: the chunk directory is self-describing (the
 // heap_inspector post-mortem view), and every corruption mode is a
 // fatal error naming the file.
@@ -737,7 +830,7 @@ TEST(Checkpoint, ListChunksShowsTopology)
 {
     Rig rig(testGraph(3, 64), HwgcConfig{});
     const std::string path = tmpPath("list.ckpt");
-    ASSERT_TRUE(rig.device->writeCheckpoint(path));
+    ASSERT_TRUE(rig.device->soc().writeCheckpoint(path));
 
     const auto chunks = checkpoint::Deserializer::listChunks(path);
     std::vector<std::string> names;
@@ -764,7 +857,7 @@ spew(const std::string &path, const std::string &data)
 std::string
 validImage(Rig &rig, const std::string &path)
 {
-    EXPECT_TRUE(rig.device->writeCheckpoint(path));
+    EXPECT_TRUE(rig.device->soc().writeCheckpoint(path));
     return slurp(path);
 }
 
@@ -775,7 +868,7 @@ TEST(CheckpointDeathTest, RejectsBadMagic)
     std::string data = validImage(rig, path);
     data[0] ^= 0x5A;
     spew(path, data);
-    EXPECT_EXIT(rig.device->restoreCheckpoint(path),
+    EXPECT_EXIT(rig.device->soc().restoreCheckpoint(path),
                 ::testing::ExitedWithCode(1), "bad magic");
 }
 
@@ -786,7 +879,7 @@ TEST(CheckpointDeathTest, RejectsWrongFormatVersion)
     std::string data = validImage(rig, path);
     data[8] = char(data[8] + 1); // u32 version, little-endian.
     spew(path, data);
-    EXPECT_EXIT(rig.device->restoreCheckpoint(path),
+    EXPECT_EXIT(rig.device->soc().restoreCheckpoint(path),
                 ::testing::ExitedWithCode(1), "format version");
 }
 
@@ -796,7 +889,7 @@ TEST(CheckpointDeathTest, RejectsTruncatedFile)
     const std::string path = tmpPath("truncated.ckpt");
     const std::string data = validImage(rig, path);
     spew(path, data.substr(0, data.size() / 2));
-    EXPECT_EXIT(rig.device->restoreCheckpoint(path),
+    EXPECT_EXIT(rig.device->soc().restoreCheckpoint(path),
                 ::testing::ExitedWithCode(1), "truncated");
 }
 
@@ -806,7 +899,7 @@ TEST(CheckpointDeathTest, RejectsTrailingGarbage)
     const std::string path = tmpPath("trailing.ckpt");
     const std::string data = validImage(rig, path);
     spew(path, data + std::string(16, '\x7f'));
-    EXPECT_EXIT(rig.device->restoreCheckpoint(path),
+    EXPECT_EXIT(rig.device->soc().restoreCheckpoint(path),
                 ::testing::ExitedWithCode(1), "trailing data");
 }
 
@@ -815,13 +908,13 @@ TEST(CheckpointDeathTest, FleetRejectsTrailingGarbage)
     const std::string path = tmpPath("fleet-trailing.ckpt");
     {
         driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
-        ASSERT_TRUE(lab.writeCheckpoint(path));
+        ASSERT_TRUE(lab.soc().writeCheckpoint(path));
     }
     spew(path, slurp(path) + std::string(16, '\x7f'));
     EXPECT_EXIT(
         {
             driver::FleetLab lab(fleetTestConfig(), fleetTestTenants());
-            lab.restoreCheckpoint(path);
+            lab.soc().restoreCheckpoint(path);
         },
         ::testing::ExitedWithCode(1), "trailing data");
 }
@@ -861,7 +954,7 @@ TEST(CheckpointDeathTest, RejectsDifferentConfiguration)
 
         change.apply(config);
         Rig reader(testGraph(5, 64), config);
-        EXPECT_EXIT(reader.device->restoreCheckpoint(path),
+        EXPECT_EXIT(reader.device->soc().restoreCheckpoint(path),
                     ::testing::ExitedWithCode(1),
                     "different device configuration");
     }
@@ -870,7 +963,7 @@ TEST(CheckpointDeathTest, RejectsDifferentConfiguration)
 TEST(CheckpointDeathTest, RejectsMissingFile)
 {
     Rig rig(testGraph(5, 64), HwgcConfig{});
-    EXPECT_EXIT(rig.device->restoreCheckpoint(tmpPath("nope.ckpt")),
+    EXPECT_EXIT(rig.device->soc().restoreCheckpoint(tmpPath("nope.ckpt")),
                 ::testing::ExitedWithCode(1), "cannot open");
 }
 

@@ -4,15 +4,20 @@
  * time-multiplexed across tenant heaps, must be bit-identical across
  * the dense and event kernels, checkpoint/restore mid-service
  * without perturbing the run, honor per-tenant pacing budgets, and
- * dispatch in the order the configured policy defines. Also covers
- * the crash-hook registry the fleet leans on (one hook per session,
- * LIFO, all of them run).
+ * dispatch in the order the configured policy defines. A fleet's SoC
+ * owns the run as a device's does: its watchdog report, crash dump
+ * and observers are covered too, and so is the crash-hook registry
+ * (one hook per SoC, LIFO, all of them run).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,7 +26,9 @@
 #include "driver/fleet.h"
 #include "instance_ids.h"
 #include "options_guard.h"
+#include "sim/checkpoint.h"
 #include "sim/logging.h"
+#include "sim/profiler.h"
 #include "sim/telemetry.h"
 #include "tmp_path.h"
 #include "workload/dacapo.h"
@@ -425,7 +432,7 @@ TEST(FleetCheckpoint, MidServiceRestoreFinishesBitIdentically)
         first.runUntilCycle(600'000); // Rounds up to the quantum grid.
         ASSERT_FALSE(first.done());
         ckpt_at = first.now();
-        ASSERT_TRUE(first.writeCheckpoint(path));
+        ASSERT_TRUE(first.soc().writeCheckpoint(path));
         first.run();
         expectSameSig(ref, measureSig(first));
     }
@@ -433,7 +440,7 @@ TEST(FleetCheckpoint, MidServiceRestoreFinishesBitIdentically)
     // Restore into a fresh fleet and finish from the image.
     telemetry::StatsRegistry::global().clearRetired();
     driver::FleetLab restored(config, tinyTenants(4));
-    restored.restoreCheckpoint(path);
+    restored.soc().restoreCheckpoint(path);
     EXPECT_EQ(restored.now(), ckpt_at);
     restored.run();
     expectSameSig(ref, measureSig(restored));
@@ -453,11 +460,11 @@ TEST(FleetCheckpoint, RestoreCrossesKernels)
 
     driver::FleetLab saver(config, tinyTenants(2));
     saver.runUntilCycle(400'000);
-    ASSERT_TRUE(saver.writeCheckpoint(path));
+    ASSERT_TRUE(saver.soc().writeCheckpoint(path));
 
     config.hwgc.kernel = KernelMode::Dense;
     driver::FleetLab restored(config, tinyTenants(2));
-    restored.restoreCheckpoint(path);
+    restored.soc().restoreCheckpoint(path);
     restored.run();
     EXPECT_EQ(restored.now(), final_cycle);
     std::remove(path.c_str());
@@ -485,7 +492,7 @@ TEST(FleetCheckpoint, OptionsSaveAndResumeMatchAnUninterruptedRun)
     expectSameSig(ref, fleet_run());
     {
         driver::FleetLab probe(config, tinyTenants(4));
-        probe.restoreCheckpoint(path);
+        probe.soc().restoreCheckpoint(path);
         EXPECT_EQ(probe.now(), 600'064u); // 586 quanta of 1024.
         EXPECT_FALSE(probe.done());
     }
@@ -502,7 +509,7 @@ TEST(FleetCheckpoint, OptionsSaveAndResumeMatchAnUninterruptedRun)
     opts.checkpointOut = path;
     fleet_run();
     driver::FleetLab probe(config, tinyTenants(4));
-    probe.restoreCheckpoint(path);
+    probe.soc().restoreCheckpoint(path);
     EXPECT_EQ(probe.now(), ref.finalCycle);
     EXPECT_TRUE(probe.done());
     std::remove(path.c_str());
@@ -526,14 +533,14 @@ TEST(FleetCheckpointDeathTest, RejectsMismatchedConfiguration)
     config.hwgc.kernel = KernelMode::Event;
     driver::FleetLab saver(config, tinyTenants(2));
     saver.runUntilCycle(100'000);
-    ASSERT_TRUE(saver.writeCheckpoint(path));
+    ASSERT_TRUE(saver.soc().writeCheckpoint(path));
 
     auto other = tinyConfig(1); // Different device count.
     other.hwgc.kernel = KernelMode::Event;
     EXPECT_DEATH(
         {
             driver::FleetLab lab(other, tinyTenants(2));
-            lab.restoreCheckpoint(path);
+            lab.soc().restoreCheckpoint(path);
         },
         "different");
     std::remove(path.c_str());
@@ -546,7 +553,7 @@ saveMidService(const std::string &path)
     driver::FleetLab saver(tinyConfig(2), tinyTenants(2));
     saver.runUntilCycle(400'000);
     ASSERT_FALSE(saver.done());
-    ASSERT_TRUE(saver.writeCheckpoint(path));
+    ASSERT_TRUE(saver.soc().writeCheckpoint(path));
 }
 
 TEST(FleetCheckpointDeathTest, RejectsADifferentTenantChurn)
@@ -560,7 +567,7 @@ TEST(FleetCheckpointDeathTest, RejectsADifferentTenantChurn)
     EXPECT_DEATH(
         {
             driver::FleetLab lab(tinyConfig(2), tenants);
-            lab.restoreCheckpoint(path);
+            lab.soc().restoreCheckpoint(path);
         },
         "different configuration");
 }
@@ -574,10 +581,129 @@ TEST(FleetCheckpointDeathTest, RejectsADifferentTenantGraph)
     EXPECT_DEATH(
         {
             driver::FleetLab lab(tinyConfig(2), tenants);
-            lab.restoreCheckpoint(path);
+            lab.soc().restoreCheckpoint(path);
         },
         "builder snapshot '.*fleet_ckpt_graph.hwgc' was taken under "
         "different GraphParams");
+}
+
+TEST(FleetCheckpointDeathTest, WatchdogDumpsTheLiveReportAndACrashImage)
+{
+    // The fleet's SoC arms the watchdog with the live report and, with
+    // --checkpoint-out= armed, the crash hook that dumps the image.
+    namespace fs = std::filesystem;
+    const std::string out = tmpPath("fleet_watchdog.hwgc");
+    EXPECT_DEATH(
+        {
+            telemetry::options().checkpointOut = out;
+            telemetry::options().watchdogSecs = 1e-9;
+            telemetry::options().profile = true;
+            driver::FleetLab lab(tinyConfig(2), tinyTenants(2));
+            lab.run();
+        },
+        "watchdog: system\\.fleet[0-9]+ made no progress.*"
+        "cycle accounting: system\\.fleet[0-9]+.*\"groups\".*"
+        "crash dump: wrote");
+
+    // The child's pid names the artifacts: find them by prefix.
+    const std::string stem = fs::path(out).filename().string() + ".crash.";
+    std::vector<std::string> dumps;
+    for (const auto &entry :
+         fs::directory_iterator(fs::path(out).parent_path())) {
+        if (entry.path().filename().string().rfind(stem, 0) == 0) {
+            dumps.push_back(entry.path().string());
+        }
+    }
+    std::sort(dumps.begin(), dumps.end());
+    ASSERT_EQ(dumps.size(), 2u) << "want the image and its stats dump";
+    const std::string &image = dumps[0];
+    EXPECT_EQ(dumps[1], image + ".stats.json");
+    std::vector<std::string> names;
+    for (const auto &chunk : checkpoint::Deserializer::listChunks(image)) {
+        names.push_back(chunk.name);
+    }
+    const std::vector<std::string> fleet_chunks = {
+        "fleetcfg", "driver", "heap0", "builder0", "heap1",
+        "builder1", "config", "hwgc0.regs", "hwgc1.regs", "kernel"};
+    ASSERT_GT(names.size(), fleet_chunks.size());
+    EXPECT_EQ(std::vector<std::string>(names.begin(),
+                                       names.begin() + fleet_chunks.size()),
+              fleet_chunks);
+    for (const std::string &dump : dumps) {
+        std::remove(dump.c_str());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Observers: a fleet's SoC attaches the profiler and the activity
+// tracer, and neither changes the run.
+// ---------------------------------------------------------------------
+
+/** Drops the "<prefix>.profile.<comp>" sections of a registry dump:
+ *  only the profiled run has them. */
+std::string
+dropProfileSections(const std::string &dump)
+{
+    std::istringstream in(dump);
+    std::ostringstream out;
+    std::string line;
+    bool skipping = false;
+    while (std::getline(in, line)) {
+        if (line.rfind("==========", 0) == 0) {
+            skipping = line.find(".profile.") != std::string::npos;
+        }
+        if (!skipping) {
+            out << line << '\n';
+        }
+    }
+    return out.str();
+}
+
+TEST(FleetTelemetry, ObservedRunMatchesAnUnobservedOne)
+{
+    OptionsGuard guard;
+    auto config = tinyConfig(2);
+    config.hwgc.kernel = KernelMode::Event;
+    auto fleet_run = [&] {
+        telemetry::StatsRegistry::global().clearRetired();
+        driver::FleetLab lab(config, tinyTenants(3));
+        lab.run();
+        FleetSig sig = measureSig(lab);
+        const telemetry::CycleProfiler *prof = lab.soc().profiler();
+        EXPECT_EQ(prof != nullptr, telemetry::options().profile);
+        if (prof != nullptr) {
+            // The accounting identity, for every component of the SoC.
+            EXPECT_EQ(prof->observedCycles(), lab.now());
+            for (std::size_t i = 0; i < prof->numComponents(); ++i) {
+                EXPECT_EQ(prof->accounted(i), prof->observedCycles())
+                    << prof->componentName(i);
+            }
+        }
+        // Every statistic but the profiler's own groups must match;
+        // the export also carries the observed run's snapshot rows.
+        std::ostringstream os;
+        telemetry::StatsRegistry::global().dump(os);
+        sig.statsJson = normalizeInstanceIds(dropProfileSections(os.str()));
+        return sig;
+    };
+    const FleetSig plain = fleet_run();
+
+    const std::string trace = tmpPath("fleet_trace.json");
+    telemetry::options().profile = true;
+    telemetry::options().statsInterval = 50'000;
+    telemetry::TraceWriter::global().open(trace);
+    const FleetSig observed = fleet_run();
+    telemetry::TraceWriter::global().close();
+    telemetry::StatsRegistry::global().clearSnapshots();
+
+    expectSameSig(plain, observed);
+    std::ifstream in(trace);
+    const std::string events = normalizeInstanceIds(std::string(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()));
+    EXPECT_NE(events.find("\"system.fleet#.hwgc0.marker\""),
+              std::string::npos)
+        << "no activity track for device 0's marker";
+    std::remove(trace.c_str());
 }
 
 // ---------------------------------------------------------------------

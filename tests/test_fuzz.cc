@@ -28,6 +28,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -362,6 +363,37 @@ TEST(FuzzInjection, MarkBitBugIsCaughtDumpedAndReproducible)
     // Sanity: the same schedule without injection is green.
     const fuzz::FuzzResult clean = fuzz::runSchedule(replay);
     EXPECT_TRUE(clean.ok) << clean.error;
+}
+
+TEST(FuzzInjection, FleetShapeDivergenceWritesACrashImage)
+{
+    // A devices=N universe has no single device to dump: its shared
+    // SoC writes the crash image, its devices' registers in front of
+    // the kernel.
+    fuzz::FuzzOptions options;
+    options.injectMarkBug = true;
+    options.writeArtifacts = true;
+    options.artifactDir = tmpPath("artifacts");
+    std::filesystem::create_directories(options.artifactDir);
+    options.grid = {{"fleet2-ideal", "devices=2,mem=ideal"}};
+
+    const fuzz::FuzzResult result =
+        fuzz::runSchedule(smallSchedule(99), options);
+    ASSERT_FALSE(result.ok) << "an injected mark-set bug slipped through";
+    EXPECT_EQ(result.configName, "fleet2-ideal");
+    ASSERT_FALSE(result.crashPath.empty());
+    EXPECT_TRUE(fileExists(result.crashPath)) << result.crashPath;
+    std::vector<std::string> names;
+    for (const auto &chunk :
+         checkpoint::Deserializer::listChunks(result.crashPath)) {
+        names.push_back(chunk.name);
+    }
+    const std::vector<std::string> soc_part = {"config", "hwgc0.regs",
+                                               "hwgc1.regs", "kernel"};
+    ASSERT_GT(names.size(), soc_part.size());
+    EXPECT_EQ(std::vector<std::string>(names.begin(),
+                                       names.begin() + soc_part.size()),
+              soc_part);
 }
 
 // ---------------------------------------------------------------------

@@ -162,7 +162,7 @@ expectProfiledRoundTrip(const HwgcConfig &config)
     const std::string path = tmpPath("profiled-midmark.ckpt");
     const Attribution writer = profiledRun(
         graph, withKernel(config, KernelMode::Dense),
-        [&](Rig &rig) { rig.device->armCheckpoint(path, at); });
+        [&](Rig &rig) { rig.device->soc().armCheckpoint(path, at); });
     EXPECT_EQ(ref.finalNow, writer.finalNow);
     EXPECT_EQ(ref.freed, writer.freed);
     expectSameAttribution(ref, writer);
@@ -185,7 +185,7 @@ expectProfiledRoundTrip(const HwgcConfig &config)
         const Attribution run = profiledRun(
             graph, withKernel(config, c.kernel),
             [&](Rig &rig) {
-                rig.device->restoreCheckpoint(path);
+                rig.device->soc().restoreCheckpoint(path);
                 EXPECT_EQ(rig.device->system().now(), at);
             });
         // The restored device finishes at the reference's final cycle
